@@ -5,9 +5,10 @@ lowered IR), `run` (execute under either semantics), and `diff` (run both
 semantics and report agreement).
 
 Exit codes: 0 success or a value; 1 cast error; 2 stuck; 3 timeout;
-4 type error; 5 parse error or unreadable input. `--trace` streams one
-tab-separated record per machine transition to standard error. The
-default fuel is 1000000 and can be set with MONOREF_FUEL or --fuel.
+4 type error; 5 parse error, unreadable input or a usage error.
+`--trace` streams one tab-separated record per machine transition to
+standard error. The default fuel is 1000000 and can be set with
+MONOREF_FUEL or --fuel, either at least 1.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _load(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE_ERROR) from None
     try:
@@ -99,11 +100,11 @@ def _default_fuel() -> int:
     if raw is None:
         return DEFAULT_FUEL
     try:
-        fuel = int(raw)
-    except ValueError:
-        print(f"error: MONOREF_FUEL={raw!r} is not an integer", file=sys.stderr)
+        return _positive_int(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        print(f"error: MONOREF_FUEL={raw!r} is not a positive integer",
+              file=sys.stderr)
         raise SystemExit(EXIT_PARSE_ERROR) from None
-    return fuel
 
 
 def cmd_check(args) -> int:
@@ -152,8 +153,17 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_PARSE_ERROR; argparse's own code, 2,
+    is EXIT_STUCK here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monoref",
         description="Typecheck, compile, and run gradually typed programs "
                     "under monotonic or guarded reference semantics.")

@@ -6,7 +6,9 @@ proxy carrying the two cell types it mediates between. Reads apply each
 layer's cast on the way out (innermost first); writes apply the casts in
 reverse on the way in (outermost first) and store the result at the
 underlying address. Heap cells keep their allocation tag but the tag is
-never consulted, and the worklist of the monotonic machine stays empty.
+never consulted, and there is no worklist. The driver in `machine`
+runs `GUARDED`: `run_g` owns a private, mutable heap and stack, while
+`step_g` and `gwrite` copy the heap they are given.
 
 Values are the ordinary runtime values plus `GProxy`; pairs, injections,
 and closure environments may contain proxies.
@@ -18,59 +20,29 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lang import (
-    ArrowT,
-    BoolT,
     CastError,
-    Closure,
-    Deref,
-    DynT,
-    EConst,
-    Expr,
-    Inject,
-    IntT,
-    Lam,
-    MkPair,
     Observable,
     O_ADDR,
-    O_CASTERROR,
-    O_STUCK,
-    O_TIMEOUT,
     OPair,
-    PairT,
-    Plain,
-    PrimApp,
     RefT,
-    SAlloc,
-    SCall,
-    SCast,
-    SDynDeref,
-    SDynUpdate,
-    SLet,
-    SRet,
-    STailCall,
-    SUpdate,
     Stmt,
-    Stuck,
     Ty,
-    VConst,
     VPair,
     VRef,
-    Var,
-    ground,
 )
 from .machine import (
     DEFAULT_FUEL,
-    Frame,
     Heap,
+    Semantics,
     State,
     TraceRecord,
-    delta,
-    heap_cell,
+    cast_value,
     initial_state,
-    lookup,
     observe,
-    to_val,
-    wrap,
+    read_cell,
+    step_with,
+    steps_with,
+    update_cell,
 )
 
 
@@ -86,124 +58,41 @@ class GProxy:
     tgt_cell: Ty
 
 
+def proxy(v, src: RefT, tgt: RefT, heap, work) -> GProxy:
+    """The guarded reference cast: one more proxy layer, no heap effects."""
+    if isinstance(v, (VRef, GProxy)):
+        return GProxy(v, src.cell, tgt.cell)
+    raise CastError(f"no cast from {src} to {tgt}")
+
+
 def cast_g(v, src: Ty, tgt: Ty):
     """Pure value cast: no heap effects, proxies instead of cell rewrites."""
-    if isinstance(src, IntT) and isinstance(tgt, IntT):
-        return v
-    if isinstance(src, BoolT) and isinstance(tgt, BoolT):
-        return v
-    if isinstance(src, DynT) and isinstance(tgt, DynT):
-        return v
-    if isinstance(src, ArrowT) and isinstance(tgt, ArrowT):
-        return wrap(v, src.dom, src.cod, tgt.dom, tgt.cod)
-    if isinstance(v, VPair) and isinstance(src, PairT) and isinstance(tgt, PairT):
-        return VPair(cast_g(v.fst, src.left, tgt.left),
-                     cast_g(v.snd, src.right, tgt.right))
-    if isinstance(v, (VRef, GProxy)) and isinstance(src, RefT) and isinstance(tgt, RefT):
-        return GProxy(v, src.cell, tgt.cell)
-    if isinstance(v, Inject) and isinstance(src, DynT):
-        if ground(v.src_ty) == ground(tgt):
-            return cast_g(v.payload, v.src_ty, tgt)
-        raise CastError(f"projection of {v.src_ty} payload to {tgt}")
-    if isinstance(tgt, DynT):
-        return Inject(v, src)
-    raise CastError(f"no cast from {src} to {tgt}")
+    return cast_value(v, src, tgt, None, None, proxy)
 
 
 def gread(v, heap: Heap):
     """Read through a proxy chain, casting each layer innermost first."""
-    if isinstance(v, VRef):
-        cv, _ = heap_cell(heap, v.addr)
-        return to_val(cv)
     if isinstance(v, GProxy):
-        inner = gread(v.inner, heap)
-        return cast_g(inner, v.src_cell, v.tgt_cell)
-    raise Stuck(f"not a reference: {v!r}")
+        return cast_g(gread(v.inner, heap), v.src_cell, v.tgt_cell)
+    return read_cell(v, heap)
 
 
-def gwrite(v, w, heap: Heap) -> Heap:
+def write_in_place(v, w, heap: Heap) -> None:
     """Write through a proxy chain, casting each layer outermost first.
 
     The stored cell keeps its original allocation tag; guarded reads
     never consult it.
     """
-    if isinstance(v, VRef):
-        _, tag = heap_cell(heap, v.addr)
-        new_heap = dict(heap)
-        new_heap[v.addr] = (Plain(w), tag)
-        return new_heap
     if isinstance(v, GProxy):
-        return gwrite(v.inner, cast_g(w, v.tgt_cell, v.src_cell), heap)
-    raise Stuck(f"not a reference: {v!r}")
+        return write_in_place(v.inner, cast_g(w, v.tgt_cell, v.src_cell), heap)
+    update_cell(v, w, heap)
 
 
-def eval_g(e: Expr, env, heap: Heap):
-    """Expression evaluation with proxy-aware dereference."""
-    if isinstance(e, Var):
-        return lookup(e.name, env)
-    if isinstance(e, EConst):
-        return VConst(e.const)
-    if isinstance(e, PrimApp):
-        return delta(e.op, eval_g(e.arg, env, heap))
-    if isinstance(e, MkPair):
-        return VPair(eval_g(e.fst, env, heap), eval_g(e.snd, env, heap))
-    if isinstance(e, Lam):
-        return Closure(e.param, e.param_ty, e.body, env)
-    if isinstance(e, Deref):
-        return gread(eval_g(e.ref, env, heap), heap)
-    raise Stuck(f"unknown expression form {e!r}")
-
-
-def _dispatch_g(state: State):
-    stmt, env, stack, heap = state.stmt, state.env, state.stack, state.heap
-
-    if isinstance(stmt, SLet):
-        v = eval_g(stmt.rhs, env, heap)
-        return State(stmt.body, ((stmt.name, v),) + env, stack, heap, ()), "let"
-    if isinstance(stmt, SRet):
-        if not stack:
-            raise Stuck("return from the outermost statement")
-        frame = stack[0]
-        v = eval_g(stmt.expr, env, heap)
-        return State(frame.cont, ((frame.name, v),) + frame.env, stack[1:],
-                     heap, ()), "return"
-    if isinstance(stmt, (SCall, STailCall)):
-        fn = eval_g(stmt.fn, env, heap)
-        arg = eval_g(stmt.arg, env, heap)
-        if not isinstance(fn, Closure):
-            raise Stuck(f"call of non-closure {fn!r}")
-        callee_env = ((fn.param, arg),) + fn.env
-        if isinstance(stmt, STailCall):
-            return State(fn.body, callee_env, stack, heap, ()), "tailcall"
-        new_stack = (Frame(stmt.name, stmt.body, env),) + stack
-        return State(fn.body, callee_env, new_stack, heap, ()), "call"
-    if isinstance(stmt, SAlloc):
-        v = eval_g(stmt.init, env, heap)
-        addr = len(heap)
-        new_heap = dict(heap)
-        new_heap[addr] = (Plain(v), stmt.cell_ty)
-        return State(stmt.body, ((stmt.name, VRef(addr)),) + env, stack,
-                     new_heap, ()), "alloc"
-    if isinstance(stmt, (SUpdate, SDynUpdate)):
-        # The dynamic form's annotation is ignored; proxies carry the casts.
-        target = eval_g(stmt.ref, env, heap)
-        v = eval_g(stmt.rhs, env, heap)
-        rule = "update" if isinstance(stmt, SUpdate) else "dyn-update"
-        return State(stmt.body, env, stack, gwrite(target, v, heap), ()), rule
-    if isinstance(stmt, SCast):
-        v = eval_g(stmt.expr, env, heap)
-        v2 = cast_g(v, stmt.src, stmt.tgt)
-        return State(stmt.body, ((stmt.name, v2),) + env, stack, heap, ()), "cast"
-    if isinstance(stmt, SDynDeref):
-        target = eval_g(stmt.ref, env, heap)
-        v = gread(target, heap)
-        return State(stmt.body, ((stmt.name, v),) + env, stack, heap,
-                     ()), "dyn-deref"
-    raise Stuck(f"no transition from {stmt!r}")
-
-
-def step_g(state: State) -> State:
-    return _dispatch_g(state)[0]
+def gwrite(v, w, heap: Heap) -> Heap:
+    """`write_in_place` on a copy of `heap`; returns the new heap."""
+    heap = dict(heap)
+    write_in_place(v, w, heap)
+    return heap
 
 
 def observe_g(v) -> Observable:
@@ -215,30 +104,27 @@ def observe_g(v) -> Observable:
     return observe(v)
 
 
+# The dynamic forms' annotations are ignored: proxies carry the casts.
+GUARDED = Semantics(
+    read=gread,
+    update=write_in_place,
+    dyn_update=lambda ref, v, ann, heap, work: write_in_place(ref, v, heap),
+    cast_ref=proxy,
+    dyn_deref=lambda ref, ann, heap, work: gread(ref, heap),
+    active_step=None,
+    observe=observe_g,
+)
+
+
+def step_g(state: State) -> State:
+    """One guarded transition; Stuck on a state with a worklist."""
+    return step_with(GUARDED, state)
+
+
 def steps_g(fuel: int, state: State,
             trace: Optional[Callable[[TraceRecord], None]] = None) -> Observable:
-    index = 0
-    while True:
-        if fuel == 0:
-            return O_TIMEOUT
-        if isinstance(state.stmt, SRet) and not state.stack and not state.active:
-            try:
-                v = eval_g(state.stmt.expr, state.env, state.heap)
-            except Stuck:
-                return O_STUCK
-            except CastError:
-                return O_CASTERROR
-            return observe_g(v)
-        try:
-            state, rule = _dispatch_g(state)
-        except Stuck:
-            return O_STUCK
-        except CastError:
-            return O_CASTERROR
-        if trace is not None:
-            trace(TraceRecord(index, rule, len(state.active), len(state.heap)))
-        index += 1
-        fuel -= 1
+    """Drive the guarded semantics for at most `fuel` transitions."""
+    return steps_with(GUARDED, fuel, state, trace)
 
 
 def run_g(stmt: Stmt, fuel: int = DEFAULT_FUEL,

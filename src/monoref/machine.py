@@ -1,4 +1,4 @@
-"""The monotonic-reference abstract machine.
+"""The monotonic-reference abstract machine, and the driver of both semantics.
 
 A machine state is a statement, an environment, a procedure call stack,
 a tagged heap, and a worklist of active addresses. Casting a reference
@@ -8,9 +8,11 @@ resumes only once the worklist has drained. Heap tags only ever become
 less dynamic, and a cell whose tag is already low enough is left alone,
 which is what keeps casts over heap cycles from diverging.
 
-All functions here are pure: heaps are plain dicts that are copied, not
-mutated, and states are immutable. Fresh addresses are allocated at the
-current heap size; addresses are never reclaimed.
+`run` owns a private, mutable heap dict and stack, updated in place;
+fresh addresses are allocated at the heap's size and never reclaimed.
+`step`, `cast` and the guarded `gwrite` copy at the boundary: they
+return new heaps and never mutate a `State` or a heap handed to them.
+A `Semantics` supplies what the guarded semantics does differently.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .lang import (
 DEFAULT_FUEL = 1_000_000
 
 Env = tuple  # sequence of (name, Val), newest binding first
-Heap = dict  # address -> (CastedVal, Ty); copy on write
+Heap = dict  # address -> (CastedVal, Ty)
 Active = tuple  # worklist of addresses, head processed first
 
 
@@ -94,7 +96,7 @@ class Frame:
 class State:
     stmt: Stmt
     env: Env
-    stack: tuple
+    stack: tuple  # frames, innermost first
     heap: Heap
     active: Active
 
@@ -153,23 +155,34 @@ def to_val(cv: CastedVal) -> Val:
     raise Stuck("read of a heap cell with a pending cast")
 
 
+def read_cell(ref: Val, heap: Heap) -> Val:
+    """The monotonic read: the value of a cell with no pending cast."""
+    cv, _ = heap_cell(heap, to_addr(ref))
+    return to_val(cv)
+
+
+def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
+    """Evaluate a pure expression, dereferencing with `read(ref, heap)`."""
+    t = type(e)
+    if t is Var:
+        return lookup(e.name, env)
+    if t is EConst:
+        return VConst(e.const)
+    if t is PrimApp:
+        return delta(e.op, evaluate(e.arg, env, heap, read))
+    if t is Deref:
+        return read(evaluate(e.ref, env, heap, read), heap)
+    if t is MkPair:
+        return VPair(evaluate(e.fst, env, heap, read),
+                     evaluate(e.snd, env, heap, read))
+    if t is Lam:
+        return Closure(e.param, e.param_ty, e.body, env)
+    raise Stuck(f"unknown expression form {e!r}")
+
+
 def eval_expr(e: Expr, env: Env, heap: Heap) -> Val:
     """Evaluate a pure expression; only safe once the worklist is empty."""
-    if isinstance(e, Var):
-        return lookup(e.name, env)
-    if isinstance(e, EConst):
-        return VConst(e.const)
-    if isinstance(e, PrimApp):
-        return delta(e.op, eval_expr(e.arg, env, heap))
-    if isinstance(e, MkPair):
-        return VPair(eval_expr(e.fst, env, heap), eval_expr(e.snd, env, heap))
-    if isinstance(e, Lam):
-        return Closure(e.param, e.param_ty, e.body, env)
-    if isinstance(e, Deref):
-        addr = to_addr(eval_expr(e.ref, env, heap))
-        cv, _ = heap_cell(heap, addr)
-        return to_val(cv)
-    raise Stuck(f"unknown expression form {e!r}")
+    return evaluate(e, env, heap, read_cell)
 
 
 def wrap(v: Val, dom: Ty, cod: Ty, new_dom: Ty, new_cod: Ty) -> Closure:
@@ -195,130 +208,91 @@ def mk_vcast(cv: CastedVal, src: Ty, tgt: Ty) -> Pending:
     return Pending(cv.value, cv.src, tgt)
 
 
-def cast(v: Val, src: Ty, tgt: Ty, heap: Heap, active: Active):
-    """Cast `v` from `src` to `tgt`, threading the heap and worklist.
+def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
+    """Cast `v` from `src` to `tgt`, as both semantics do.
 
-    Returns (value, heap, active). Identity on matching base types and
-    dyn; arrows wrap; pairs go componentwise. Casting a reference meets
-    the target cell type with the current tag: if the tag is already at
-    or below the meet the heap is left unchanged, otherwise the cell is
-    retagged with a pending cast and its address joins the worklist.
-    Projections out of dyn require equal ground types.
+    Identity on matching base types and dyn; arrows wrap; pairs go
+    componentwise; projections out of dyn require equal ground types. A
+    cast between reference types is `cast_ref(v, src, tgt, heap, work)`,
+    which may update `heap` and the worklist `work` (head last) in place.
     """
-    if isinstance(src, IntT) and isinstance(tgt, IntT):
-        return v, heap, active
-    if isinstance(src, BoolT) and isinstance(tgt, BoolT):
-        return v, heap, active
-    if isinstance(src, DynT) and isinstance(tgt, DynT):
-        return v, heap, active
-    if isinstance(src, ArrowT) and isinstance(tgt, ArrowT):
-        return wrap(v, src.dom, src.cod, tgt.dom, tgt.cod), heap, active
-    if isinstance(v, VPair) and isinstance(src, PairT) and isinstance(tgt, PairT):
-        fst, heap1, active1 = cast(v.fst, src.left, tgt.left, heap, active)
-        snd, heap2, active2 = cast(v.snd, src.right, tgt.right, heap1, active1)
-        return VPair(fst, snd), heap2, active2
-    if isinstance(v, VRef) and isinstance(src, RefT) and isinstance(tgt, RefT):
-        cv, tag = heap_cell(heap, v.addr)
-        lowered = meet(tgt.cell, tag)
-        if lesseq(tag, lowered):
-            return v, heap, active
-        new_heap = dict(heap)
-        new_heap[v.addr] = (mk_vcast(cv, tag, lowered), lowered)
-        return v, new_heap, (v.addr,) + tuple(active)
-    if isinstance(v, Inject) and isinstance(src, DynT):
+    ts, tt = type(src), type(tgt)
+    if ts is tt and (ts is IntT or ts is BoolT or ts is DynT):
+        return v
+    if ts is ArrowT and tt is ArrowT:
+        return wrap(v, src.dom, src.cod, tgt.dom, tgt.cod)
+    tv = type(v)
+    if tv is VPair and ts is PairT and tt is PairT:
+        fst = cast_value(v.fst, src.left, tgt.left, heap, work, cast_ref)
+        return VPair(fst, cast_value(v.snd, src.right, tgt.right, heap, work,
+                                     cast_ref))
+    if ts is RefT and tt is RefT:
+        return cast_ref(v, src, tgt, heap, work)
+    if tv is Inject and ts is DynT:
         if ground(v.src_ty) == ground(tgt):
-            return cast(v.payload, v.src_ty, tgt, heap, active)
+            return cast_value(v.payload, v.src_ty, tgt, heap, work, cast_ref)
         raise CastError(f"projection of {v.src_ty} payload to {tgt}")
-    if isinstance(tgt, DynT):
-        return Inject(v, src), heap, active
+    if tt is DynT:
+        return Inject(v, src)
     raise CastError(f"no cast from {src} to {tgt}")
 
 
-def _dispatch(state: State):
-    """One machine transition; returns the new state and the rule name."""
-    stmt, env, stack, heap, active = (
-        state.stmt, state.env, state.stack, state.heap, state.active)
-
-    if active:
-        addr, rest = active[0], active[1:]
-        cv, tag = heap_cell(heap, addr)
-        if isinstance(cv, Plain):
-            return State(stmt, env, stack, heap, rest), "active-discard"
-        new_val, new_heap, new_active = cast(cv.value, cv.src, cv.tgt, heap, active)
-        _, new_tag = heap_cell(new_heap, addr)
-        if lesseq(tag, new_tag):
-            committed = dict(new_heap)
-            committed[addr] = (Plain(new_val), tag)
-            remaining = tuple(a for a in new_active if a != addr)
-            return State(stmt, env, stack, committed, remaining), "active-commit"
-        # The tag moved below this cast's target: a nested cast superseded
-        # it, so the produced value is dropped.
-        return State(stmt, env, stack, new_heap, new_active), "active-supersede"
-
-    if isinstance(stmt, SLet):
-        v = eval_expr(stmt.rhs, env, heap)
-        return State(stmt.body, ((stmt.name, v),) + env, stack, heap, ()), "let"
-    if isinstance(stmt, SRet):
-        if not stack:
-            raise Stuck("return from the outermost statement")
-        frame = stack[0]
-        v = eval_expr(stmt.expr, env, heap)
-        return State(frame.cont, ((frame.name, v),) + frame.env, stack[1:],
-                     heap, ()), "return"
-    if isinstance(stmt, (SCall, STailCall)):
-        fn = eval_expr(stmt.fn, env, heap)
-        arg = eval_expr(stmt.arg, env, heap)
-        if not isinstance(fn, Closure):
-            raise Stuck(f"call of non-closure {fn!r}")
-        callee_env = ((fn.param, arg),) + fn.env
-        if isinstance(stmt, STailCall):
-            return State(fn.body, callee_env, stack, heap, ()), "tailcall"
-        new_stack = (Frame(stmt.name, stmt.body, env),) + stack
-        return State(fn.body, callee_env, new_stack, heap, ()), "call"
-    if isinstance(stmt, SAlloc):
-        v = eval_expr(stmt.init, env, heap)
-        addr = len(heap)
-        new_heap = dict(heap)
-        new_heap[addr] = (Plain(v), stmt.cell_ty)
-        return State(stmt.body, ((stmt.name, VRef(addr)),) + env, stack,
-                     new_heap, ()), "alloc"
-    if isinstance(stmt, SUpdate):
-        addr = to_addr(eval_expr(stmt.ref, env, heap))
-        v = eval_expr(stmt.rhs, env, heap)
-        _, tag = heap_cell(heap, addr)
-        new_heap = dict(heap)
-        new_heap[addr] = (Plain(v), tag)
-        return State(stmt.body, env, stack, new_heap, ()), "update"
-    if isinstance(stmt, SDynUpdate):
-        addr = to_addr(eval_expr(stmt.ref, env, heap))
-        v = eval_expr(stmt.rhs, env, heap)
-        _, tag = heap_cell(heap, addr)
-        new_heap = dict(heap)
-        new_heap[addr] = (Pending(v, stmt.ann, tag), tag)
-        return State(stmt.body, env, stack, new_heap, (addr,)), "dyn-update"
-    if isinstance(stmt, SCast):
-        v = eval_expr(stmt.expr, env, heap)
-        new_val, new_heap, new_active = cast(v, stmt.src, stmt.tgt, heap, ())
-        return State(stmt.body, ((stmt.name, new_val),) + env, stack,
-                     new_heap, new_active), "cast"
-    if isinstance(stmt, SDynDeref):
-        addr = to_addr(eval_expr(stmt.ref, env, heap))
-        cv, tag = heap_cell(heap, addr)
-        v = to_val(cv)
-        new_val, new_heap, new_active = cast(v, tag, stmt.ann, heap, ())
-        return State(stmt.body, ((stmt.name, new_val),) + env, stack,
-                     new_heap, new_active), "dyn-deref"
-    raise Stuck(f"no transition from {stmt!r}")
+def retag(v: Val, src: RefT, tgt: RefT, heap: Heap, work: list) -> Val:
+    """The monotonic reference cast: if the meet of the target cell type
+    and the cell's tag lies below the tag, retag the cell with a pending
+    cast and make its address the worklist's head."""
+    if type(v) is not VRef:
+        raise CastError(f"no cast from {src} to {tgt}")
+    cv, tag = heap_cell(heap, v.addr)
+    lowered = meet(tgt.cell, tag)
+    if not lesseq(tag, lowered):
+        heap[v.addr] = (mk_vcast(cv, tag, lowered), lowered)
+        work.append(v.addr)
+    return v
 
 
-def step(state: State) -> State:
-    """One machine transition; Stuck on shape violations and final states."""
-    return _dispatch(state)[0]
+def cast(v: Val, src: Ty, tgt: Ty, heap: Heap, active: Active):
+    """The monotonic cast on a copy: returns (value, new heap, new worklist)."""
+    heap = dict(heap)
+    work = list(reversed(active))
+    v = cast_value(v, src, tgt, heap, work, retag)
+    return v, heap, tuple(reversed(work))
 
 
-def final(state: State) -> bool:
-    """A return statement with no pending frames and an empty worklist."""
-    return isinstance(state.stmt, SRet) and not state.stack and not state.active
+def update_cell(ref: Val, v: Val, heap: Heap) -> None:
+    """Store `v` in the cell `ref` names, keeping the cell's tag."""
+    addr = to_addr(ref)
+    _, tag = heap_cell(heap, addr)
+    heap[addr] = (Plain(v), tag)
+
+
+def _dyn_update(ref: Val, v: Val, ann: Ty, heap: Heap, work: list) -> None:
+    addr = to_addr(ref)
+    _, tag = heap_cell(heap, addr)
+    heap[addr] = (Pending(v, ann, tag), tag)
+    work.append(addr)
+
+
+def _dyn_deref(ref: Val, ann: Ty, heap: Heap, work: list) -> Val:
+    cv, tag = heap_cell(heap, to_addr(ref))
+    return cast_value(to_val(cv), tag, ann, heap, work, retag)
+
+
+def _active_step(heap: Heap, work: list) -> str:
+    """Process the worklist's head; returns the rule's name."""
+    addr = work[-1]
+    cv, tag = heap_cell(heap, addr)
+    if isinstance(cv, Plain):
+        work.pop()
+        return "active-discard"
+    new_val = cast_value(cv.value, cv.src, cv.tgt, heap, work, retag)
+    if lesseq(tag, heap[addr][1]):
+        heap[addr] = (Plain(new_val), tag)
+        work[:] = [a for a in work if a != addr]
+        return "active-commit"
+    # The tag moved below this cast's target: a nested cast superseded
+    # it, so the produced value is dropped.
+    return "active-supersede"
 
 
 def observe(v: Val) -> Observable:
@@ -336,41 +310,165 @@ def observe(v: Val) -> Observable:
     raise Stuck(f"not a value: {v!r}")
 
 
-def initial_state(stmt: Stmt) -> State:
-    return State(stmt, (), (), {}, ())
+@dataclass(frozen=True)
+class Semantics:
+    """What differs between the reference semantics the driver runs.
+
+    `read` serves `Deref`; `update`, `dyn_update`, `dyn_deref` and
+    `cast_ref` (the reference case of `cast_value`) serve their
+    statements, updating the heap and the worklist (head last) in place;
+    `active_step` is the worklist rule, None without a worklist.
+    """
+    read: Callable
+    update: Callable
+    dyn_update: Callable
+    cast_ref: Callable
+    dyn_deref: Callable
+    active_step: Optional[Callable]
+    observe: Callable
 
 
-def steps(fuel: int, state: State,
-          trace: Optional[Callable[[TraceRecord], None]] = None) -> Observable:
-    """Drive the machine for at most `fuel` transitions.
+MONOTONIC = Semantics(read_cell, update_cell, _dyn_update, retag,
+                      _dyn_deref, _active_step, observe)
+
+
+def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
+                 stack: list, heap: Heap, work: list, trace):
+    """Run at most `fuel` transitions, updating `stack`, `heap` and `work`
+    (each top last) in place; returns (stmt, env, fuel left). Stops early
+    at a final state. Stuck and CastError propagate to the caller.
+    """
+    read, update, dyn_update = sem.read, sem.update, sem.dyn_update
+    cast_ref, dyn_deref, active_step = sem.cast_ref, sem.dyn_deref, sem.active_step
+    index = 0
+    while fuel != 0:
+        if work:
+            rule = active_step(heap, work)
+        else:
+            t = type(stmt)
+            if t is SLet:
+                v = evaluate(stmt.rhs, env, heap, read)
+                env = ((stmt.name, v),) + env
+                stmt = stmt.body
+                rule = "let"
+            elif t is STailCall or t is SCall:
+                fn = evaluate(stmt.fn, env, heap, read)
+                arg = evaluate(stmt.arg, env, heap, read)
+                if type(fn) is not Closure:
+                    raise Stuck(f"call of non-closure {fn!r}")
+                if t is SCall:
+                    stack.append(Frame(stmt.name, stmt.body, env))
+                    rule = "call"
+                else:
+                    rule = "tailcall"
+                env = ((fn.param, arg),) + fn.env
+                stmt = fn.body
+            elif t is SRet:
+                if not stack:
+                    break
+                v = evaluate(stmt.expr, env, heap, read)
+                frame = stack.pop()
+                env = ((frame.name, v),) + frame.env
+                stmt = frame.cont
+                rule = "return"
+            elif t is SAlloc:
+                v = evaluate(stmt.init, env, heap, read)
+                addr = len(heap)
+                heap[addr] = (Plain(v), stmt.cell_ty)
+                env = ((stmt.name, VRef(addr)),) + env
+                stmt = stmt.body
+                rule = "alloc"
+            elif t is SUpdate:
+                ref = evaluate(stmt.ref, env, heap, read)
+                update(ref, evaluate(stmt.rhs, env, heap, read), heap)
+                stmt = stmt.body
+                rule = "update"
+            elif t is SCast:
+                v = evaluate(stmt.expr, env, heap, read)
+                v = cast_value(v, stmt.src, stmt.tgt, heap, work, cast_ref)
+                env = ((stmt.name, v),) + env
+                stmt = stmt.body
+                rule = "cast"
+            elif t is SDynDeref:
+                ref = evaluate(stmt.ref, env, heap, read)
+                v = dyn_deref(ref, stmt.ann, heap, work)
+                env = ((stmt.name, v),) + env
+                stmt = stmt.body
+                rule = "dyn-deref"
+            elif t is SDynUpdate:
+                ref = evaluate(stmt.ref, env, heap, read)
+                v = evaluate(stmt.rhs, env, heap, read)
+                dyn_update(ref, v, stmt.ann, heap, work)
+                stmt = stmt.body
+                rule = "dyn-update"
+            else:
+                raise Stuck(f"no transition from {stmt!r}")
+        if trace is not None:
+            trace(TraceRecord(index, rule, len(work), len(heap)))
+        index += 1
+        fuel -= 1
+    return stmt, env, fuel
+
+
+def _unpack(sem: Semantics, state: State):
+    """Private copies of a state's stack, heap and worklist, tops last."""
+    if state.active and sem.active_step is None:
+        raise Stuck("a worklist in a state of a semantics without one")
+    return (list(reversed(state.stack)), dict(state.heap),
+            list(reversed(state.active)))
+
+
+def step_with(sem: Semantics, state: State) -> State:
+    """One transition on a copy of `state`; Stuck at a final state."""
+    stack, heap, work = _unpack(sem, state)
+    stmt, env, left = _transitions(sem, 1, state.stmt, state.env, stack,
+                                   heap, work, None)
+    if left:
+        raise Stuck("return from the outermost statement")
+    return State(stmt, env, tuple(reversed(stack)), heap, tuple(reversed(work)))
+
+
+def steps_with(sem: Semantics, fuel: int, state: State,
+               trace: Optional[Callable[[TraceRecord], None]]) -> Observable:
+    """Drive `sem` from `state` for at most `fuel` transitions.
 
     Exhausted fuel reports a timeout; a final state evaluates and
     observes its return expression; Stuck and cast failures map to their
     observables. The optional `trace` callback receives one record per
     completed transition.
     """
-    index = 0
-    while True:
-        if fuel == 0:
+    try:
+        stack, heap, work = _unpack(sem, state)
+        stmt, env, left = _transitions(sem, fuel, state.stmt, state.env,
+                                       stack, heap, work, trace)
+        if left == 0:
             return O_TIMEOUT
-        if final(state):
-            try:
-                v = eval_expr(state.stmt.expr, state.env, state.heap)
-            except Stuck:
-                return O_STUCK
-            except CastError:
-                return O_CASTERROR
-            return observe(v)
-        try:
-            state, rule = _dispatch(state)
-        except Stuck:
-            return O_STUCK
-        except CastError:
-            return O_CASTERROR
-        if trace is not None:
-            trace(TraceRecord(index, rule, len(state.active), len(state.heap)))
-        index += 1
-        fuel -= 1
+        v = evaluate(stmt.expr, env, heap, sem.read)
+    except Stuck:
+        return O_STUCK
+    except CastError:
+        return O_CASTERROR
+    return sem.observe(v)
+
+
+def step(state: State) -> State:
+    """One machine transition; Stuck on shape violations and final states."""
+    return step_with(MONOTONIC, state)
+
+
+def final(state: State) -> bool:
+    """A return statement with no pending frames and an empty worklist."""
+    return isinstance(state.stmt, SRet) and not state.stack and not state.active
+
+
+def initial_state(stmt: Stmt) -> State:
+    return State(stmt, (), (), {}, ())
+
+
+def steps(fuel: int, state: State,
+          trace: Optional[Callable[[TraceRecord], None]] = None) -> Observable:
+    """Drive the monotonic machine for at most `fuel` transitions."""
+    return steps_with(MONOTONIC, fuel, state, trace)
 
 
 def run(stmt: Stmt, fuel: int = DEFAULT_FUEL,

@@ -121,11 +121,40 @@ def test_fuel_env_rejects_garbage(capsys, monkeypatch):
     monkeypatch.delenv("MONOREF_FUEL")
 
 
+def test_fuel_env_must_be_positive(capsys, monkeypatch):
+    # Below 1, fuel never reaches its zero check (negative) or times out
+    # before the first step (zero); both are rejected like `--fuel 0`.
+    for raw in ("0", "-5"):
+        monkeypatch.setenv("MONOREF_FUEL", raw)
+        assert main(["run", corpus("ex2")]) == EXIT_PARSE_ERROR
+        assert "MONOREF_FUEL" in capsys.readouterr().err
+    monkeypatch.delenv("MONOREF_FUEL")
+
+
 def test_fuel_must_be_positive(capsys):
     import pytest
 
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as excinfo:
         main(["run", corpus("ex2"), "--fuel", "0"])
+    assert excinfo.value.code == EXIT_PARSE_ERROR
+
+
+def test_usage_errors_exit_as_parse_errors(capsys):
+    # argparse exits 2 on a usage error, which is EXIT_STUCK here.
+    import pytest
+
+    for argv in (["run"], ["run", corpus("ex2"), "--semantics", "lazy"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_PARSE_ERROR
+        assert "usage: monoref" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_unreadable(tmp_path, capsys):
+    path = tmp_path / "latin1.gtlc"
+    path.write_bytes(b"(succ \xff)")
+    assert main(["run", str(path)]) == EXIT_PARSE_ERROR
+    assert f"error: cannot read {path}:" in capsys.readouterr().err
 
 
 def test_trace_streams_records(capsys):

@@ -1,0 +1,221 @@
+"""The shared driver: `steps`/`steps_g` against `step`/`step_g`, copying at
+the boundary, and which exceptions the driver maps to observables."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from generators import ProgramGen
+from monoref.guarded import GUARDED, GProxy, run_g, step_g, steps_g
+from monoref.lang import (
+    DYN,
+    INT,
+    CastError,
+    Closure,
+    EConst,
+    Inject,
+    IntC,
+    O_CASTERROR,
+    O_STUCK,
+    O_TIMEOUT,
+    PairT,
+    Pending,
+    Plain,
+    RefT,
+    SAlloc,
+    SCall,
+    SCast,
+    SDynDeref,
+    SDynUpdate,
+    SLet,
+    SRet,
+    STailCall,
+    SUpdate,
+    Stuck,
+    VConst,
+    VPair,
+    VRef,
+    Var,
+)
+from monoref.machine import (
+    MONOTONIC,
+    Frame,
+    State,
+    TraceRecord,
+    evaluate,
+    final,
+    initial_state,
+    run,
+    step,
+    steps,
+)
+from monoref.surface import ParseError, elaborate, parse_surface, typecheck_surface
+from monoref.typecheck import TypeCheckError
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+INT4 = VConst(IntC(4))
+
+RULES = {SLet: "let", SRet: "return", SCall: "call", STailCall: "tailcall",
+         SAlloc: "alloc", SUpdate: "update", SDynUpdate: "dyn-update",
+         SCast: "cast", SDynDeref: "dyn-deref"}
+
+SEMANTICS = [(steps, step, MONOTONIC), (steps_g, step_g, GUARDED)]
+
+
+def rule_of(before: State, after: State) -> str:
+    """The rule a transition used, told from the states on either side."""
+    if not before.active:
+        return RULES[type(before.stmt)]
+    head = before.active[0]
+    if isinstance(before.heap[head][0], Plain):
+        return "active-discard"
+    if isinstance(after.heap[head][0], Plain):
+        return "active-commit"
+    return "active-supersede"
+
+
+def iterate(stepper, sem, state, fuel):
+    """Observable and trace of `fuel` transitions taken one `step` at a time."""
+    records = []
+    for index in range(fuel):
+        if final(state):
+            try:
+                v = evaluate(state.stmt.expr, state.env, state.heap, sem.read)
+            except Stuck:
+                return O_STUCK, records
+            except CastError:
+                return O_CASTERROR, records
+            return sem.observe(v), records
+        try:
+            after = stepper(state)
+        except Stuck:
+            return O_STUCK, records
+        except CastError:
+            return O_CASTERROR, records
+        records.append(TraceRecord(index, rule_of(state, after),
+                                   len(after.active), len(after.heap)))
+        state = after
+    return O_TIMEOUT, records
+
+
+def cell(v, ty=INT):
+    return (Plain(v), ty)
+
+
+def start_states():
+    """Every corpus program that compiles, generated programs, and two
+    worklists that generated programs do not reach (stuck under guarded
+    semantics, which has no worklist)."""
+    for path in sorted(CORPUS.glob("*.gtlc")):
+        try:
+            ast = parse_surface(path.read_text())
+            typecheck_surface((), ast)
+        except (ParseError, TypeCheckError):
+            continue
+        yield path.name, initial_state(elaborate(ast))
+    rng = random.Random(4242)
+    for i in range(40):
+        gen = ProgramGen(rng, allow_ref_casts=i % 4 != 0)
+        ast = gen.program(size=rng.randint(3, 10))
+        typecheck_surface((), ast)
+        yield f"generated {i}", initial_state(elaborate(ast))
+    yield "discard", State(SRet(EConst(IntC(1))), (), (), {0: cell(INT4)}, (0,))
+    # A pending cast whose nested projection lowers the same cell's tag.
+    inner = PairT(RefT(DYN), INT)
+    tag = PairT(RefT(inner), DYN)
+    content = VPair(Inject(VRef(0), RefT(DYN)), Inject(INT4, INT))
+    yield "supersede", State(SRet(EConst(IntC(0))), (), (),
+                             {0: (Pending(content, PairT(DYN, DYN), tag), tag)},
+                             (0,))
+
+
+def test_steps_matches_iterated_step():
+    seen = set()
+    for name, state in start_states():
+        for driver, stepper, sem in SEMANTICS:
+            for fuel in (10_000, 7):
+                records = []
+                obs = driver(fuel, state, trace=records.append)
+                expected_obs, expected_records = iterate(stepper, sem, state, fuel)
+                assert obs == expected_obs, name
+                assert records == expected_records, name
+                seen.update(r.rule for r in records)
+    # Every rule of both semantics took part in the comparison.
+    assert seen == set(RULES.values()) | {
+        "active-commit", "active-discard", "active-supersede"}
+
+
+FRAME = Frame("k", SRet(Var("k")), ())
+
+
+@pytest.mark.parametrize("stepper, state", [
+    (step, State(SAlloc("x", INT, EConst(IntC(4)), SRet(Var("x"))),
+                 (), (FRAME,), {0: cell(INT4)}, ())),
+    (step, State(SUpdate(Var("r"), EConst(IntC(5)), SRet(Var("r"))),
+                 (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
+    (step, State(SDynUpdate(Var("r"), EConst(IntC(5)), INT, SRet(Var("r"))),
+                 (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
+    (step, State(SCast("y", Var("r"), RefT(DYN), RefT(INT), SRet(Var("y"))),
+                 (("r", VRef(0)),), (FRAME,),
+                 {0: cell(Inject(INT4, INT), DYN)}, ())),
+    (step, State(SRet(EConst(IntC(1))), (), (FRAME,),
+                 {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}, (0,))),
+    (step, State(SCall("k", Var("f"), EConst(IntC(1)), SRet(Var("k"))),
+                 (("f", Closure("x", INT, SRet(Var("x")), ())),), (FRAME,),
+                 {}, ())),
+    (step_g, State(SAlloc("x", INT, EConst(IntC(4)), SRet(Var("x"))),
+                   (), (FRAME,), {0: cell(INT4)}, ())),
+    (step_g, State(SUpdate(Var("r"), EConst(IntC(5)), SRet(Var("r"))),
+                   (("r", GProxy(VRef(0), INT, INT)),), (FRAME,),
+                   {0: cell(INT4)}, ())),
+    (step_g, State(SDynUpdate(Var("r"), EConst(IntC(5)), INT, SRet(Var("r"))),
+                   (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
+    (step_g, State(SCast("y", Var("r"), RefT(DYN), RefT(INT), SRet(Var("y"))),
+                   (("r", VRef(0)),), (FRAME,),
+                   {0: cell(Inject(INT4, INT), DYN)}, ())),
+], ids=["alloc", "update", "dyn-update", "cast", "active-commit", "call",
+        "guarded-alloc", "guarded-update", "guarded-dyn-update",
+        "guarded-cast"])
+def test_step_leaves_its_input_unchanged(stepper, state):
+    heap, stack = dict(state.heap), state.stack
+    after = stepper(state)
+    assert state.heap == heap and state.stack is stack == (FRAME,)
+    assert after.heap is not state.heap
+    # The stack keeps its innermost frame first.
+    assert after.stack[-1] == FRAME
+    if len(after.stack) == 2:
+        assert after.stack[0] == Frame("k", SRet(Var("k")), state.env)
+    # Stepping the same input again gives the same state.
+    assert stepper(state) == after
+
+
+def test_step_return_pops_the_innermost_frame():
+    outer = Frame("a", SRet(Var("a")), ())
+    state = State(SRet(EConst(IntC(3))), (), (FRAME, outer), {}, ())
+    after = step_g(state)
+    assert after.stack == (outer,) and after.stmt == FRAME.cont
+    assert after.env == (("k", VConst(IntC(3))),)
+    assert state.stack == (FRAME, outer)
+
+
+REF_CAST_LOOP = """
+(let (c (ref int 7))
+  (let (loop (ref (-> (ref-ty int) int) (lambda (r : (ref-ty int)) 0)))
+    (begin
+      (:= loop (lambda (r : (ref-ty int))
+                 (let (r2 (cast (cast r (ref-ty dyn)) (ref-ty int)))
+                   (begin (! r2)
+                          ((! loop) r2)))))
+      ((! loop) c))))
+"""
+
+
+def test_driver_maps_only_stuck_and_cast_errors():
+    # Guarded proxies pile up two per iteration; reading through a chain
+    # hundreds deep overflows Python's stack. That is a known limit of
+    # the recursive proxy read, not a stuck state, so it must escape.
+    stmt = elaborate(parse_surface(REF_CAST_LOOP))
+    assert run(stmt, fuel=10_000) == O_TIMEOUT
+    with pytest.raises(RecursionError):
+        run_g(stmt, fuel=10_000)
