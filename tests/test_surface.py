@@ -43,6 +43,7 @@ from monoref.typecheck import TypeCheckError, check_stmt
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_NAMES = ("ex1", "ex1r", "ex2", "ex3", "cycle")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_parse_examples():
@@ -323,6 +324,15 @@ def test_generated_static_programs_elaborate_without_casts():
         count = _count_nodes(program, (SCast, SDynDeref, SDynUpdate))
         assert count == 0, f"static program {i} produced {count} cast nodes"
         assert run(program, fuel=10_000) == run_g(program, fuel=10_000)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_elaboration_matches_golden_ir(name):
+    # tests/golden/<name>.ir is `monoref compile` output, trailing newline
+    # included; temporaries must be numbered identically.
+    golden = (GOLDEN / f"{name}.ir").read_bytes()
+    ast = parse_surface((CORPUS / f"{name}.gtlc").read_text())
+    assert (stmt_to_sexpr(elaborate(ast)) + "\n").encode("utf-8") == golden
 
 
 def test_printers_cover_all_forms():
