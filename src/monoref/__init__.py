@@ -14,6 +14,7 @@ from .lang import (
     PairT,
     RefT,
     Stuck,
+    consistent,
     ground,
     is_static,
     lesseq,
@@ -23,7 +24,7 @@ from .lang import (
 )
 from .machine import run, steps
 from .guarded import run_g, steps_g
-from .surface import consistent, elaborate, parse_surface, typecheck_surface
+from .surface import elaborate, parse_surface, typecheck_surface
 from .typecheck import check_expr, check_stmt
 
 __all__ = [

@@ -5,7 +5,9 @@ lowered IR), `run` (execute under either semantics), and `diff` (run both
 semantics and report agreement).
 
 Exit codes: 0 success or a value; 1 cast error; 2 stuck; 3 timeout;
-4 type error; 5 parse error, unreadable input or a usage error.
+4 type error; 5 parse error, unreadable input or a usage error;
+6 resource failure: the input nests too deeply for the recursive front
+end, or a guarded proxy chain grows too deep to read.
 `--trace` streams one tab-separated record per machine transition to
 standard error. The default fuel is 1000000 and can be set with
 MONOREF_FUEL or --fuel, either at least 1.
@@ -44,6 +46,7 @@ EXIT_STUCK = 2
 EXIT_TIMEOUT = 3
 EXIT_TYPE_ERROR = 4
 EXIT_PARSE_ERROR = 5
+EXIT_RESOURCE = 6
 
 
 def render_observable(obs: Observable) -> str:
@@ -201,6 +204,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE_ERROR
+    except RecursionError:
+        print(f"error: {args.file}: nesting too deep (RecursionError)",
+              file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

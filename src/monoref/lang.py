@@ -400,6 +400,21 @@ def meet(a: Ty, b: Ty) -> Ty:
     raise CastError(f"no meet of {a} and {b}")
 
 
+def consistent(a: Ty, b: Ty) -> bool:
+    """Standard gradual-typing consistency: dyn matches everything."""
+    if isinstance(a, DynT) or isinstance(b, DynT):
+        return True
+    if isinstance(a, (IntT, BoolT)):
+        return a == b
+    if isinstance(a, PairT) and isinstance(b, PairT):
+        return consistent(a.left, b.left) and consistent(a.right, b.right)
+    if isinstance(a, ArrowT) and isinstance(b, ArrowT):
+        return consistent(a.dom, b.dom) and consistent(a.cod, b.cod)
+    if isinstance(a, RefT) and isinstance(b, RefT):
+        return consistent(a.cell, b.cell)
+    return False
+
+
 def is_static(a: Ty) -> bool:
     """True when `dyn` occurs nowhere in the type."""
     if isinstance(a, DynT):

@@ -334,14 +334,15 @@ MONOTONIC = Semantics(read_cell, update_cell, _dyn_update, retag,
 
 def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                  stack: list, heap: Heap, work: list, trace):
-    """Run at most `fuel` transitions, updating `stack`, `heap` and `work`
-    (each top last) in place; returns (stmt, env, fuel left). Stops early
-    at a final state. Stuck and CastError propagate to the caller.
+    """Run at most `fuel` transitions (none when `fuel` <= 0), updating
+    `stack`, `heap` and `work` (each top last) in place; returns (stmt,
+    env, fuel left). Stops early at a final state. Stuck and CastError
+    propagate to the caller.
     """
     read, update, dyn_update = sem.read, sem.update, sem.dyn_update
     cast_ref, dyn_deref, active_step = sem.cast_ref, sem.dyn_deref, sem.active_step
     index = 0
-    while fuel != 0:
+    while fuel > 0:
         if work:
             rule = active_step(heap, work)
         else:
@@ -432,16 +433,17 @@ def steps_with(sem: Semantics, fuel: int, state: State,
                trace: Optional[Callable[[TraceRecord], None]]) -> Observable:
     """Drive `sem` from `state` for at most `fuel` transitions.
 
-    Exhausted fuel reports a timeout; a final state evaluates and
-    observes its return expression; Stuck and cast failures map to their
-    observables. The optional `trace` callback receives one record per
-    completed transition.
+    Exhausted fuel reports a timeout, and so does `fuel` <= 0, which lets
+    no transition run; a final state evaluates and observes its return
+    expression; Stuck and cast failures map to their observables. The
+    optional `trace` callback receives one record per completed
+    transition.
     """
     try:
         stack, heap, work = _unpack(sem, state)
         stmt, env, left = _transitions(sem, fuel, state.stmt, state.env,
                                        stack, heap, work, trace)
-        if left == 0:
+        if left <= 0:
             return O_TIMEOUT
         v = evaluate(stmt.expr, env, heap, sem.read)
     except Stuck:

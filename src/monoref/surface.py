@@ -24,7 +24,12 @@ Typechecking is consistency-based: `dyn` is consistent with everything,
 other types structurally with themselves. Elaboration lowers to the
 statement IR, inserting a cast at every boundary the checker accepted by
 consistency rather than equality, and picking the plain dereference and
-update forms exactly when the reference's cell type is static.
+update forms exactly when the reference's cell type is static. Like the
+cast-insertion translation of Siek and Taha (Scheme Workshop 2006), it
+is one type-directed pass: each subterm's type is computed together with
+its IR, a lambda's from the type at its body's return or tail call. It
+expects a typechecked AST and checks nothing again; `typecheck_surface`
+is the checker.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .lang import (
     Succ,
     Ty,
     Var,
+    consistent,
     is_static,
     typeof_const,
 )
@@ -145,6 +151,10 @@ class SPrim(SurfExpr):
     pos: Pos = field(default=(0, 0), compare=False)
 
 
+# Each primitive's IR operator and result type; every one takes an int.
+_PRIMS = {"succ": (Succ(), INT), "prev": (Prev(), INT), "zero?": (IsZero(), BOOL)}
+
+
 @dataclass(frozen=True)
 class SRefNew(SurfExpr):
     cell_ty: Ty
@@ -189,18 +199,10 @@ class SBegin(SurfExpr):
 
 # ---------------------------------------------------------------------------
 # Reader
-
-@dataclass(frozen=True)
-class _Atom:
-    text: str
-    pos: Pos
-
-
-@dataclass(frozen=True)
-class _List:
-    items: tuple
-    pos: Pos
-
+#
+# The reader's s-expressions are pairs `(payload, pos)`: an atom's payload
+# is its text (atoms are the tokenizer's own tuples), a list's payload is
+# the Python list of its items. They never leave this module.
 
 _INT_RE = re.compile(r"-?\d+\Z")
 
@@ -234,55 +236,62 @@ def _tokenize(text: str):
     return tokens
 
 
-def _read(tokens, i):
-    if i >= len(tokens):
-        raise ParseError("unexpected end of input", 0, 0)
-    text, pos = tokens[i]
-    if text == "(":
-        items = []
-        i += 1
-        while True:
-            if i >= len(tokens):
-                raise ParseError("unclosed parenthesis", pos[0], pos[1])
-            if tokens[i][0] == ")":
-                return _List(tuple(items), pos), i + 1
-            item, i = _read(tokens, i)
-            items.append(item)
-    if text == ")":
-        raise ParseError("unexpected ')'", pos[0], pos[1])
-    return _Atom(text, pos), i + 1
+def _read(tokens):
+    """Read the first s-expression; returns it and the index after it.
+
+    An explicit stack of open lists replaces recursion, so nesting depth
+    costs no Python frames. `tokens` is not empty.
+    """
+    open_lists = []  # (items, pos of the open paren), innermost last
+    for i, token in enumerate(tokens):
+        text, pos = token
+        if text == "(":
+            open_lists.append(([], pos))
+            continue
+        if text == ")":
+            if not open_lists:
+                raise ParseError("unexpected ')'", pos[0], pos[1])
+            sx = open_lists.pop()
+        else:
+            sx = token
+        if not open_lists:
+            return sx, i + 1
+        open_lists[-1][0].append(sx)
+    pos = open_lists[-1][1]
+    raise ParseError("unclosed parenthesis", pos[0], pos[1])
 
 
 def _fail(sx, message: str):
-    raise ParseError(message, sx.pos[0], sx.pos[1])
+    pos = sx[1]
+    raise ParseError(message, pos[0], pos[1])
 
 
 def _type(sx) -> Ty:
-    if isinstance(sx, _Atom):
-        if sx.text == "int":
+    form = sx[0]
+    if type(form) is str:
+        if form == "int":
             return INT
-        if sx.text == "bool":
+        if form == "bool":
             return BOOL
-        if sx.text == "dyn":
+        if form == "dyn":
             return DYN
-        _fail(sx, f"unknown type {sx.text!r}")
-    items = sx.items
-    if not items or not isinstance(items[0], _Atom):
+        _fail(sx, f"unknown type {form!r}")
+    if not form or type(form[0][0]) is not str:
         _fail(sx, "malformed type")
-    head = items[0].text
-    if head == "->" and len(items) == 3:
-        return ArrowT(_type(items[1]), _type(items[2]))
-    if head in ("pair-ty", "×") and len(items) == 3:
-        return PairT(_type(items[1]), _type(items[2]))
-    if head in ("ref-ty", "ref") and len(items) == 2:
-        return RefT(_type(items[1]))
+    head = form[0][0]
+    if head == "->" and len(form) == 3:
+        return ArrowT(_type(form[1]), _type(form[2]))
+    if head in ("pair-ty", "×") and len(form) == 3:
+        return PairT(_type(form[1]), _type(form[2]))
+    if head in ("ref-ty", "ref") and len(form) == 2:
+        return RefT(_type(form[1]))
     _fail(sx, f"malformed type starting with {head!r}")
 
 
 def _name(sx) -> str:
-    if not isinstance(sx, _Atom):
+    text = sx[0]
+    if type(text) is not str:
         _fail(sx, "expected an identifier")
-    text = sx.text
     if text in _KEYWORDS:
         _fail(sx, f"keyword {text!r} used as an identifier")
     if _INT_RE.match(text) or text.startswith("#"):
@@ -293,83 +302,81 @@ def _name(sx) -> str:
 
 
 def _expr(sx) -> SurfExpr:
-    if isinstance(sx, _Atom):
-        text = sx.text
-        if _INT_RE.match(text):
-            return Lit(IntC(int(text)), sx.pos)
-        if text in ("#t", "true"):
-            return Lit(BoolC(True), sx.pos)
-        if text in ("#f", "false"):
-            return Lit(BoolC(False), sx.pos)
-        return SVar(_name(sx), sx.pos)
-    items = sx.items
+    form, pos = sx
+    if type(form) is str:
+        if _INT_RE.match(form):
+            return Lit(IntC(int(form)), pos)
+        if form in ("#t", "true"):
+            return Lit(BoolC(True), pos)
+        if form in ("#f", "false"):
+            return Lit(BoolC(False), pos)
+        return SVar(_name(sx), pos)
+    items = form
     if not items:
         _fail(sx, "empty application")
-    head = items[0]
-    if isinstance(head, _Atom):
-        kw = head.text
+    kw = items[0][0]
+    if type(kw) is str:
         if kw == "lambda":
-            if len(items) != 3 or not isinstance(items[1], _List):
+            if len(items) != 3 or type(items[1][0]) is str:
                 _fail(sx, "expected (lambda (x : T) body)")
-            params = items[1].items
-            if len(params) == 3 and isinstance(params[1], _Atom) \
-                    and params[1].text == ":":
+            params = items[1][0]
+            if len(params) == 3 and params[1][0] == ":":
                 param, ann = _name(params[0]), _type(params[2])
             elif len(params) == 2:
                 param, ann = _name(params[0]), _type(params[1])
             else:
                 _fail(items[1], "expected (x : T)")
-            return SLambda(param, ann, _expr(items[2]), sx.pos)
+            return SLambda(param, ann, _expr(items[2]), pos)
         if kw == "let":
-            if len(items) != 3 or not isinstance(items[1], _List) \
-                    or len(items[1].items) != 2:
+            if len(items) != 3 or type(items[1][0]) is str \
+                    or len(items[1][0]) != 2:
                 _fail(sx, "expected (let (x e) body)")
-            binding = items[1].items
+            binding = items[1][0]
             return SLetE(_name(binding[0]), _expr(binding[1]),
-                         _expr(items[2]), sx.pos)
+                         _expr(items[2]), pos)
         if kw == "begin":
             if len(items) < 3:
                 _fail(sx, "begin needs at least two expressions")
             exprs = [_expr(item) for item in items[1:]]
             result = exprs[-1]
             for e in reversed(exprs[:-1]):
-                result = SBegin(e, result, sx.pos)
+                result = SBegin(e, result, pos)
             return result
         if kw == "ref":
             if len(items) != 3:
                 _fail(sx, "expected (ref T e)")
-            return SRefNew(_type(items[1]), _expr(items[2]), sx.pos)
+            return SRefNew(_type(items[1]), _expr(items[2]), pos)
         if kw == "!":
             if len(items) != 2:
                 _fail(sx, "expected (! e)")
-            return SDeref(_expr(items[1]), sx.pos)
+            return SDeref(_expr(items[1]), pos)
         if kw == ":=":
             if len(items) != 3:
                 _fail(sx, "expected (:= target value)")
-            return SAssign(_expr(items[1]), _expr(items[2]), sx.pos)
+            return SAssign(_expr(items[1]), _expr(items[2]), pos)
         if kw == "cast":
             if len(items) != 3:
                 _fail(sx, "expected (cast e T)")
-            return SCastE(_expr(items[1]), _type(items[2]), sx.pos)
+            return SCastE(_expr(items[1]), _type(items[2]), pos)
         if kw == "pair":
             if len(items) != 3:
                 _fail(sx, "expected (pair e e)")
-            return SPair(_expr(items[1]), _expr(items[2]), sx.pos)
+            return SPair(_expr(items[1]), _expr(items[2]), pos)
         if kw == "fst":
             if len(items) != 2:
                 _fail(sx, "expected (fst e)")
-            return SFst(_expr(items[1]), sx.pos)
+            return SFst(_expr(items[1]), pos)
         if kw == "snd":
             if len(items) != 2:
                 _fail(sx, "expected (snd e)")
-            return SSnd(_expr(items[1]), sx.pos)
-        if kw in ("succ", "prev", "zero?"):
+            return SSnd(_expr(items[1]), pos)
+        if kw in _PRIMS:
             if len(items) != 2:
                 _fail(sx, f"expected ({kw} e)")
-            return SPrim(kw, _expr(items[1]), sx.pos)
+            return SPrim(kw, _expr(items[1]), pos)
     if len(items) != 2:
         _fail(sx, "application expects exactly one argument")
-    return SApp(_expr(items[0]), _expr(items[1]), sx.pos)
+    return SApp(_expr(items[0]), _expr(items[1]), pos)
 
 
 def parse_surface(text: str) -> SurfExpr:
@@ -377,7 +384,7 @@ def parse_surface(text: str) -> SurfExpr:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 1, 1)
-    sx, i = _read(tokens, 0)
+    sx, i = _read(tokens)
     if i != len(tokens):
         extra, pos = tokens[i]
         raise ParseError(f"unexpected trailing input {extra!r}", pos[0], pos[1])
@@ -386,21 +393,6 @@ def parse_surface(text: str) -> SurfExpr:
 
 # ---------------------------------------------------------------------------
 # Consistency-based typechecking
-
-def consistent(a: Ty, b: Ty) -> bool:
-    """Standard gradual-typing consistency: dyn matches everything."""
-    if isinstance(a, DynT) or isinstance(b, DynT):
-        return True
-    if isinstance(a, (IntT, BoolT)):
-        return a == b
-    if isinstance(a, PairT) and isinstance(b, PairT):
-        return consistent(a.left, b.left) and consistent(a.right, b.right)
-    if isinstance(a, ArrowT) and isinstance(b, ArrowT):
-        return consistent(a.dom, b.dom) and consistent(a.cod, b.cod)
-    if isinstance(a, RefT) and isinstance(b, RefT):
-        return consistent(a.cell, b.cell)
-    return False
-
 
 def _lookup(name, gamma):
     for key, ty in gamma:
@@ -459,7 +451,7 @@ def typecheck_surface(gamma, e: SurfExpr) -> Ty:
         if not consistent(arg_ty, INT):
             raise TypeCheckError(
                 f"{e.op} expects int, argument has type {arg_ty}", _pos_path(e))
-        return BOOL if e.op == "zero?" else INT
+        return _PRIMS[e.op][1]
     if isinstance(e, SRefNew):
         init_ty = typecheck_surface(gamma, e.init)
         if not consistent(init_ty, e.cell_ty):
@@ -516,6 +508,7 @@ class _Elaborator:
 
     def __init__(self):
         self.counter = 0
+        self.result_ty = None  # the type of the last `tail` statement
 
     def fresh(self) -> str:
         name = f"$t{self.counter}"
@@ -542,11 +535,9 @@ class _Elaborator:
         if isinstance(e, SVar):
             return k(Var(e.name), _lookup(e.name, gamma))
         if isinstance(e, SLambda):
-            inner_gamma = ((e.param, e.ann),) + tuple(gamma)
-            body = self.tail(e.body, inner_gamma)
-            body_ty = typecheck_surface(inner_gamma, e.body)
+            body = self.tail(e.body, ((e.param, e.ann),) + gamma)
             return self.name_expr(Lam(e.param, e.ann, body),
-                                  ArrowT(e.ann, body_ty), k)
+                                  ArrowT(e.ann, self.result_ty), k)
         if isinstance(e, SApp):
             return self.bind(e.fn, gamma, lambda fn_atom, fn_ty:
                              self._call(e, gamma, fn_atom, fn_ty, k))
@@ -566,8 +557,7 @@ class _Elaborator:
                 return self.name_expr(PrimApp(op, atom), out, k)
             return self.bind(e.pair, gamma, project)
         if isinstance(e, SPrim):
-            op = {"succ": Succ(), "prev": Prev(), "zero?": IsZero()}[e.op]
-            out = BOOL if e.op == "zero?" else INT
+            op, out = _PRIMS[e.op]
             return self.bind(e.arg, gamma, lambda atom, ty:
                              self.coerce(atom, ty, INT, lambda a2, _:
                                          self.name_expr(PrimApp(op, a2), out, k)))
@@ -601,7 +591,7 @@ class _Elaborator:
             return self.bind(e.rhs, gamma, lambda atom, ty:
                              SLet(e.name, atom,
                                   self.bind(e.body,
-                                            ((e.name, ty),) + tuple(gamma), k)))
+                                            ((e.name, ty),) + gamma, k)))
         if isinstance(e, SBegin):
             return self.bind(e.first, gamma, lambda _atom, _ty:
                              self.bind(e.second, gamma, k))
@@ -620,6 +610,7 @@ class _Elaborator:
 
         def finish(arg_atom, _):
             if tail:
+                self.result_ty = cod
                 return STailCall(fn_atom, arg_atom)
             tmp = self.fresh()
             return SCall(tmp, fn_atom, arg_atom, k(Var(tmp), cod))
@@ -642,7 +633,12 @@ class _Elaborator:
         return self.bind(e.value, gamma, with_value)
 
     def tail(self, e: SurfExpr, gamma) -> Stmt:
-        """Elaborate `e` in return position."""
+        """Elaborate `e` in return position and set `result_ty` to its type.
+
+        The statement has one leaf, a return or a tail call, emitted after
+        every lambda inside `e`; callers read `result_ty` right after this
+        returns, before they elaborate anything else.
+        """
         if isinstance(e, SApp):
             return self.bind(e.fn, gamma, lambda fn_atom, fn_ty:
                              self._call(e, gamma, fn_atom, fn_ty, None,
@@ -651,11 +647,15 @@ class _Elaborator:
             return self.bind(e.rhs, gamma, lambda atom, ty:
                              SLet(e.name, atom,
                                   self.tail(e.body,
-                                            ((e.name, ty),) + tuple(gamma))))
+                                            ((e.name, ty),) + gamma)))
         if isinstance(e, SBegin):
             return self.bind(e.first, gamma, lambda _atom, _ty:
                              self.tail(e.second, gamma))
-        return self.bind(e, gamma, lambda atom, _ty: SRet(atom))
+        return self.bind(e, gamma, self._ret)
+
+    def _ret(self, atom: Expr, ty: Ty) -> Stmt:
+        self.result_ty = ty
+        return SRet(atom)
 
 
 def elaborate(e: SurfExpr) -> Stmt:
@@ -663,6 +663,7 @@ def elaborate(e: SurfExpr) -> Stmt:
 
     The result passes `check_stmt` at exactly the surface type; fully
     static programs elaborate without any cast or dynamic access forms.
+    Types are not checked again: run `typecheck_surface` first.
     """
     return _Elaborator().tail(e, ())
 

@@ -8,6 +8,7 @@ from monoref.cli import (
     EXIT_CAST_ERROR,
     EXIT_OK,
     EXIT_PARSE_ERROR,
+    EXIT_RESOURCE,
     EXIT_STUCK,
     EXIT_TIMEOUT,
     EXIT_TYPE_ERROR,
@@ -36,6 +37,19 @@ LOOPING_PROGRAM = """
   (begin
     (:= r (lambda (x : int) ((! r) x)))
     ((! r) 0)))
+"""
+
+# Each iteration casts the ref to (ref-ty dyn) and back, so guarded
+# proxies pile up until reading through them overflows Python's stack.
+REF_CAST_LOOP = """
+(let (c (ref int 7))
+  (let (loop (ref (-> (ref-ty int) int) (lambda (r : (ref-ty int)) 0)))
+    (begin
+      (:= loop (lambda (r : (ref-ty int))
+                 (let (r2 (cast (cast r (ref-ty dyn)) (ref-ty int)))
+                   (begin (! r2)
+                          ((! loop) r2)))))
+      ((! loop) c))))
 """
 
 
@@ -122,8 +136,8 @@ def test_fuel_env_rejects_garbage(capsys, monkeypatch):
 
 
 def test_fuel_env_must_be_positive(capsys, monkeypatch):
-    # Below 1, fuel never reaches its zero check (negative) or times out
-    # before the first step (zero); both are rejected like `--fuel 0`.
+    # Below 1, no transition may run and every run would time out; both
+    # values are rejected like `--fuel 0`.
     for raw in ("0", "-5"):
         monkeypatch.setenv("MONOREF_FUEL", raw)
         assert main(["run", corpus("ex2")]) == EXIT_PARSE_ERROR
@@ -155,6 +169,27 @@ def test_non_utf8_file_is_unreadable(tmp_path, capsys):
     path.write_bytes(b"(succ \xff)")
     assert main(["run", str(path)]) == EXIT_PARSE_ERROR
     assert f"error: cannot read {path}:" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_a_resource_failure(tmp_path, capsys):
+    path = tmp_path / "deep.gtlc"
+    path.write_text("(succ " * 3000 + "1" + ")" * 3000)
+    assert main(["check", str(path)]) == EXIT_RESOURCE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: nesting too deep (RecursionError)\n"
+
+
+def test_deep_proxy_chain_is_a_resource_failure(tmp_path, capsys):
+    path = tmp_path / "ref-cast.gtlc"
+    path.write_text(REF_CAST_LOOP)
+    assert main(["run", str(path), "--semantics", "guarded",
+                 "--fuel", "10000"]) == EXIT_RESOURCE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: nesting too deep (RecursionError)\n"
+    # The monotonic semantics retags the cell in place and times out.
+    assert main(["run", str(path), "--fuel", "10000"]) == EXIT_TIMEOUT
 
 
 def test_trace_streams_records(capsys):
