@@ -44,15 +44,12 @@ from .lang import (
     INT,
     ArrowT,
     BoolC,
-    BoolT,
     Const,
     Deref,
-    DynT,
     EConst,
     Expr,
     Fst,
     IntC,
-    IntT,
     IsZero,
     Lam,
     MkPair,

@@ -28,6 +28,7 @@ from monoref.lang import (
     O_TIMEOUT,
     OPair,
 )
+from test_driver import REF_CAST_LOOP
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -37,19 +38,6 @@ LOOPING_PROGRAM = """
   (begin
     (:= r (lambda (x : int) ((! r) x)))
     ((! r) 0)))
-"""
-
-# Each iteration casts the ref to (ref-ty dyn) and back, so guarded
-# proxies pile up until reading through them overflows Python's stack.
-REF_CAST_LOOP = """
-(let (c (ref int 7))
-  (let (loop (ref (-> (ref-ty int) int) (lambda (r : (ref-ty int)) 0)))
-    (begin
-      (:= loop (lambda (r : (ref-ty int))
-                 (let (r2 (cast (cast r (ref-ty dyn)) (ref-ty int)))
-                   (begin (! r2)
-                          ((! loop) r2)))))
-      ((! loop) c))))
 """
 
 

@@ -221,21 +221,13 @@ def test_driver_maps_only_stuck_and_cast_errors():
         run_g(stmt, fuel=10_000)
 
 
-LOOPING_PROGRAM = """
-(let (r (ref (-> int int) (lambda (x : int) x)))
-  (begin
-    (:= r (lambda (x : int) ((! r) x)))
-    ((! r) 0)))
-"""
-
-
 def no_transition(record):
     raise AssertionError(f"transition {record} ran without fuel")
 
 
 @pytest.mark.parametrize("fuel", [0, -1, -10**9])
 def test_fuel_at_most_zero_runs_no_transition(fuel):
-    loop = elaborate(parse_surface(LOOPING_PROGRAM))
+    loop = elaborate(parse_surface(REF_CAST_LOOP))
     assert run(loop, fuel=fuel, trace=no_transition) == O_TIMEOUT
     assert run_g(loop, fuel=fuel, trace=no_transition) == O_TIMEOUT
     done = State(SRet(EConst(IntC(4))), (), (), {}, ())
