@@ -245,7 +245,15 @@ class SDynDeref(Stmt):
 
 # ---------------------------------------------------------------------------
 # Runtime values. Environments are association sequences, newest binding
-# first; closures capture them whole.
+# first; closures capture them whole. Type environments have the same shape.
+
+def lookup(key, pairs):
+    """First match in an association sequence, or Stuck."""
+    for name, value in pairs:
+        if name == key:
+            return value
+    raise Stuck(f"unbound name {key!r}")
+
 
 class Val:
     pass

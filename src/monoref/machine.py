@@ -75,6 +75,7 @@ from .lang import (
     Var,
     ground,
     lesseq,
+    lookup,
     meet,
 )
 
@@ -111,14 +112,6 @@ class TraceRecord:
 
 def format_trace(rec: TraceRecord) -> str:
     return f"{rec.index}\t{rec.rule}\t{rec.active_len}\t{rec.heap_size}"
-
-
-def lookup(key, pairs):
-    """First match in an association sequence, or Stuck."""
-    for name, value in pairs:
-        if name == key:
-            return value
-    raise Stuck(f"unbound name {key!r}")
 
 
 def heap_cell(heap: Heap, addr: int):

@@ -28,15 +28,18 @@ update forms exactly when the reference's cell type is static. Like the
 cast-insertion translation of Siek and Taha (Scheme Workshop 2006), it
 is one type-directed pass: each subterm's type is computed together with
 its IR, a lambda's from the type at its body's return or tail call. It
-expects a typechecked AST and checks nothing again; `typecheck_surface`
-is the checker.
+is written in direct style: each subterm appends the heads of the
+statements that compute it to a list, which is folded around the
+return or tail call at the end, and `let`/`begin` chains are walked in
+a loop. A `let` that rebinds a name already bound in the program is
+renamed to a fresh temporary. It expects a typechecked AST and checks
+nothing again; `typecheck_surface` is the checker.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .lang import (
     BOOL,
@@ -68,11 +71,13 @@ from .lang import (
     SUpdate,
     Snd,
     Stmt,
+    Stuck,
     Succ,
     Ty,
     Var,
     consistent,
     is_static,
+    lookup,
     typeof_const,
 )
 from .typecheck import TypeCheckError
@@ -391,13 +396,6 @@ def parse_surface(text: str) -> SurfExpr:
 # ---------------------------------------------------------------------------
 # Consistency-based typechecking
 
-def _lookup(name, gamma):
-    for key, ty in gamma:
-        if key == name:
-            return ty
-    return None
-
-
 def _pos_path(e: SurfExpr) -> tuple:
     return (f"{e.pos[0]}:{e.pos[1]}",) if e.pos != (0, 0) else ()
 
@@ -412,10 +410,11 @@ def typecheck_surface(gamma, e: SurfExpr) -> Ty:
     if isinstance(e, Lit):
         return typeof_const(e.const)
     if isinstance(e, SVar):
-        ty = _lookup(e.name, gamma)
-        if ty is None:
-            raise TypeCheckError(f"unbound variable {e.name!r}", _pos_path(e))
-        return ty
+        try:
+            return lookup(e.name, gamma)
+        except Stuck:
+            raise TypeCheckError(f"unbound variable {e.name!r}",
+                                 _pos_path(e)) from None
     if isinstance(e, SLambda):
         body_ty = typecheck_surface(((e.param, e.ann),) + tuple(gamma), e.body)
         return ArrowT(e.ann, body_ty)
@@ -498,161 +497,145 @@ def typecheck_surface(gamma, e: SurfExpr) -> Ty:
 class _Elaborator:
     """Lowers a typechecked surface expression to ANF statements.
 
-    Every intermediate value is named by a fresh `$tN` temporary; casts
-    appear exactly where the checker used consistency instead of
-    equality. An application in return position becomes a tail call.
+    Direct-style A-normal form (Flanagan, Sabry, Duba and Felleisen, PLDI
+    1993): `atom` returns an expression's value as a Var/Const atom with
+    its type and appends the statements that compute it to `heads`. A
+    head is a statement class with every field but its body, which is
+    always the last field; `tail` folds a list of heads around the leaf,
+    a return or, for an application, a tail call. Every intermediate value
+    is named by a fresh `$tN` temporary; casts appear exactly where the
+    checker used consistency instead of equality.
+
+    A `let` keeps its name unless a `let` or a lambda has already bound
+    that name in the program; then it gets a fresh `$tN`, since the rest
+    of the enclosing expression is emitted inside its binding. `gamma`
+    maps each surface name to its atom and type.
     """
 
     def __init__(self):
         self.counter = 0
-        self.result_ty = None  # the type of the last `tail` statement
+        self.bound = set()  # names bound so far by a let or a lambda
 
     def fresh(self) -> str:
         name = f"$t{self.counter}"
         self.counter += 1
         return name
 
-    def coerce(self, atom: Expr, have: Ty, want: Ty,
-               k: Callable[[Expr, Ty], Stmt]) -> Stmt:
+    def bind(self, heads: list, cls, *fields) -> Var:
+        """Append the head of a `cls` statement that binds a fresh name."""
+        tmp = self.fresh()
+        heads.append((cls, tmp, *fields))
+        return Var(tmp)
+
+    def coerce(self, atom: Expr, have: Ty, want: Ty, heads: list) -> Expr:
         if have == want:
-            return k(atom, want)
-        tmp = self.fresh()
-        return SCast(tmp, atom, have, want, k(Var(tmp), want))
+            return atom
+        return self.bind(heads, SCast, atom, have, want)
 
-    def name_expr(self, expr: Expr, ty: Ty,
-                  k: Callable[[Expr, Ty], Stmt]) -> Stmt:
-        tmp = self.fresh()
-        return SLet(tmp, expr, k(Var(tmp), ty))
+    def chain(self, e: SurfExpr, gamma, heads: list):
+        """Emit the bindings of the `let`/`begin` chain at `e`; returns the
+        chain's last expression and the scope it sits in."""
+        while True:
+            if isinstance(e, SLetE):
+                atom, ty = self.atom(e.rhs, gamma, heads)
+                name = self.fresh() if e.name in self.bound else e.name
+                self.bound.add(e.name)
+                heads.append((SLet, name, atom))
+                gamma = ((e.name, (Var(name), ty)),) + gamma
+                e = e.body
+            elif isinstance(e, SBegin):
+                self.atom(e.first, gamma, heads)
+                e = e.second
+            else:
+                return e, gamma
 
-    def bind(self, e: SurfExpr, gamma,
-             k: Callable[[Expr, Ty], Stmt]) -> Stmt:
-        """Elaborate `e`, passing its value as a Var/Const atom to `k`."""
+    def call(self, e: SApp, gamma, heads: list):
+        """The callee and argument atoms of an application, and its type."""
+        fn, fn_ty = self.atom(e.fn, gamma, heads)
+        if fn_ty == DYN:
+            fn_ty = ArrowT(DYN, DYN)
+            fn = self.coerce(fn, DYN, fn_ty, heads)
+        arg, arg_ty = self.atom(e.arg, gamma, heads)
+        return fn, self.coerce(arg, arg_ty, fn_ty.dom, heads), fn_ty.cod
+
+    def atom(self, e: SurfExpr, gamma, heads: list):
+        """Elaborate `e` into `heads`; returns its value's atom and type."""
+        e, gamma = self.chain(e, gamma, heads)
         if isinstance(e, Lit):
-            return k(EConst(e.const), typeof_const(e.const))
+            return EConst(e.const), typeof_const(e.const)
         if isinstance(e, SVar):
-            return k(Var(e.name), _lookup(e.name, gamma))
+            return lookup(e.name, gamma)
         if isinstance(e, SLambda):
-            body = self.tail(e.body, ((e.param, e.ann),) + gamma)
-            return self.name_expr(Lam(e.param, e.ann, body),
-                                  ArrowT(e.ann, self.result_ty), k)
+            self.bound.add(e.param)
+            param = ((e.param, (Var(e.param), e.ann)),)
+            body, cod = self.tail(e.body, param + gamma)
+            return (self.bind(heads, SLet, Lam(e.param, e.ann, body)),
+                    ArrowT(e.ann, cod))
         if isinstance(e, SApp):
-            return self.bind(e.fn, gamma, lambda fn_atom, fn_ty:
-                             self._call(e, gamma, fn_atom, fn_ty, k))
+            fn, arg, cod = self.call(e, gamma, heads)
+            return self.bind(heads, SCall, fn, arg), cod
         if isinstance(e, SPair):
-            return self.bind(e.fst, gamma, lambda a, a_ty:
-                             self.bind(e.snd, gamma, lambda b, b_ty:
-                                       self.name_expr(MkPair(a, b),
-                                                      PairT(a_ty, b_ty), k)))
+            a, a_ty = self.atom(e.fst, gamma, heads)
+            b, b_ty = self.atom(e.snd, gamma, heads)
+            return self.bind(heads, SLet, MkPair(a, b)), PairT(a_ty, b_ty)
         if isinstance(e, (SFst, SSnd)):
-            def project(atom, ty):
-                if ty == DYN:
-                    return self.coerce(atom, DYN, PairT(DYN, DYN),
-                                       lambda a2, t2: project(a2, t2))
-                op = Fst(ty.left, ty.right) if isinstance(e, SFst) \
-                    else Snd(ty.left, ty.right)
-                out = ty.left if isinstance(e, SFst) else ty.right
-                return self.name_expr(PrimApp(op, atom), out, k)
-            return self.bind(e.pair, gamma, project)
+            atom, ty = self.atom(e.pair, gamma, heads)
+            if ty == DYN:
+                ty = PairT(DYN, DYN)
+                atom = self.coerce(atom, DYN, ty, heads)
+            if isinstance(e, SFst):
+                op, out = Fst(ty.left, ty.right), ty.left
+            else:
+                op, out = Snd(ty.left, ty.right), ty.right
+            return self.bind(heads, SLet, PrimApp(op, atom)), out
         if isinstance(e, SPrim):
             op, out = _PRIMS[e.op]
-            return self.bind(e.arg, gamma, lambda atom, ty:
-                             self.coerce(atom, ty, INT, lambda a2, _:
-                                         self.name_expr(PrimApp(op, a2), out, k)))
+            atom, ty = self.atom(e.arg, gamma, heads)
+            atom = self.coerce(atom, ty, INT, heads)
+            return self.bind(heads, SLet, PrimApp(op, atom)), out
         if isinstance(e, SRefNew):
-            def alloc(atom, ty):
-                return self.coerce(atom, ty, e.cell_ty, lambda a2, _: _alloc(a2))
-
-            def _alloc(atom):
-                tmp = self.fresh()
-                return SAlloc(tmp, e.cell_ty, atom,
-                              k(Var(tmp), RefT(e.cell_ty)))
-            return self.bind(e.init, gamma, alloc)
+            atom, ty = self.atom(e.init, gamma, heads)
+            atom = self.coerce(atom, ty, e.cell_ty, heads)
+            return self.bind(heads, SAlloc, e.cell_ty, atom), RefT(e.cell_ty)
         if isinstance(e, SDeref):
-            def deref(atom, ty):
-                if ty == DYN:
-                    return self.coerce(atom, DYN, RefT(DYN),
-                                       lambda a2, t2: deref(a2, t2))
-                cell = ty.cell
-                if is_static(cell):
-                    return self.name_expr(Deref(atom), cell, k)
-                tmp = self.fresh()
-                return SDynDeref(tmp, atom, cell, k(Var(tmp), cell))
-            return self.bind(e.ref, gamma, deref)
+            atom, ty = self.atom(e.ref, gamma, heads)
+            if ty == DYN:
+                ty = RefT(DYN)
+                atom = self.coerce(atom, DYN, ty, heads)
+            if is_static(ty.cell):
+                return self.bind(heads, SLet, Deref(atom)), ty.cell
+            return self.bind(heads, SDynDeref, atom, ty.cell), ty.cell
         if isinstance(e, SAssign):
-            return self.bind(e.target, gamma, lambda t_atom, t_ty:
-                             self._assign(e, gamma, t_atom, t_ty, k))
+            target, ty = self.atom(e.target, gamma, heads)
+            if ty == DYN:
+                ty = RefT(DYN)
+                target = self.coerce(target, DYN, ty, heads)
+            value, value_ty = self.atom(e.value, gamma, heads)
+            value = self.coerce(value, value_ty, ty.cell, heads)
+            if is_static(ty.cell):
+                heads.append((SUpdate, target, value))
+            else:
+                heads.append((SDynUpdate, target, value, ty.cell))
+            return value, ty.cell
         if isinstance(e, SCastE):
-            return self.bind(e.expr, gamma, lambda atom, ty:
-                             self.coerce(atom, ty, e.ty, k))
-        if isinstance(e, SLetE):
-            return self.bind(e.rhs, gamma, lambda atom, ty:
-                             SLet(e.name, atom,
-                                  self.bind(e.body,
-                                            ((e.name, ty),) + gamma, k)))
-        if isinstance(e, SBegin):
-            return self.bind(e.first, gamma, lambda _atom, _ty:
-                             self.bind(e.second, gamma, k))
+            atom, ty = self.atom(e.expr, gamma, heads)
+            return self.coerce(atom, ty, e.ty, heads), e.ty
         raise TypeCheckError(f"unknown surface form {e!r}")
 
-    def _call(self, e: SApp, gamma, fn_atom: Expr, fn_ty: Ty,
-              k, tail: bool = False) -> Stmt:
-        if fn_ty == DYN:
-            return self.coerce(fn_atom, DYN, ArrowT(DYN, DYN),
-                               lambda f2, t2: self._call(e, gamma, f2, t2, k,
-                                                         tail))
-        dom, cod = fn_ty.dom, fn_ty.cod
-
-        def with_arg(arg_atom, arg_ty):
-            return self.coerce(arg_atom, arg_ty, dom, finish)
-
-        def finish(arg_atom, _):
-            if tail:
-                self.result_ty = cod
-                return STailCall(fn_atom, arg_atom)
-            tmp = self.fresh()
-            return SCall(tmp, fn_atom, arg_atom, k(Var(tmp), cod))
-        return self.bind(e.arg, gamma, with_arg)
-
-    def _assign(self, e: SAssign, gamma, target_atom: Expr, target_ty: Ty,
-                k: Callable[[Expr, Ty], Stmt]) -> Stmt:
-        if target_ty == DYN:
-            return self.coerce(target_atom, DYN, RefT(DYN),
-                               lambda t2, ty2: self._assign(e, gamma, t2, ty2, k))
-        cell = target_ty.cell
-
-        def with_value(v_atom, v_ty):
-            return self.coerce(v_atom, v_ty, cell, store)
-
-        def store(v_atom, _):
-            if is_static(cell):
-                return SUpdate(target_atom, v_atom, k(v_atom, cell))
-            return SDynUpdate(target_atom, v_atom, cell, k(v_atom, cell))
-        return self.bind(e.value, gamma, with_value)
-
-    def tail(self, e: SurfExpr, gamma) -> Stmt:
-        """Elaborate `e` in return position and set `result_ty` to its type.
-
-        The statement has one leaf, a return or a tail call, emitted after
-        every lambda inside `e`; callers read `result_ty` right after this
-        returns, before they elaborate anything else.
-        """
+    def tail(self, e: SurfExpr, gamma):
+        """Elaborate `e` in return position; returns the statement and
+        the type of the value it returns."""
+        heads = []
+        e, gamma = self.chain(e, gamma, heads)
         if isinstance(e, SApp):
-            return self.bind(e.fn, gamma, lambda fn_atom, fn_ty:
-                             self._call(e, gamma, fn_atom, fn_ty, None,
-                                        tail=True))
-        if isinstance(e, SLetE):
-            return self.bind(e.rhs, gamma, lambda atom, ty:
-                             SLet(e.name, atom,
-                                  self.tail(e.body,
-                                            ((e.name, ty),) + gamma)))
-        if isinstance(e, SBegin):
-            return self.bind(e.first, gamma, lambda _atom, _ty:
-                             self.tail(e.second, gamma))
-        return self.bind(e, gamma, self._ret)
-
-    def _ret(self, atom: Expr, ty: Ty) -> Stmt:
-        self.result_ty = ty
-        return SRet(atom)
+            fn, arg, ty = self.call(e, gamma, heads)
+            stmt = STailCall(fn, arg)
+        else:
+            atom, ty = self.atom(e, gamma, heads)
+            stmt = SRet(atom)
+        for cls, *fields in reversed(heads):
+            stmt = cls(*fields, stmt)
+        return stmt, ty
 
 
 def elaborate(e: SurfExpr) -> Stmt:
@@ -662,7 +645,7 @@ def elaborate(e: SurfExpr) -> Stmt:
     static programs elaborate without any cast or dynamic access forms.
     Types are not checked again: run `typecheck_surface` first.
     """
-    return _Elaborator().tail(e, ())
+    return _Elaborator().tail(e, ())[0]
 
 
 # ---------------------------------------------------------------------------

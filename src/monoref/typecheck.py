@@ -35,6 +35,7 @@ from .lang import (
     STailCall,
     SUpdate,
     Stmt,
+    Stuck,
     Ty,
     VConst,
     VPair,
@@ -43,6 +44,7 @@ from .lang import (
     Var,
     is_static,
     lesseq,
+    lookup,
     typeof_const,
     typeof_opr,
 )
@@ -65,20 +67,13 @@ class TypeCheckError(Exception):
         return self.message
 
 
-def _lookup(name: str, gamma) -> Ty | None:
-    for key, ty in gamma:
-        if key == name:
-            return ty
-    return None
-
-
 def check_expr(gamma, e: Expr, path: tuple = ()) -> Ty:
     """Synthesize the type of a pure expression under `gamma`."""
     if isinstance(e, Var):
-        ty = _lookup(e.name, gamma)
-        if ty is None:
-            raise TypeCheckError(f"unbound variable {e.name!r}", path)
-        return ty
+        try:
+            return lookup(e.name, gamma)
+        except Stuck:
+            raise TypeCheckError(f"unbound variable {e.name!r}", path) from None
     if isinstance(e, EConst):
         return typeof_const(e.const)
     if isinstance(e, PrimApp):
@@ -107,72 +102,82 @@ def check_expr(gamma, e: Expr, path: tuple = ()) -> Ty:
 
 
 def check_stmt(gamma, s: Stmt, path: tuple = ()) -> Ty:
-    """Synthesize the type of a statement under `gamma`."""
-    if isinstance(s, SLet):
-        rhs_ty = check_expr(gamma, s.rhs, path + ("let-rhs",))
-        return check_stmt(((s.name, rhs_ty),) + tuple(gamma), s.body,
-                          path + ("let-body",))
-    if isinstance(s, SRet):
-        return check_expr(gamma, s.expr, path + ("return",))
-    if isinstance(s, (SCall, STailCall)):
-        fn_ty = check_expr(gamma, s.fn, path + ("fn",))
-        if not isinstance(fn_ty, ArrowT):
-            raise TypeCheckError(f"call of non-function type {fn_ty}", path)
-        arg_ty = check_expr(gamma, s.arg, path + ("call-arg",))
-        if arg_ty != fn_ty.dom:
-            raise TypeCheckError(
-                f"call expects {fn_ty.dom}, argument has type {arg_ty}", path)
-        if isinstance(s, STailCall):
-            return fn_ty.cod
-        return check_stmt(((s.name, fn_ty.cod),) + tuple(gamma), s.body,
-                          path + ("call-body",))
-    if isinstance(s, SAlloc):
-        init_ty = check_expr(gamma, s.init, path + ("alloc-init",))
-        if init_ty != s.cell_ty:
-            raise TypeCheckError(
-                f"allocation at {s.cell_ty} initialized with {init_ty}", path)
-        return check_stmt(((s.name, RefT(s.cell_ty)),) + tuple(gamma), s.body,
-                          path + ("alloc-body",))
-    if isinstance(s, SUpdate):
-        ref_ty = check_expr(gamma, s.ref, path + ("update-ref",))
-        if not isinstance(ref_ty, RefT):
-            raise TypeCheckError(f"update through non-reference type {ref_ty}", path)
-        if not is_static(ref_ty.cell):
-            raise TypeCheckError(
-                f"update through non-static reference type {ref_ty}", path)
-        rhs_ty = check_expr(gamma, s.rhs, path + ("update-rhs",))
-        if rhs_ty != ref_ty.cell:
-            raise TypeCheckError(
-                f"update expects {ref_ty.cell}, value has type {rhs_ty}", path)
-        return check_stmt(gamma, s.body, path + ("update-body",))
-    if isinstance(s, SDynUpdate):
-        ref_ty = check_expr(gamma, s.ref, path + ("dyn-update-ref",))
-        if ref_ty != RefT(s.ann):
-            raise TypeCheckError(
-                f"annotated update at {s.ann} through reference of type {ref_ty}",
-                path)
-        rhs_ty = check_expr(gamma, s.rhs, path + ("dyn-update-rhs",))
-        if rhs_ty != s.ann:
-            raise TypeCheckError(
-                f"annotated update expects {s.ann}, value has type {rhs_ty}", path)
-        return check_stmt(gamma, s.body, path + ("dyn-update-body",))
-    if isinstance(s, SCast):
-        src_ty = check_expr(gamma, s.expr, path + ("cast-expr",))
-        if src_ty != s.src:
-            raise TypeCheckError(
-                f"cast source annotated {s.src}, expression has type {src_ty}",
-                path)
-        return check_stmt(((s.name, s.tgt),) + tuple(gamma), s.body,
-                          path + ("cast-body",))
-    if isinstance(s, SDynDeref):
-        ref_ty = check_expr(gamma, s.ref, path + ("dyn-deref-ref",))
-        if ref_ty != RefT(s.ann):
-            raise TypeCheckError(
-                f"annotated dereference at {s.ann} through reference of type "
-                f"{ref_ty}", path)
-        return check_stmt(((s.name, s.ann),) + tuple(gamma), s.body,
-                          path + ("dyn-deref-body",))
-    raise TypeCheckError(f"unknown statement form {s!r}", path)
+    """Synthesize the type of a statement under `gamma`.
+
+    Follows each statement's body in a loop; only a `Lam` body nested in
+    an expression costs a Python frame.
+    """
+    gamma = tuple(gamma)
+    while True:
+        if isinstance(s, SLet):
+            rhs_ty = check_expr(gamma, s.rhs, path + ("let-rhs",))
+            gamma = ((s.name, rhs_ty),) + gamma
+            s, path = s.body, path + ("let-body",)
+        elif isinstance(s, SRet):
+            return check_expr(gamma, s.expr, path + ("return",))
+        elif isinstance(s, (SCall, STailCall)):
+            fn_ty = check_expr(gamma, s.fn, path + ("fn",))
+            if not isinstance(fn_ty, ArrowT):
+                raise TypeCheckError(f"call of non-function type {fn_ty}", path)
+            arg_ty = check_expr(gamma, s.arg, path + ("call-arg",))
+            if arg_ty != fn_ty.dom:
+                raise TypeCheckError(
+                    f"call expects {fn_ty.dom}, argument has type {arg_ty}", path)
+            if isinstance(s, STailCall):
+                return fn_ty.cod
+            gamma = ((s.name, fn_ty.cod),) + gamma
+            s, path = s.body, path + ("call-body",)
+        elif isinstance(s, SAlloc):
+            init_ty = check_expr(gamma, s.init, path + ("alloc-init",))
+            if init_ty != s.cell_ty:
+                raise TypeCheckError(
+                    f"allocation at {s.cell_ty} initialized with {init_ty}", path)
+            gamma = ((s.name, RefT(s.cell_ty)),) + gamma
+            s, path = s.body, path + ("alloc-body",)
+        elif isinstance(s, SUpdate):
+            ref_ty = check_expr(gamma, s.ref, path + ("update-ref",))
+            if not isinstance(ref_ty, RefT):
+                raise TypeCheckError(
+                    f"update through non-reference type {ref_ty}", path)
+            if not is_static(ref_ty.cell):
+                raise TypeCheckError(
+                    f"update through non-static reference type {ref_ty}", path)
+            rhs_ty = check_expr(gamma, s.rhs, path + ("update-rhs",))
+            if rhs_ty != ref_ty.cell:
+                raise TypeCheckError(
+                    f"update expects {ref_ty.cell}, value has type {rhs_ty}",
+                    path)
+            s, path = s.body, path + ("update-body",)
+        elif isinstance(s, SDynUpdate):
+            ref_ty = check_expr(gamma, s.ref, path + ("dyn-update-ref",))
+            if ref_ty != RefT(s.ann):
+                raise TypeCheckError(
+                    f"annotated update at {s.ann} through reference of type "
+                    f"{ref_ty}", path)
+            rhs_ty = check_expr(gamma, s.rhs, path + ("dyn-update-rhs",))
+            if rhs_ty != s.ann:
+                raise TypeCheckError(
+                    f"annotated update expects {s.ann}, value has type {rhs_ty}",
+                    path)
+            s, path = s.body, path + ("dyn-update-body",)
+        elif isinstance(s, SCast):
+            src_ty = check_expr(gamma, s.expr, path + ("cast-expr",))
+            if src_ty != s.src:
+                raise TypeCheckError(
+                    f"cast source annotated {s.src}, expression has type "
+                    f"{src_ty}", path)
+            gamma = ((s.name, s.tgt),) + gamma
+            s, path = s.body, path + ("cast-body",)
+        elif isinstance(s, SDynDeref):
+            ref_ty = check_expr(gamma, s.ref, path + ("dyn-deref-ref",))
+            if ref_ty != RefT(s.ann):
+                raise TypeCheckError(
+                    f"annotated dereference at {s.ann} through reference of "
+                    f"type {ref_ty}", path)
+            gamma = ((s.name, s.ann),) + gamma
+            s, path = s.body, path + ("dyn-deref-body",)
+        else:
+            raise TypeCheckError(f"unknown statement form {s!r}", path)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,75 @@ def test_elaboration_preserves_generated_types():
         assert check_stmt((), elaborate(prog)) == surface_ty
 
 
+# A `let` is emitted around the rest of its enclosing expression, so one
+# that rebinds a name must not capture later references to the old one.
+# The generators always pick fresh names and never exercise this.
+SHADOWING_LETS = [
+    ("(let (x #t) (pair (let (x 1) x) x))", "(pair 1 #t)"),
+    ("(pair (let (x 1) x) (let (x #t) x))", "(pair 1 #t)"),
+    ("(let (x #t) ((lambda (x : int) (pair (let (x #f) x) x)) 3))",
+     "(pair #f 3)"),
+]
+
+
+@pytest.mark.parametrize("source,expected", SHADOWING_LETS,
+                         ids=["enclosing-let", "sibling-lets", "parameter"])
+def test_shadowing_let_does_not_capture_later_references(source, expected):
+    from monoref.cli import render_observable
+    from monoref.guarded import run_g
+    from monoref.machine import run
+
+    ast = parse_surface(source)
+    program = elaborate(ast)
+    assert check_stmt((), program) == typecheck_surface((), ast)
+    assert render_observable(run(program)) == expected
+    assert render_observable(run_g(program)) == expected
+
+
+def _nested_lambda_bodies(depth: int) -> str:
+    """Alternate `let` and applied-lambda levels, as the benchmark's `deep`
+    programs nest them; every level adds one, and so does the innermost."""
+    opening, closing = [], []
+    for i in range(depth):
+        if i % 2:
+            opening.append(f"(let (y{i + 1} (succ y{i}))\n")
+            closing.append(")")
+        else:
+            ann = "dyn" if i % 4 else "int"
+            opening.append(f"((lambda (y{i + 1} : {ann})\n")
+            closing.append(f") (succ y{i}))")
+    return ("((lambda (y0 : int)\n" + "".join(opening) + f"(succ y{depth})"
+            + "".join(reversed(closing)) + ") 0)")
+
+
+# Long statement chains and deep lambda nesting: within the recursion
+# limit of the layers that still recurse (the parser and the surface
+# checker), but each elaborates to a chain of more than 1,000 IR
+# statements or to a lambda body nested 250 levels deep.
+LONG_PROGRAMS = {
+    "400-lets": ("(let (x0 0)\n" + "".join(
+        f"(let (x{i} (succ (succ x{i - 1})))\n" for i in range(1, 400))
+        + "x399" + ")" * 400, "798"),
+    "400-item-begin": ("(let (r (ref int 0)) (begin\n"
+                       + "(:= r (succ (! r)))\n" * 400 + "))", "400"),
+    "250-nested-bodies": (_nested_lambda_bodies(250), "251"),
+}
+
+
+@pytest.mark.parametrize("name", LONG_PROGRAMS)
+def test_long_programs_pass_every_layer(name):
+    from monoref.cli import render_observable
+    from monoref.guarded import run_g
+    from monoref.machine import run
+
+    source, expected = LONG_PROGRAMS[name]
+    ast = parse_surface(source)
+    program = elaborate(ast)
+    assert check_stmt((), program) == typecheck_surface((), ast) == INT
+    assert render_observable(run(program)) == expected
+    assert render_observable(run_g(program)) == expected
+
+
 def test_generated_static_programs_elaborate_without_casts():
     from monoref.machine import run
     from monoref.guarded import run_g
