@@ -16,11 +16,11 @@ and closure environments may contain proxies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .lang import (
     CastError,
+    Node,
     Observable,
     O_ADDR,
     OPair,
@@ -46,8 +46,7 @@ from .machine import (
 )
 
 
-@dataclass(frozen=True)
-class GProxy:
+class GProxy(Node):
     """A reference seen through a cast from cell type `src_cell` to `tgt_cell`.
 
     `inner` is the underlying reference or a further proxy; layers stack
@@ -122,12 +121,12 @@ def step_g(state: State) -> State:
 
 
 def steps_g(fuel: int, state: State,
-            trace: Optional[Callable[[TraceRecord], None]] = None) -> Observable:
+            trace: Callable[[TraceRecord], None] | None = None) -> Observable:
     """Drive the guarded semantics for at most `fuel` transitions."""
     return steps_with(GUARDED, fuel, state, trace)
 
 
 def run_g(stmt: Stmt, fuel: int = DEFAULT_FUEL,
-          trace: Optional[Callable[[TraceRecord], None]] = None) -> Observable:
+          trace: Callable[[TraceRecord], None] | None = None) -> Observable:
     """Run a whole program under guarded semantics."""
     return steps_g(fuel, initial_state(stmt), trace)

@@ -7,11 +7,15 @@ return or a tail call. Runtime values, heap cell contents, and the
 observables produced by a finished run live here too, together with the
 type algebra (the less-or-equally-dynamic order, its meet, staticness,
 and ground types).
+
+Every node, value and record class of the package derives from `Node`,
+an immutable record: its fields are its annotations, inherited ones
+first, and a class-level value is a field's default. Nodes compare and
+hash by class and fields, print as `SVar(name='x', pos=(1, 2))`, and
+refuse assignment.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class Stuck(Exception):
@@ -22,26 +26,77 @@ class CastError(Exception):
     """Runtime cast failure; the user-visible error of the language."""
 
 
+class FrozenNodeError(AttributeError):
+    """An attempt to assign or delete an attribute of a `Node`."""
+
+
+class Node:
+    """Immutable record; the base of syntax, types, values and states.
+
+    Fields are the annotations, inherited ones first; a class-level value
+    is a field's default. The generated `__init__` takes them by position
+    or keyword and stores each with `object.__setattr__`: writing into
+    `__dict__` builds nodes faster, but CPython 3.11 then drops inline
+    attribute values and every later field load slows. Equality needs the
+    same class and equal fields, `hash` hashes those fields, and fields
+    named in `_uncompared` take part in neither.
+    """
+
+    _uncompared = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = fields = tuple(dict.fromkeys(
+            name for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__annotations__", ())))
+        params = "".join(f", {name}=_cls.{name}" if hasattr(cls, name)
+                         else f", {name}" for name in fields)
+        stores = "".join(f"\n _set(self, {name!r}, {name})" for name in fields)
+        keys = "".join(f"self.{name}, " for name in fields
+                       if name not in cls._uncompared)
+        namespace = {"_set": object.__setattr__, "_cls": cls}
+        exec(f"def __init__(self{params}):{stores or ' pass'}\n"
+             f"def _key(self): return ({keys})", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._key = namespace["_key"]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise FrozenNodeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 # ---------------------------------------------------------------------------
 # Types
 
-class Ty:
+class Ty(Node):
     """Base class of the type language."""
 
 
-@dataclass(frozen=True)
 class IntT(Ty):
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
 class BoolT(Ty):
     def __str__(self) -> str:
         return "bool"
 
 
-@dataclass(frozen=True)
 class PairT(Ty):
     left: Ty
     right: Ty
@@ -50,7 +105,6 @@ class PairT(Ty):
         return f"(pair-ty {self.left} {self.right})"
 
 
-@dataclass(frozen=True)
 class ArrowT(Ty):
     dom: Ty
     cod: Ty
@@ -59,7 +113,6 @@ class ArrowT(Ty):
         return f"(-> {self.dom} {self.cod})"
 
 
-@dataclass(frozen=True)
 class RefT(Ty):
     cell: Ty
 
@@ -67,7 +120,6 @@ class RefT(Ty):
         return f"(ref-ty {self.cell})"
 
 
-@dataclass(frozen=True)
 class DynT(Ty):
     def __str__(self) -> str:
         return "dyn"
@@ -81,46 +133,39 @@ DYN = DynT()
 # ---------------------------------------------------------------------------
 # Constants and primitive operators
 
-class Const:
+class Const(Node):
     pass
 
 
-@dataclass(frozen=True)
 class IntC(Const):
     value: int
 
 
-@dataclass(frozen=True)
 class BoolC(Const):
     value: bool
 
 
-class Opr:
+class Opr(Node):
     pass
 
 
-@dataclass(frozen=True)
 class Succ(Opr):
     pass
 
 
-@dataclass(frozen=True)
 class Prev(Opr):
     pass
 
 
-@dataclass(frozen=True)
 class IsZero(Opr):
     pass
 
 
-@dataclass(frozen=True)
 class Fst(Opr):
     left: Ty
     right: Ty
 
 
-@dataclass(frozen=True)
 class Snd(Opr):
     left: Ty
     right: Ty
@@ -135,61 +180,52 @@ ISZERO = IsZero()
 # IR syntax. Names are strings; identifiers starting with `$` are reserved
 # for generated temporaries and the bindings of wrapper closures.
 
-class Expr:
+class Expr(Node):
     pass
 
 
-class Stmt:
+class Stmt(Node):
     pass
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class EConst(Expr):
     const: Const
 
 
-@dataclass(frozen=True)
 class PrimApp(Expr):
     op: Opr
     arg: Expr
 
 
-@dataclass(frozen=True)
 class MkPair(Expr):
     fst: Expr
     snd: Expr
 
 
-@dataclass(frozen=True)
 class Lam(Expr):
     param: str
     param_ty: Ty
     body: Stmt
 
 
-@dataclass(frozen=True)
 class Deref(Expr):
     ref: Expr
 
 
-@dataclass(frozen=True)
 class SLet(Stmt):
     name: str
     rhs: Expr
     body: Stmt
 
 
-@dataclass(frozen=True)
 class SRet(Stmt):
     expr: Expr
 
 
-@dataclass(frozen=True)
 class SCall(Stmt):
     name: str
     fn: Expr
@@ -197,13 +233,11 @@ class SCall(Stmt):
     body: Stmt
 
 
-@dataclass(frozen=True)
 class STailCall(Stmt):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
 class SAlloc(Stmt):
     name: str
     cell_ty: Ty
@@ -211,14 +245,12 @@ class SAlloc(Stmt):
     body: Stmt
 
 
-@dataclass(frozen=True)
 class SUpdate(Stmt):
     ref: Expr
     rhs: Expr
     body: Stmt
 
 
-@dataclass(frozen=True)
 class SDynUpdate(Stmt):
     ref: Expr
     rhs: Expr
@@ -226,7 +258,6 @@ class SDynUpdate(Stmt):
     body: Stmt
 
 
-@dataclass(frozen=True)
 class SCast(Stmt):
     name: str
     expr: Expr
@@ -235,7 +266,6 @@ class SCast(Stmt):
     body: Stmt
 
 
-@dataclass(frozen=True)
 class SDynDeref(Stmt):
     name: str
     ref: Expr
@@ -255,22 +285,19 @@ def lookup(key, pairs):
     raise Stuck(f"unbound name {key!r}")
 
 
-class Val:
+class Val(Node):
     pass
 
 
-@dataclass(frozen=True)
 class VConst(Val):
     const: Const
 
 
-@dataclass(frozen=True)
 class VPair(Val):
     fst: Val
     snd: Val
 
 
-@dataclass(frozen=True)
 class Closure(Val):
     param: str
     param_ty: Ty
@@ -278,27 +305,23 @@ class Closure(Val):
     env: tuple
 
 
-@dataclass(frozen=True)
 class VRef(Val):
     addr: int
 
 
-@dataclass(frozen=True)
 class Inject(Val):
     payload: Val
     src_ty: Ty  # never DYN; injections box a value of known non-dyn type
 
 
-class CastedVal:
+class CastedVal(Node):
     """Heap cell content: a settled value or a value with a pending cast."""
 
 
-@dataclass(frozen=True)
 class Plain(CastedVal):
     value: Val
 
 
-@dataclass(frozen=True)
 class Pending(CastedVal):
     value: Val
     src: Ty
@@ -308,47 +331,39 @@ class Pending(CastedVal):
 # ---------------------------------------------------------------------------
 # Observables
 
-class Observable:
+class Observable(Node):
     pass
 
 
-@dataclass(frozen=True)
 class OPair(Observable):
     fst: Observable
     snd: Observable
 
 
-@dataclass(frozen=True)
 class OFun(Observable):
     pass
 
 
-@dataclass(frozen=True)
 class OCon(Observable):
     const: Const
 
 
-@dataclass(frozen=True)
 class OAddr(Observable):
     pass
 
 
-@dataclass(frozen=True)
 class OInj(Observable):
     pass
 
 
-@dataclass(frozen=True)
 class OStuck(Observable):
     pass
 
 
-@dataclass(frozen=True)
 class OTimeOut(Observable):
     pass
 
 
-@dataclass(frozen=True)
 class OCastError(Observable):
     pass
 

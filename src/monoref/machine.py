@@ -17,8 +17,7 @@ A `Semantics` supplies what the guarded semantics does differently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .lang import (
     ArrowT,
@@ -38,6 +37,7 @@ from .lang import (
     IsZero,
     Lam,
     MkPair,
+    Node,
     OCon,
     OPair,
     Observable,
@@ -86,15 +86,13 @@ Heap = dict  # address -> (CastedVal, Ty)
 Active = tuple  # worklist of addresses, head processed first
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Node):
     name: str
     cont: Stmt
     env: Env
 
 
-@dataclass(frozen=True)
-class State:
+class State(Node):
     stmt: Stmt
     env: Env
     stack: tuple  # frames, innermost first
@@ -102,8 +100,7 @@ class State:
     active: Active
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Node):
     index: int
     rule: str
     active_len: int
@@ -303,8 +300,7 @@ def observe(v: Val) -> Observable:
     raise Stuck(f"not a value: {v!r}")
 
 
-@dataclass(frozen=True)
-class Semantics:
+class Semantics(Node):
     """What differs between the reference semantics the driver runs.
 
     `read` serves `Deref`; `update`, `dyn_update`, `dyn_deref` and
@@ -317,7 +313,7 @@ class Semantics:
     dyn_update: Callable
     cast_ref: Callable
     dyn_deref: Callable
-    active_step: Optional[Callable]
+    active_step: Callable | None
     observe: Callable
 
 
@@ -423,7 +419,7 @@ def step_with(sem: Semantics, state: State) -> State:
 
 
 def steps_with(sem: Semantics, fuel: int, state: State,
-               trace: Optional[Callable[[TraceRecord], None]]) -> Observable:
+               trace: Callable[[TraceRecord], None] | None) -> Observable:
     """Drive `sem` from `state` for at most `fuel` transitions.
 
     Exhausted fuel reports a timeout, and so does `fuel` <= 0, which lets
@@ -461,12 +457,12 @@ def initial_state(stmt: Stmt) -> State:
 
 
 def steps(fuel: int, state: State,
-          trace: Optional[Callable[[TraceRecord], None]] = None) -> Observable:
+          trace: Callable[[TraceRecord], None] | None = None) -> Observable:
     """Drive the monotonic machine for at most `fuel` transitions."""
     return steps_with(MONOTONIC, fuel, state, trace)
 
 
 def run(stmt: Stmt, fuel: int = DEFAULT_FUEL,
-        trace: Optional[Callable[[TraceRecord], None]] = None) -> Observable:
+        trace: Callable[[TraceRecord], None] | None = None) -> Observable:
     """Run a whole program from the empty configuration."""
     return steps(fuel, initial_state(stmt), trace)

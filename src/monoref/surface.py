@@ -39,7 +39,6 @@ nothing again; `typecheck_surface` is the checker.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .lang import (
     BOOL,
@@ -56,6 +55,7 @@ from .lang import (
     IsZero,
     Lam,
     MkPair,
+    Node,
     PairT,
     Prev,
     PrimApp,
@@ -96,107 +96,93 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Surface syntax
 
-class SurfExpr:
-    pass
+class SurfExpr(Node):
+    _uncompared = ("pos",)
 
 
-@dataclass(frozen=True)
 class Lit(SurfExpr):
     const: Const
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SVar(SurfExpr):
     name: str
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SLambda(SurfExpr):
     param: str
     ann: Ty
     body: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SApp(SurfExpr):
     fn: SurfExpr
     arg: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SPair(SurfExpr):
     fst: SurfExpr
     snd: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SFst(SurfExpr):
     pair: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SSnd(SurfExpr):
     pair: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SPrim(SurfExpr):
     op: str  # "succ" | "prev" | "zero?"
     arg: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
 # Each primitive's IR operator and result type; every one takes an int.
 _PRIMS = {"succ": (Succ(), INT), "prev": (Prev(), INT), "zero?": (IsZero(), BOOL)}
 
 
-@dataclass(frozen=True)
 class SRefNew(SurfExpr):
     cell_ty: Ty
     init: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SDeref(SurfExpr):
     ref: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SAssign(SurfExpr):
     target: SurfExpr
     value: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SCastE(SurfExpr):
     expr: SurfExpr
     ty: Ty
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SLetE(SurfExpr):
     name: str
     rhs: SurfExpr
     body: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
 class SBegin(SurfExpr):
     first: SurfExpr
     second: SurfExpr
-    pos: Pos = field(default=(0, 0), compare=False)
+    pos: Pos = (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -690,34 +676,37 @@ def expr_to_sexpr(e: Expr, indent: int = 0) -> str:
 
 
 def stmt_to_sexpr(s: Stmt, indent: int = 0) -> str:
-    pad = "  " * indent
-    nxt = indent + 1
-    if isinstance(s, SLet):
-        return (f"{pad}(let {s.name} {expr_to_sexpr(s.rhs, indent)}\n"
-                f"{stmt_to_sexpr(s.body, nxt)})")
+    """Print a statement, following bodies in a loop; only the bodies of
+    lambdas recurse."""
+    parts = []
+    depth = indent
+
+    def ex(e: Expr) -> str:
+        return expr_to_sexpr(e, depth)
+
+    while not isinstance(s, (SRet, STailCall)):
+        if isinstance(s, SLet):
+            head = f"let {s.name} {ex(s.rhs)}"
+        elif isinstance(s, SCall):
+            head = f"call {s.name} {ex(s.fn)} {ex(s.arg)}"
+        elif isinstance(s, SAlloc):
+            head = f"alloc {s.name} {ty_to_sexpr(s.cell_ty)} {ex(s.init)}"
+        elif isinstance(s, SUpdate):
+            head = f"update {ex(s.ref)} {ex(s.rhs)}"
+        elif isinstance(s, SDynUpdate):
+            head = f"dyn-update {ex(s.ref)} {ex(s.rhs)} {ty_to_sexpr(s.ann)}"
+        elif isinstance(s, SCast):
+            head = (f"cast {s.name} {ex(s.expr)} {ty_to_sexpr(s.src)} "
+                    f"{ty_to_sexpr(s.tgt)}")
+        elif isinstance(s, SDynDeref):
+            head = f"dyn-deref {s.name} {ex(s.ref)} {ty_to_sexpr(s.ann)}"
+        else:
+            raise TypeError(f"not a statement: {s!r}")
+        parts.append(f"{'  ' * depth}({head}\n")
+        s = s.body
+        depth += 1
     if isinstance(s, SRet):
-        return f"{pad}(return {expr_to_sexpr(s.expr, indent)})"
-    if isinstance(s, SCall):
-        return (f"{pad}(call {s.name} {expr_to_sexpr(s.fn, indent)} "
-                f"{expr_to_sexpr(s.arg, indent)}\n{stmt_to_sexpr(s.body, nxt)})")
-    if isinstance(s, STailCall):
-        return (f"{pad}(tailcall {expr_to_sexpr(s.fn, indent)} "
-                f"{expr_to_sexpr(s.arg, indent)})")
-    if isinstance(s, SAlloc):
-        return (f"{pad}(alloc {s.name} {ty_to_sexpr(s.cell_ty)} "
-                f"{expr_to_sexpr(s.init, indent)}\n{stmt_to_sexpr(s.body, nxt)})")
-    if isinstance(s, SUpdate):
-        return (f"{pad}(update {expr_to_sexpr(s.ref, indent)} "
-                f"{expr_to_sexpr(s.rhs, indent)}\n{stmt_to_sexpr(s.body, nxt)})")
-    if isinstance(s, SDynUpdate):
-        return (f"{pad}(dyn-update {expr_to_sexpr(s.ref, indent)} "
-                f"{expr_to_sexpr(s.rhs, indent)} {ty_to_sexpr(s.ann)}\n"
-                f"{stmt_to_sexpr(s.body, nxt)})")
-    if isinstance(s, SCast):
-        return (f"{pad}(cast {s.name} {expr_to_sexpr(s.expr, indent)} "
-                f"{ty_to_sexpr(s.src)} {ty_to_sexpr(s.tgt)}\n"
-                f"{stmt_to_sexpr(s.body, nxt)})")
-    if isinstance(s, SDynDeref):
-        return (f"{pad}(dyn-deref {s.name} {expr_to_sexpr(s.ref, indent)} "
-                f"{ty_to_sexpr(s.ann)}\n{stmt_to_sexpr(s.body, nxt)})")
-    raise TypeError(f"not a statement: {s!r}")
+        leaf = f"(return {ex(s.expr)})"
+    else:
+        leaf = f"(tailcall {ex(s.fn)} {ex(s.arg)})"
+    return "".join(parts) + "  " * depth + leaf + ")" * (depth - indent)

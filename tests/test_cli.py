@@ -1,8 +1,11 @@
 """Command-line behavior: output, exit codes, tracing."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from monoref.cli import (
     EXIT_CAST_ERROR,
@@ -29,6 +32,7 @@ from monoref.lang import (
     OPair,
 )
 from test_driver import REF_CAST_LOOP
+from test_surface import LONG_PROGRAMS
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -232,6 +236,21 @@ def test_compile_roundtrip(capsys):
     assert "(alloc" in out and "(tailcall" in out
 
 
+@pytest.mark.parametrize("name", LONG_PROGRAMS)
+def test_compile_prints_long_programs(name, tmp_path, capsys):
+    # The IR printer follows statement chains in a loop, so `compile`
+    # reaches as far as `run` does.
+    source, expected = LONG_PROGRAMS[name]
+    path = tmp_path / f"{name}.gtlc"
+    path.write_text(source)
+    assert main(["compile", str(path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith(")\n")
+    assert out.count("(") == out.count(")")
+    assert main(["run", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_compile_propagates_type_error(capsys):
     assert main(["compile", corpus("ill-typed")]) == EXIT_TYPE_ERROR
 
@@ -247,3 +266,15 @@ def test_console_script_entry():
         capture_output=True, text=True)
     assert result.returncode == EXIT_OK
     assert result.stdout.strip() == "4"
+
+
+def test_cli_import_skips_dataclasses_inspect_and_typing():
+    # Every command pays for what importing the CLI loads.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, monoref.cli; print(sorted({'dataclasses', 'inspect', "
+         "'typing'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -1,4 +1,4 @@
-"""Type algebra: table cases and the order/meet lemmas."""
+"""Type algebra: table cases and the order/meet lemmas; the Node contract."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,13 +10,21 @@ from monoref.lang import (
     INT,
     ArrowT,
     BoolC,
+    BoolT,
     CastError,
     Fst,
     IntC,
+    IntT,
     IsZero,
+    OCon,
     PairT,
     RefT,
+    SCast,
+    SLet,
+    SRet,
     SUCC,
+    VConst,
+    Var,
     ground,
     is_static,
     lesseq,
@@ -24,6 +32,7 @@ from monoref.lang import (
     typeof_const,
     typeof_opr,
 )
+from monoref.surface import Lit, SApp, SVar
 
 types = hypothesis_types()
 
@@ -159,3 +168,65 @@ def test_static_least_dynamic_random(a, b):
 @given(types)
 def test_ground_is_upper_approximation(a):
     assert lesseq(a, ground(a))
+
+
+# ---------------------------------------------------------------------------
+# The Node contract: what every record class of the package inherits.
+
+def test_nodes_of_different_classes_are_unequal():
+    assert IntT() != BoolT()
+    assert VConst(IntC(1)) != OCon(IntC(1))
+    assert VConst(IntC(1)) == VConst(IntC(1))
+    assert VConst(IntC(1)) != VConst(IntC(2))
+
+
+def test_equal_nodes_hash_equal():
+    a = SLet("x", Var("y"), SRet(Var("x")))
+    b = SLet("x", Var("y"), SRet(Var("x")))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(PairT(INT, DYN)) == hash(PairT(INT, DYN))
+    assert len({INT, INT, DYN, RefT(INT), RefT(INT)}) == 3
+
+
+def test_surface_positions_take_no_part_in_equality():
+    a = SApp(SVar("f", (1, 2)), SVar("x", (1, 4)), (1, 1))
+    b = SApp(SVar("f", (7, 8)), SVar("x", (9, 9)), (3, 3))
+    assert a == b and hash(a) == hash(b)
+    assert a != SApp(SVar("g", (1, 2)), SVar("x", (1, 4)), (1, 1))
+
+
+def test_nodes_take_keyword_arguments_and_defaults():
+    assert SVar(name="x").pos == (0, 0)
+    assert SVar("x", pos=(2, 3)).pos == (2, 3)
+    stmt = SCast(name="y", expr=Var("x"), src=INT, tgt=DYN,
+                 body=SRet(Var("y")))
+    assert stmt == SCast("y", Var("x"), INT, DYN, SRet(Var("y")))
+    with pytest.raises(TypeError):
+        Var()
+    with pytest.raises(TypeError):
+        Var("x", "y")
+
+
+def test_nodes_are_frozen():
+    for node, name in ((Var("x"), "name"), (SVar("x"), "pos"),
+                       (RefT(INT), "cell")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+        with pytest.raises(AttributeError):
+            setattr(node, "extra", None)
+    assert Var("x").name == "x"
+
+
+def test_node_repr_keeps_the_record_format():
+    stmt = SLet("x", Var("y"),
+                SCast("z", Var("x"), INT, DYN, SRet(Var("z"))))
+    assert repr(stmt) == (
+        "SLet(name='x', rhs=Var(name='y'), body=SCast(name='z', "
+        "expr=Var(name='x'), src=IntT(), tgt=DynT(), "
+        "body=SRet(expr=Var(name='z'))))")
+    app = SApp(SVar("f", (1, 2)), Lit(IntC(3), (1, 5)), (1, 1))
+    assert repr(app) == (
+        "SApp(fn=SVar(name='f', pos=(1, 2)), "
+        "arg=Lit(const=IntC(value=3), pos=(1, 5)), pos=(1, 1))")

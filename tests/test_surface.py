@@ -203,9 +203,8 @@ def _count_nodes(s, kinds):
         node = stack.pop()
         if isinstance(node, kinds):
             count += 1
-        if hasattr(node, "__dataclass_fields__"):
-            for field_name in node.__dataclass_fields__:
-                stack.append(getattr(node, field_name))
+        for field_name in getattr(node, "_fields", ()):
+            stack.append(getattr(node, field_name))
     return count
 
 
@@ -250,9 +249,8 @@ def _walk(s):
     while stack:
         node = stack.pop()
         yield node
-        if hasattr(node, "__dataclass_fields__"):
-            for field_name in node.__dataclass_fields__:
-                stack.append(getattr(node, field_name))
+        for field_name in getattr(node, "_fields", ()):
+            stack.append(getattr(node, field_name))
 
 
 def test_tail_position_application_becomes_tail_call():
