@@ -96,6 +96,86 @@ def test_parse_malformed_inputs():
             parse_surface(source)
 
 
+@pytest.mark.parametrize("source, message, pos", [
+    ("", "empty input", (1, 1)),
+    ("; only a comment\n  ; and another\n", "empty input", (1, 1)),
+    (")", "unexpected ')'", (1, 1)),
+    ("(a (b\n (c d)", "unclosed parenthesis", (1, 4)),
+    ("(succ 4) 5", "unexpected trailing input '5'", (1, 10)),
+    ("(succ 4)\n)", "unexpected trailing input ')'", (2, 1)),
+    ("(succ 4) (", "unexpected trailing input '('", (1, 10)),
+    ("(ref int)", "expected (ref T e)", (1, 1)),
+    ("(! 1 2)", "expected (! e)", (1, 1)),
+    ("(:= x)", "expected (:= target value)", (1, 1)),
+    ("(cast 4)", "expected (cast e T)", (1, 1)),
+    ("(pair 1)", "expected (pair e e)", (1, 1)),
+    ("(fst)", "expected (fst e)", (1, 1)),
+    ("(snd 1 2)", "expected (snd e)", (1, 1)),
+    ("(succ)", "expected (succ e)", (1, 1)),
+    ("(cast 4 (-> int))", "malformed type starting with '->'", (1, 9)),
+    ("(cast 4 (pair-ty int))", "malformed type starting with 'pair-ty'",
+     (1, 9)),
+    ("(cast 4 (× int int int))", "malformed type starting with '×'", (1, 9)),
+    ("(cast 4 (ref-ty))", "malformed type starting with 'ref-ty'", (1, 9)),
+    ("(cast 4 (ref int int))", "malformed type starting with 'ref'", (1, 9)),
+    ("(cast 4 (int))", "malformed type starting with 'int'", (1, 9)),
+    ("(cast 4 ())", "malformed type", (1, 9)),
+    ("(cast 4 zzz)", "unknown type 'zzz'", (1, 9)),
+    ("(succ\r4)\r)", "unexpected trailing input ')'", (3, 1)),
+    ("(succ\x0c  4)\x0c x", "unexpected trailing input 'x'", (3, 2)),
+    ("(succ\xa04)\xa0x", "unexpected trailing input 'x'", (1, 10)),
+])
+def test_parse_error_messages_and_positions(source, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_surface(source)
+    assert (err.value.message, err.value.line, err.value.col) == \
+        (message, *pos)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\v", "\f", "\x1c",
+                                     "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+def test_parse_line_breaks(newline):
+    ast = parse_surface(f"(pair{newline}1{newline}  #t)")
+    assert ast == parse_surface("(pair 1 #t)")
+    assert (ast.pos, ast.fst.pos, ast.snd.pos) == ((1, 1), (2, 1), (3, 3))
+
+
+def test_parse_non_breaking_space_separates_tokens():
+    ast = parse_surface("(succ\xa04)\x1f")
+    assert ast == SPrim("succ", Lit(IntC(4)))
+    assert ast.arg.pos == (1, 7)
+
+
+KEYWORDS = ("lambda let begin ref ! := cast pair fst snd succ prev zero? int "
+            "bool dyn -> pair-ty ref-ty × : #t #f true false").split()
+
+
+@pytest.mark.parametrize("keyword", KEYWORDS)
+def test_keywords_are_not_binders(keyword):
+    with pytest.raises(ParseError) as err:
+        parse_surface(f"(let ({keyword} 1) 2)")
+    assert (err.value.message, err.value.line, err.value.col) == \
+        (f"keyword {keyword!r} used as an identifier", 1, 7)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("(let (f 4) (f 1))", "1:12: application of non-function type int"),
+    ("(fst (lambda (x : int) x))",
+     "1:1: projection from non-pair type (-> int int)"),
+    ("(snd #t)", "1:1: projection from non-pair type bool"),
+    ("(! (pair 1 2))",
+     "1:1: dereference of non-reference type (pair-ty int int)"),
+    ("(begin 1 (:= (succ 1) 5))",
+     "1:10: assignment through non-reference type int"),
+])
+def test_dyn_view_type_errors(source, message):
+    ast = parse_surface(source)
+    with pytest.raises(TypeCheckError) as err:
+        typecheck_surface((), ast)
+    assert str(err.value) == message
+
+
 def test_parse_comments_and_bools():
     ast = parse_surface("; heading\n(pair #t false) ; trailing\n")
     ty = typecheck_surface((), ast)
