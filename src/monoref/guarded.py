@@ -10,8 +10,9 @@ never consulted, and there is no worklist. The driver in `machine`
 runs `GUARDED`: `run_g` owns a private, mutable heap and stack, while
 `step_g` and `gwrite` copy the heap they are given.
 
-Values are the ordinary runtime values plus `GProxy`; pairs, injections,
-and closure environments may contain proxies.
+Values are the ordinary runtime values plus `lang.GProxy`, which
+`machine.observe` sees as an address; pairs, injections, and closure
+environments may contain proxies.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ from collections.abc import Callable
 
 from .lang import (
     CastError,
-    Node,
+    GProxy,
     Observable,
-    O_ADDR,
-    OPair,
     RefT,
     Stmt,
     Ty,
-    VPair,
     VRef,
 )
 from .machine import (
@@ -38,23 +36,11 @@ from .machine import (
     TraceRecord,
     cast_value,
     initial_state,
-    observe,
     read_cell,
     step_with,
     steps_with,
     update_cell,
 )
-
-
-class GProxy(Node):
-    """A reference seen through a cast from cell type `src_cell` to `tgt_cell`.
-
-    `inner` is the underlying reference or a further proxy; layers stack
-    without normalization.
-    """
-    inner: object
-    src_cell: Ty
-    tgt_cell: Ty
 
 
 def proxy(v, src: RefT, tgt: RefT, heap, work) -> GProxy:
@@ -70,20 +56,31 @@ def cast_g(v, src: Ty, tgt: Ty):
 
 
 def gread(v, heap: Heap):
-    """Read through a proxy chain, casting each layer innermost first."""
-    if isinstance(v, GProxy):
-        return cast_g(gread(v.inner, heap), v.src_cell, v.tgt_cell)
-    return read_cell(v, heap)
+    """Read through a proxy chain, casting each layer innermost first.
+
+    The chain is walked in a loop, so its depth costs no Python frames.
+    """
+    layers = ()  # (layer, further layers), innermost first
+    while isinstance(v, GProxy):
+        layers = (v, layers)
+        v = v.inner
+    w = read_cell(v, heap)
+    while layers:
+        layer, layers = layers
+        w = cast_g(w, layer.src_cell, layer.tgt_cell)
+    return w
 
 
 def write_in_place(v, w, heap: Heap) -> None:
-    """Write through a proxy chain, casting each layer outermost first.
+    """Write through a proxy chain, casting each layer outermost first
+    while descending to the underlying reference.
 
     The stored cell keeps its original allocation tag; guarded reads
     never consult it.
     """
-    if isinstance(v, GProxy):
-        return write_in_place(v.inner, cast_g(w, v.tgt_cell, v.src_cell), heap)
+    while isinstance(v, GProxy):
+        w = cast_g(w, v.tgt_cell, v.src_cell)
+        v = v.inner
     update_cell(v, w, heap)
 
 
@@ -94,15 +91,6 @@ def gwrite(v, w, heap: Heap) -> Heap:
     return heap
 
 
-def observe_g(v) -> Observable:
-    """Observables; a proxied reference is observationally an address."""
-    if isinstance(v, GProxy):
-        return O_ADDR
-    if isinstance(v, VPair):
-        return OPair(observe_g(v.fst), observe_g(v.snd))
-    return observe(v)
-
-
 # The dynamic forms' annotations are ignored: proxies carry the casts.
 GUARDED = Semantics(
     read=gread,
@@ -111,7 +99,6 @@ GUARDED = Semantics(
     cast_ref=proxy,
     dyn_deref=lambda ref, ann, heap, work: gread(ref, heap),
     active_step=None,
-    observe=observe_g,
 )
 
 

@@ -309,6 +309,18 @@ class VRef(Val):
     addr: int
 
 
+class GProxy(Val):
+    """A reference seen through a guarded cast from cell type `src_cell`
+    to `tgt_cell`; observationally an address.
+
+    `inner` is the underlying reference or a further proxy; layers stack
+    without normalization.
+    """
+    inner: Val
+    src_cell: Ty
+    tgt_cell: Ty
+
+
 class Inject(Val):
     payload: Val
     src_ty: Ty  # never DYN; injections box a value of known non-dyn type

@@ -31,6 +31,7 @@ from .lang import (
     EConst,
     Expr,
     Fst,
+    GProxy,
     Inject,
     IntC,
     IntT,
@@ -293,7 +294,7 @@ def observe(v: Val) -> Observable:
         return OPair(observe(v.fst), observe(v.snd))
     if isinstance(v, Closure):
         return O_FUN
-    if isinstance(v, VRef):
+    if isinstance(v, (VRef, GProxy)):
         return O_ADDR
     if isinstance(v, Inject):
         return O_INJ
@@ -314,11 +315,10 @@ class Semantics(Node):
     cast_ref: Callable
     dyn_deref: Callable
     active_step: Callable | None
-    observe: Callable
 
 
 MONOTONIC = Semantics(read_cell, update_cell, _dyn_update, retag,
-                      _dyn_deref, _active_step, observe)
+                      _dyn_deref, _active_step)
 
 
 def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
@@ -439,7 +439,7 @@ def steps_with(sem: Semantics, fuel: int, state: State,
         return O_STUCK
     except CastError:
         return O_CASTERROR
-    return sem.observe(v)
+    return observe(v)
 
 
 def step(state: State) -> State:

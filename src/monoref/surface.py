@@ -20,20 +20,26 @@ Grammar (file extension .gtlc, UTF-8, `;` line comments):
 `(× T T)` is accepted for pair types and `(ref T)` for reference types.
 Identifiers starting with `$` are reserved for generated temporaries.
 
+The reader makes one pass, pushing each line's tokens straight onto a
+stack of open lists. Fixed-shape forms are parsed from the tables
+`_FORMS` and `_TYPE_FORMS`, from which `_KEYWORDS` is also built.
+
 Typechecking is consistency-based: `dyn` is consistent with everything,
-other types structurally with themselves. Elaboration lowers to the
-statement IR, inserting a cast at every boundary the checker accepted by
-consistency rather than equality, and picking the plain dereference and
-update forms exactly when the reference's cell type is static. Like the
-cast-insertion translation of Siek and Taha (Scheme Workshop 2006), it
-is one type-directed pass: each subterm's type is computed together with
-its IR, a lambda's from the type at its body's return or tail call. It
-is written in direct style: each subterm appends the heads of the
-statements that compute it to a list, which is folded around the
-return or tail call at the end, and `let`/`begin` chains are walked in
-a loop. A `let` that rebinds a name already bound in the program is
-renamed to a fresh temporary. It expects a typechecked AST and checks
-nothing again; `typecheck_surface` is the checker.
+other types structurally with themselves. An operand of type dyn used as
+a function, pair or reference is seen as that constructor over dyn;
+`_view` states this once, for the checker and the elaborator.
+Elaboration lowers to the statement IR, inserting a cast at every
+boundary the checker accepted by consistency rather than equality, and
+picking the plain dereference and update forms exactly when the
+reference's cell type is static. Like the cast-insertion translation of
+Siek and Taha (Scheme Workshop 2006), it is one type-directed pass: each
+subterm's type is computed together with its IR, a lambda's from the
+type at its body's return or tail call. It is written in direct style:
+each subterm appends the heads of the statements that compute it to a
+list, which is folded around the return or tail call at the end, and
+`let`/`begin` chains are walked in a loop. A `let` that rebinds a name
+already bound in the program is renamed to a fresh temporary. It expects
+a typechecked AST; `typecheck_surface` is the checker.
 """
 
 from __future__ import annotations
@@ -189,91 +195,67 @@ class SBegin(SurfExpr):
 # Reader
 #
 # The reader's s-expressions are pairs `(payload, pos)`: an atom's payload
-# is its text (atoms are the tokenizer's own tuples), a list's payload is
-# the Python list of its items. They never leave this module.
+# is its text, a list's payload is the Python list of its items. They
+# never leave this module.
 
+# `\s` matches exactly what `str.isspace` does; `;` starts a comment.
+_TOKEN_RE = re.compile(r"[()]|[^\s();]+|;")
 _INT_RE = re.compile(r"-?\d+\Z")
 
-_KEYWORDS = {
-    "lambda", "let", "begin", "ref", "!", ":=", "cast", "pair", "fst", "snd",
-    "succ", "prev", "zero?", "int", "bool", "dyn", "->", "pair-ty", "ref-ty",
-    "×", ":", "#t", "#f", "true", "false",
-}
 
-
-def _tokenize(text: str):
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch == ";":
-                break
-            if ch.isspace():
-                col += 1
-                continue
-            if ch in "()":
-                tokens.append((ch, (lineno, col + 1)))
-                col += 1
-                continue
-            start = col
-            while col < len(line) and not line[col].isspace() \
-                    and line[col] not in "();":
-                col += 1
-            tokens.append((line[start:col], (lineno, start + 1)))
-    return tokens
-
-
-def _read(tokens):
-    """Read the first s-expression; returns it and the index after it.
-
-    An explicit stack of open lists replaces recursion, so nesting depth
-    costs no Python frames. `tokens` is not empty.
-    """
+def _read(text: str):
+    """Read the one s-expression of `text` in a single pass: each token
+    of each line (as `splitlines` ends lines) goes straight onto a stack
+    of open lists, so nesting depth costs no Python frames."""
     open_lists = []  # (items, pos of the open paren), innermost last
-    for i, token in enumerate(tokens):
-        text, pos = token
-        if text == "(":
-            open_lists.append(([], pos))
-            continue
-        if text == ")":
-            if not open_lists:
-                raise ParseError("unexpected ')'", pos[0], pos[1])
-            sx = open_lists.pop()
-        else:
-            sx = token
-        if not open_lists:
-            return sx, i + 1
-        open_lists[-1][0].append(sx)
-    pos = open_lists[-1][1]
-    raise ParseError("unclosed parenthesis", pos[0], pos[1])
+    sx = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for match in _TOKEN_RE.finditer(line):
+            token = match[0]
+            if token == ";":
+                break
+            if sx is not None:
+                raise ParseError(f"unexpected trailing input {token!r}",
+                                 lineno, match.start() + 1)
+            if token == ")":
+                if not open_lists:
+                    raise ParseError("unexpected ')'", lineno, match.start() + 1)
+                item = open_lists.pop()
+            elif token == "(":
+                open_lists.append(([], (lineno, match.start() + 1)))
+                continue
+            else:
+                item = (token, (lineno, match.start() + 1))
+            if open_lists:
+                open_lists[-1][0].append(item)
+            else:
+                sx = item
+    if open_lists:
+        raise ParseError("unclosed parenthesis", *open_lists[-1][1])
+    if sx is None:
+        raise ParseError("empty input", 1, 1)
+    return sx
 
 
 def _fail(sx, message: str):
-    pos = sx[1]
-    raise ParseError(message, pos[0], pos[1])
+    raise ParseError(message, *sx[1])
 
 
 def _type(sx) -> Ty:
     form = sx[0]
     if type(form) is str:
-        if form == "int":
-            return INT
-        if form == "bool":
-            return BOOL
-        if form == "dyn":
-            return DYN
-        _fail(sx, f"unknown type {form!r}")
+        if form not in _BASE_TYPES:
+            _fail(sx, f"unknown type {form!r}")
+        return _BASE_TYPES[form]
     if not form or type(form[0][0]) is not str:
         _fail(sx, "malformed type")
     head = form[0][0]
-    if head == "->" and len(form) == 3:
-        return ArrowT(_type(form[1]), _type(form[2]))
-    if head in ("pair-ty", "×") and len(form) == 3:
-        return PairT(_type(form[1]), _type(form[2]))
-    if head in ("ref-ty", "ref") and len(form) == 2:
-        return RefT(_type(form[1]))
-    _fail(sx, f"malformed type starting with {head!r}")
+    cls = _TYPE_FORMS.get(head)
+    if cls is None or len(form) != 1 + len(cls._fields):
+        _fail(sx, f"malformed type starting with {head!r}")
+    if len(form) == 2:
+        return cls(_type(form[1]))
+    return cls(_type(form[1]), _type(form[2]))
 
 
 def _name(sx) -> str:
@@ -304,6 +286,13 @@ def _expr(sx) -> SurfExpr:
         _fail(sx, "empty application")
     kw = items[0][0]
     if type(kw) is str:
+        if kw in _FORMS:
+            cls, usage, operands = _FORMS[kw]
+            if len(items) != 1 + len(operands):
+                _fail(sx, f"expected {usage}")
+            if len(operands) == 1:
+                return cls(operands[0](items[1]), pos)
+            return cls(operands[0](items[1]), operands[1](items[2]), pos)
         if kw == "lambda":
             if len(items) != 3 or type(items[1][0]) is str:
                 _fail(sx, "expected (lambda (x : T) body)")
@@ -330,34 +319,6 @@ def _expr(sx) -> SurfExpr:
             for e in reversed(exprs[:-1]):
                 result = SBegin(e, result, pos)
             return result
-        if kw == "ref":
-            if len(items) != 3:
-                _fail(sx, "expected (ref T e)")
-            return SRefNew(_type(items[1]), _expr(items[2]), pos)
-        if kw == "!":
-            if len(items) != 2:
-                _fail(sx, "expected (! e)")
-            return SDeref(_expr(items[1]), pos)
-        if kw == ":=":
-            if len(items) != 3:
-                _fail(sx, "expected (:= target value)")
-            return SAssign(_expr(items[1]), _expr(items[2]), pos)
-        if kw == "cast":
-            if len(items) != 3:
-                _fail(sx, "expected (cast e T)")
-            return SCastE(_expr(items[1]), _type(items[2]), pos)
-        if kw == "pair":
-            if len(items) != 3:
-                _fail(sx, "expected (pair e e)")
-            return SPair(_expr(items[1]), _expr(items[2]), pos)
-        if kw == "fst":
-            if len(items) != 2:
-                _fail(sx, "expected (fst e)")
-            return SFst(_expr(items[1]), pos)
-        if kw == "snd":
-            if len(items) != 2:
-                _fail(sx, "expected (snd e)")
-            return SSnd(_expr(items[1]), pos)
         if kw in _PRIMS:
             if len(items) != 2:
                 _fail(sx, f"expected ({kw} e)")
@@ -367,16 +328,28 @@ def _expr(sx) -> SurfExpr:
     return SApp(_expr(items[0]), _expr(items[1]), pos)
 
 
+# The fixed-shape expression forms: each keyword's node class, its usage
+# for the arity error, and one parser per operand, in order.
+_FORMS = {
+    "ref": (SRefNew, "(ref T e)", (_type, _expr)),
+    "!": (SDeref, "(! e)", (_expr,)),
+    ":=": (SAssign, "(:= target value)", (_expr, _expr)),
+    "cast": (SCastE, "(cast e T)", (_expr, _type)),
+    "pair": (SPair, "(pair e e)", (_expr, _expr)),
+    "fst": (SFst, "(fst e)", (_expr,)),
+    "snd": (SSnd, "(snd e)", (_expr,)),
+}
+# Type constructors take one type per field.
+_TYPE_FORMS = {"->": ArrowT, "pair-ty": PairT, "×": PairT, "ref-ty": RefT,
+               "ref": RefT}
+_BASE_TYPES = {"int": INT, "bool": BOOL, "dyn": DYN}
+_KEYWORDS = {*_FORMS, *_TYPE_FORMS, *_BASE_TYPES, *_PRIMS, "lambda", "let",
+             "begin", ":", "#t", "#f", "true", "false"}
+
+
 def parse_surface(text: str) -> SurfExpr:
     """Parse one surface program; positions are retained for diagnostics."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty input", 1, 1)
-    sx, i = _read(tokens)
-    if i != len(tokens):
-        extra, pos = tokens[i]
-        raise ParseError(f"unexpected trailing input {extra!r}", pos[0], pos[1])
-    return _expr(sx)
+    return _expr(_read(text))
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +359,31 @@ def _pos_path(e: SurfExpr) -> tuple:
     return (f"{e.pos[0]}:{e.pos[1]}",) if e.pos != (0, 0) else ()
 
 
-def typecheck_surface(gamma, e: SurfExpr) -> Ty:
-    """Synthesize the type of a surface expression.
+# The type constructor each eliminating form needs of its operand, and
+# the error when the operand's type has another constructor.
+_VIEWS = {
+    SApp: (ArrowT, "application of non-function type"),
+    SFst: (PairT, "projection from non-pair type"),
+    SSnd: (PairT, "projection from non-pair type"),
+    SDeref: (RefT, "dereference of non-reference type"),
+    SAssign: (RefT, "assignment through non-reference type"),
+}
 
-    Applications through dyn treat the operator as dyn -> dyn, and
-    dereference or assignment through dyn treats the target as a dyn
-    reference; assignment requires consistency, not equality.
-    """
+
+def _view(ty: Ty, e: SurfExpr) -> Ty:
+    """`e`'s operand type `ty` seen as the constructor `e` needs: itself if
+    it has it, that constructor over dyn if it is dyn, else an error."""
+    cls, what = _VIEWS[type(e)]
+    if isinstance(ty, cls):
+        return ty
+    if ty == DYN:
+        return cls(*[DYN] * len(cls._fields))
+    raise TypeCheckError(f"{what} {ty}", _pos_path(e))
+
+
+def typecheck_surface(gamma, e: SurfExpr) -> Ty:
+    """Synthesize the type of a surface expression; operands are seen
+    through `_view`, and assignment requires consistency, not equality."""
     if isinstance(e, Lit):
         return typeof_const(e.const)
     if isinstance(e, SVar):
@@ -407,27 +398,18 @@ def typecheck_surface(gamma, e: SurfExpr) -> Ty:
     if isinstance(e, SApp):
         fn_ty = typecheck_surface(gamma, e.fn)
         arg_ty = typecheck_surface(gamma, e.arg)
-        if fn_ty == DYN:
-            return DYN
-        if isinstance(fn_ty, ArrowT):
-            if not consistent(arg_ty, fn_ty.dom):
-                raise TypeCheckError(
-                    f"argument type {arg_ty} not consistent with {fn_ty.dom}",
-                    _pos_path(e))
-            return fn_ty.cod
-        raise TypeCheckError(f"application of non-function type {fn_ty}",
-                             _pos_path(e))
+        fn_ty = _view(fn_ty, e)
+        if not consistent(arg_ty, fn_ty.dom):
+            raise TypeCheckError(
+                f"argument type {arg_ty} not consistent with {fn_ty.dom}",
+                _pos_path(e))
+        return fn_ty.cod
     if isinstance(e, SPair):
         return PairT(typecheck_surface(gamma, e.fst),
                      typecheck_surface(gamma, e.snd))
     if isinstance(e, (SFst, SSnd)):
-        pair_ty = typecheck_surface(gamma, e.pair)
-        if pair_ty == DYN:
-            return DYN
-        if isinstance(pair_ty, PairT):
-            return pair_ty.left if isinstance(e, SFst) else pair_ty.right
-        raise TypeCheckError(f"projection from non-pair type {pair_ty}",
-                             _pos_path(e))
+        pair_ty = _view(typecheck_surface(gamma, e.pair), e)
+        return pair_ty.left if isinstance(e, SFst) else pair_ty.right
     if isinstance(e, SPrim):
         arg_ty = typecheck_surface(gamma, e.arg)
         if not consistent(arg_ty, INT):
@@ -442,26 +424,16 @@ def typecheck_surface(gamma, e: SurfExpr) -> Ty:
                 f"{e.cell_ty}", _pos_path(e))
         return RefT(e.cell_ty)
     if isinstance(e, SDeref):
-        ref_ty = typecheck_surface(gamma, e.ref)
-        if ref_ty == DYN:
-            return DYN
-        if isinstance(ref_ty, RefT):
-            return ref_ty.cell
-        raise TypeCheckError(f"dereference of non-reference type {ref_ty}",
-                             _pos_path(e))
+        return _view(typecheck_surface(gamma, e.ref), e).cell
     if isinstance(e, SAssign):
         target_ty = typecheck_surface(gamma, e.target)
         value_ty = typecheck_surface(gamma, e.value)
-        if target_ty == DYN:
-            return DYN
-        if isinstance(target_ty, RefT):
-            if not consistent(value_ty, target_ty.cell):
-                raise TypeCheckError(
-                    f"assignment of {value_ty} not consistent with cell type "
-                    f"{target_ty.cell}", _pos_path(e))
-            return target_ty.cell
-        raise TypeCheckError(f"assignment through non-reference type "
-                             f"{target_ty}", _pos_path(e))
+        target_ty = _view(target_ty, e)
+        if not consistent(value_ty, target_ty.cell):
+            raise TypeCheckError(
+                f"assignment of {value_ty} not consistent with cell type "
+                f"{target_ty.cell}", _pos_path(e))
+        return target_ty.cell
     if isinstance(e, SCastE):
         src_ty = typecheck_surface(gamma, e.expr)
         if not consistent(src_ty, e.ty):
@@ -514,9 +486,16 @@ class _Elaborator:
         return Var(tmp)
 
     def coerce(self, atom: Expr, have: Ty, want: Ty, heads: list) -> Expr:
-        if have == want:
+        if have is want or have == want:
             return atom
         return self.bind(heads, SCast, atom, have, want)
+
+    def view(self, e: SurfExpr, atom: Expr, ty: Ty, heads: list):
+        """`atom` of type `ty` cast to `_view(ty, e)` unless that is `ty`."""
+        want = _view(ty, e)
+        if want is not ty:
+            atom = self.bind(heads, SCast, atom, ty, want)
+        return atom, want
 
     def chain(self, e: SurfExpr, gamma, heads: list):
         """Emit the bindings of the `let`/`begin` chain at `e`; returns the
@@ -537,10 +516,7 @@ class _Elaborator:
 
     def call(self, e: SApp, gamma, heads: list):
         """The callee and argument atoms of an application, and its type."""
-        fn, fn_ty = self.atom(e.fn, gamma, heads)
-        if fn_ty == DYN:
-            fn_ty = ArrowT(DYN, DYN)
-            fn = self.coerce(fn, DYN, fn_ty, heads)
+        fn, fn_ty = self.view(e, *self.atom(e.fn, gamma, heads), heads)
         arg, arg_ty = self.atom(e.arg, gamma, heads)
         return fn, self.coerce(arg, arg_ty, fn_ty.dom, heads), fn_ty.cod
 
@@ -565,10 +541,7 @@ class _Elaborator:
             b, b_ty = self.atom(e.snd, gamma, heads)
             return self.bind(heads, SLet, MkPair(a, b)), PairT(a_ty, b_ty)
         if isinstance(e, (SFst, SSnd)):
-            atom, ty = self.atom(e.pair, gamma, heads)
-            if ty == DYN:
-                ty = PairT(DYN, DYN)
-                atom = self.coerce(atom, DYN, ty, heads)
+            atom, ty = self.view(e, *self.atom(e.pair, gamma, heads), heads)
             if isinstance(e, SFst):
                 op, out = Fst(ty.left, ty.right), ty.left
             else:
@@ -584,18 +557,13 @@ class _Elaborator:
             atom = self.coerce(atom, ty, e.cell_ty, heads)
             return self.bind(heads, SAlloc, e.cell_ty, atom), RefT(e.cell_ty)
         if isinstance(e, SDeref):
-            atom, ty = self.atom(e.ref, gamma, heads)
-            if ty == DYN:
-                ty = RefT(DYN)
-                atom = self.coerce(atom, DYN, ty, heads)
+            atom, ty = self.view(e, *self.atom(e.ref, gamma, heads), heads)
             if is_static(ty.cell):
                 return self.bind(heads, SLet, Deref(atom)), ty.cell
             return self.bind(heads, SDynDeref, atom, ty.cell), ty.cell
         if isinstance(e, SAssign):
-            target, ty = self.atom(e.target, gamma, heads)
-            if ty == DYN:
-                ty = RefT(DYN)
-                target = self.coerce(target, DYN, ty, heads)
+            target, ty = self.view(e, *self.atom(e.target, gamma, heads),
+                                   heads)
             value, value_ty = self.atom(e.value, gamma, heads)
             value = self.coerce(value, value_ty, ty.cell, heads)
             if is_static(ty.cell):

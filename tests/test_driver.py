@@ -41,14 +41,17 @@ from monoref.lang import (
 from monoref.machine import (
     MONOTONIC,
     Frame,
+    Semantics,
     State,
     TraceRecord,
     evaluate,
     final,
     initial_state,
     run,
+    observe,
     step,
     steps,
+    steps_with,
 )
 from monoref.surface import ParseError, elaborate, parse_surface, typecheck_surface
 from monoref.typecheck import TypeCheckError
@@ -86,7 +89,7 @@ def iterate(stepper, sem, state, fuel):
                 return O_STUCK, records
             except CastError:
                 return O_CASTERROR, records
-            return sem.observe(v), records
+            return observe(v), records
         try:
             after = stepper(state)
         except Stuck:
@@ -212,13 +215,19 @@ REF_CAST_LOOP = """
 
 
 def test_driver_maps_only_stuck_and_cast_errors():
-    # Guarded proxies pile up two per iteration; reading through a chain
-    # hundreds deep overflows Python's stack. That is a known limit of
-    # the recursive proxy read, not a stuck state, so it must escape.
+    # Guarded proxies pile up two per iteration; reads and writes walk
+    # the chain in a loop, so both semantics run out of fuel.
     stmt = elaborate(parse_surface(REF_CAST_LOOP))
     assert run(stmt, fuel=10_000) == O_TIMEOUT
+    assert run_g(stmt, fuel=10_000) == O_TIMEOUT
+
+    # Any other exception is not an observable and escapes the driver.
+    def overflow(v, src, tgt, heap, work):
+        raise RecursionError
+
+    failing = Semantics(**{**vars(GUARDED), "cast_ref": overflow})
     with pytest.raises(RecursionError):
-        run_g(stmt, fuel=10_000)
+        steps_with(failing, 10_000, initial_state(stmt), None)
 
 
 def no_transition(record):

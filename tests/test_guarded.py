@@ -25,8 +25,8 @@ from monoref.lang import (
     VConst,
     VRef,
 )
-from monoref.guarded import GProxy, cast_g, gread, gwrite, observe_g, run_g
-from monoref.machine import run
+from monoref.guarded import GProxy, cast_g, gread, gwrite, run_g
+from monoref.machine import observe, run
 from monoref.surface import elaborate, parse_surface, typecheck_surface
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -123,8 +123,19 @@ def test_gwrite():
     assert written_int[0] == (Plain(Inject(INT4, INT)), DYN)
 
 
-def test_observe_g_proxy_is_address():
-    assert observe_g(GProxy(VRef(0), DYN, INT)) == observe_g(VRef(0))
+def test_observe_proxy_is_address():
+    assert observe(GProxy(VRef(0), DYN, INT)) == observe(VRef(0))
+
+
+def test_read_and_write_through_a_deep_proxy_chain():
+    # The chain is walked in a loop: its depth costs no Python frames.
+    ref = VRef(0)
+    for _ in range(100_000):
+        ref = GProxy(ref, INT, INT)
+    heap = {0: (Plain(INT4), INT)}
+    assert gread(ref, heap) == INT4
+    five = VConst(IntC(5))
+    assert gwrite(ref, five, heap) == {0: (Plain(five), INT)}
 
 
 def test_boolean_cell_viewed_as_int_reference():
