@@ -17,6 +17,7 @@ from monoref.guarded import GUARDED, GProxy, cast_g, gread, gwrite, step_g
 from monoref.lang import (
     DYN,
     CastError,
+    Inject,
     IntC,
     STailCall,
     Stuck,
@@ -108,7 +109,7 @@ def outcome(f, *args):
     try:
         return f(*args)
     except (CastError, Stuck) as err:
-        return type(err)
+        return type(err), str(err)
 
 
 def slow_gwrite(v, w, heap):
@@ -152,6 +153,19 @@ def test_head_constructor_decides_projection():
         ta = type(a)
         for b, gb in zip(types, grounds):
             assert (ta is type(b)) == (ga == gb), (a, b)
+
+
+def test_projection_casts_the_payload_exactly_on_equal_grounds():
+    gen = HeapGen(random.Random(7070))
+    types = [t for t in all_types(2) if t != DYN]
+    for a in types:
+        payload = gen.value_of(a)
+        for b in types:
+            expected = outcome(cast_g, payload, a, b) \
+                if ground(a) == ground(b) else \
+                (CastError, f"projection of {a} payload to {b}")
+            assert outcome(cast_g, Inject(payload, a), DYN, b) == expected, \
+                (a, b)
 
 
 @pytest.mark.parametrize("iterations", [1, 5, 40])
