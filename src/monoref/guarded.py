@@ -10,6 +10,13 @@ never consulted, and there is no worklist. The driver in `machine`
 runs `GUARDED`: `run_g` owns a private, mutable heap and stack, while
 `step_g` and `gwrite` copy the heap they are given.
 
+The proxies' cost is kept naive on purpose: every reference cast makes
+one more proxy, even between equal types, and every read or write visits
+every layer. A walk steps over an identity layer, one whose two cell
+types are the same base type or both dyn, without a call, since
+`cast_value` would return the value unchanged; every other layer casts
+through `cast_value` directly.
+
 Values are the ordinary runtime values plus `lang.GProxy`, which
 `machine.observe` sees as an address; pairs, injections, and closure
 environments may contain proxies.
@@ -22,6 +29,7 @@ from collections.abc import Callable
 from .lang import (
     CastError,
     GProxy,
+    IDENTITY_HEADS,
     Observable,
     RefT,
     Stmt,
@@ -59,27 +67,34 @@ def gread(v, heap: Heap):
     """Read through a proxy chain, casting each layer innermost first.
 
     The chain is walked in a loop, so its depth costs no Python frames.
+    An identity layer is stepped over on the way down; the others are
+    kept and cast on the way back up.
     """
     layers = ()  # (layer, further layers), innermost first
-    while isinstance(v, GProxy):
-        layers = (v, layers)
+    while type(v) is GProxy:
+        s = type(v.src_cell)
+        if s is not type(v.tgt_cell) or s not in IDENTITY_HEADS:
+            layers = (v, layers)
         v = v.inner
     w = read_cell(v, heap)
     while layers:
         layer, layers = layers
-        w = cast_g(w, layer.src_cell, layer.tgt_cell)
+        w = cast_value(w, layer.src_cell, layer.tgt_cell, None, None, proxy)
     return w
 
 
 def write_in_place(v, w, heap: Heap) -> None:
     """Write through a proxy chain, casting each layer outermost first
-    while descending to the underlying reference.
+    while descending to the underlying reference; identity layers are
+    stepped over.
 
     The stored cell keeps its original allocation tag; guarded reads
     never consult it.
     """
-    while isinstance(v, GProxy):
-        w = cast_g(w, v.tgt_cell, v.src_cell)
+    while type(v) is GProxy:
+        t = type(v.tgt_cell)
+        if t is not type(v.src_cell) or t not in IDENTITY_HEADS:
+            w = cast_value(w, v.tgt_cell, v.src_cell, None, None, proxy)
         v = v.inner
     update_cell(v, w, heap)
 

@@ -129,6 +129,10 @@ INT = IntT()
 BOOL = BoolT()
 DYN = DynT()
 
+# The type classes whose cast to a type of the same class is the
+# identity: the base types and dyn.
+IDENTITY_HEADS = frozenset((IntT, BoolT, DynT))
+
 
 # ---------------------------------------------------------------------------
 # Constants and primitive operators

@@ -22,7 +22,6 @@ from collections.abc import Callable
 from .lang import (
     ArrowT,
     BoolC,
-    BoolT,
     CastError,
     CastedVal,
     Closure,
@@ -32,9 +31,9 @@ from .lang import (
     Expr,
     Fst,
     GProxy,
+    IDENTITY_HEADS,
     Inject,
     IntC,
-    IntT,
     IsZero,
     Lam,
     MkPair,
@@ -74,7 +73,6 @@ from .lang import (
     VRef,
     Val,
     Var,
-    ground,
     lesseq,
     lookup,
     meet,
@@ -176,6 +174,11 @@ def eval_expr(e: Expr, env: Env, heap: Heap) -> Val:
     return evaluate(e, env, heap, read_cell)
 
 
+# The wrapper's atoms carry no types, so every wrapper shares them.
+_W_ARG, _W_FN, _W_RESULT, _W_CAST_ARG = (Var(f"$w{i}") for i in range(4))
+_W_RETURN = SRet(Var("$w4"))
+
+
 def wrap(v: Val, dom: Ty, cod: Ty, new_dom: Ty, new_cod: Ty) -> Closure:
     """Wrap a function value of type dom -> cod for use at new_dom -> new_cod.
 
@@ -185,10 +188,9 @@ def wrap(v: Val, dom: Ty, cod: Ty, new_dom: Ty, new_cod: Ty) -> Closure:
     wrapped-function binding, so capture is impossible.
     """
     body = SCast(
-        "$w3", Var("$w0"), new_dom, dom,
-        SCall(
-            "$w2", Var("$w1"), Var("$w3"),
-            SCast("$w4", Var("$w2"), cod, new_cod, SRet(Var("$w4")))))
+        "$w3", _W_ARG, new_dom, dom,
+        SCall("$w2", _W_FN, _W_CAST_ARG,
+              SCast("$w4", _W_RESULT, cod, new_cod, _W_RETURN)))
     return Closure("$w0", new_dom, body, (("$w1", v),))
 
 
@@ -202,13 +204,15 @@ def mk_vcast(cv: CastedVal, src: Ty, tgt: Ty) -> Pending:
 def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     """Cast `v` from `src` to `tgt`, as both semantics do.
 
-    Identity on matching base types and dyn; arrows wrap; pairs go
-    componentwise; projections out of dyn require equal ground types. A
+    Identity on matching base types and dyn (`IDENTITY_HEADS`); arrows
+    wrap; pairs go componentwise; a projection out of dyn requires the
+    injected type and the target to have the same head constructor,
+    which is equality of their ground types, since neither is dyn. A
     cast between reference types is `cast_ref(v, src, tgt, heap, work)`,
     which may update `heap` and the worklist `work` (head last) in place.
     """
     ts, tt = type(src), type(tgt)
-    if ts is tt and (ts is IntT or ts is BoolT or ts is DynT):
+    if ts is tt and ts in IDENTITY_HEADS:
         return v
     if ts is ArrowT and tt is ArrowT:
         return wrap(v, src.dom, src.cod, tgt.dom, tgt.cod)
@@ -220,7 +224,7 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     if ts is RefT and tt is RefT:
         return cast_ref(v, src, tgt, heap, work)
     if tv is Inject and ts is DynT:
-        if ground(v.src_ty) == ground(tgt):
+        if type(v.src_ty) is tt:
             return cast_value(v.payload, v.src_ty, tgt, heap, work, cast_ref)
         raise CastError(f"projection of {v.src_ty} payload to {tgt}")
     if tt is DynT:

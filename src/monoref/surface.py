@@ -485,9 +485,15 @@ class _Elaborator:
         heads.append((cls, tmp, *fields))
         return Var(tmp)
 
-    def coerce(self, atom: Expr, have: Ty, want: Ty, heads: list) -> Expr:
+    def coerce(self, e: SurfExpr, atom: Expr, have: Ty, want: Ty,
+               heads: list) -> Expr:
+        """`atom`, the value of operand `e`, cast from `have` to `want`
+        unless they are equal; an inconsistent pair is a type error."""
         if have is want or have == want:
             return atom
+        if not consistent(have, want):
+            raise TypeCheckError(f"cast from {have} to inconsistent {want}",
+                                 _pos_path(e))
         return self.bind(heads, SCast, atom, have, want)
 
     def view(self, e: SurfExpr, atom: Expr, ty: Ty, heads: list):
@@ -518,7 +524,7 @@ class _Elaborator:
         """The callee and argument atoms of an application, and its type."""
         fn, fn_ty = self.view(e, *self.atom(e.fn, gamma, heads), heads)
         arg, arg_ty = self.atom(e.arg, gamma, heads)
-        return fn, self.coerce(arg, arg_ty, fn_ty.dom, heads), fn_ty.cod
+        return fn, self.coerce(e.arg, arg, arg_ty, fn_ty.dom, heads), fn_ty.cod
 
     def atom(self, e: SurfExpr, gamma, heads: list):
         """Elaborate `e` into `heads`; returns its value's atom and type."""
@@ -526,7 +532,11 @@ class _Elaborator:
         if isinstance(e, Lit):
             return EConst(e.const), typeof_const(e.const)
         if isinstance(e, SVar):
-            return lookup(e.name, gamma)
+            try:
+                return lookup(e.name, gamma)
+            except Stuck:
+                raise TypeCheckError(f"unbound variable {e.name!r}",
+                                     _pos_path(e)) from None
         if isinstance(e, SLambda):
             self.bound.add(e.param)
             param = ((e.param, (Var(e.param), e.ann)),)
@@ -550,11 +560,11 @@ class _Elaborator:
         if isinstance(e, SPrim):
             op, out = _PRIMS[e.op]
             atom, ty = self.atom(e.arg, gamma, heads)
-            atom = self.coerce(atom, ty, INT, heads)
+            atom = self.coerce(e.arg, atom, ty, INT, heads)
             return self.bind(heads, SLet, PrimApp(op, atom)), out
         if isinstance(e, SRefNew):
             atom, ty = self.atom(e.init, gamma, heads)
-            atom = self.coerce(atom, ty, e.cell_ty, heads)
+            atom = self.coerce(e.init, atom, ty, e.cell_ty, heads)
             return self.bind(heads, SAlloc, e.cell_ty, atom), RefT(e.cell_ty)
         if isinstance(e, SDeref):
             atom, ty = self.view(e, *self.atom(e.ref, gamma, heads), heads)
@@ -565,7 +575,7 @@ class _Elaborator:
             target, ty = self.view(e, *self.atom(e.target, gamma, heads),
                                    heads)
             value, value_ty = self.atom(e.value, gamma, heads)
-            value = self.coerce(value, value_ty, ty.cell, heads)
+            value = self.coerce(e.value, value, value_ty, ty.cell, heads)
             if is_static(ty.cell):
                 heads.append((SUpdate, target, value))
             else:
@@ -573,7 +583,7 @@ class _Elaborator:
             return value, ty.cell
         if isinstance(e, SCastE):
             atom, ty = self.atom(e.expr, gamma, heads)
-            return self.coerce(atom, ty, e.ty, heads), e.ty
+            return self.coerce(e.expr, atom, ty, e.ty, heads), e.ty
         raise TypeCheckError(f"unknown surface form {e!r}")
 
     def tail(self, e: SurfExpr, gamma):
@@ -597,7 +607,10 @@ def elaborate(e: SurfExpr) -> Stmt:
 
     The result passes `check_stmt` at exactly the surface type; fully
     static programs elaborate without any cast or dynamic access forms.
-    Types are not checked again: run `typecheck_surface` first.
+    Run `typecheck_surface` first: its messages are the documented ones.
+    On an ill-typed program `elaborate` still raises `TypeCheckError`,
+    never emitting a cast between inconsistent types: at the operand for
+    an inconsistent cast, at the name for an unbound one.
     """
     return _Elaborator().tail(e, ())[0]
 

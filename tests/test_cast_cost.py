@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from generators import HeapGen, ProgramGen, all_types, consistent_variant, random_ty
+from generators import (
+    HeapGen,
+    ProgramGen,
+    all_types,
+    consistent_variant,
+    random_ty,
+)
 from monoref.guarded import GUARDED, GProxy, cast_g, gread, gwrite, step_g
 from monoref.lang import (
     DYN,
@@ -26,7 +32,13 @@ from monoref.lang import (
     ground,
     lookup,
 )
-from monoref.machine import Semantics, initial_state, read_cell, steps_with, update_cell
+from monoref.machine import (
+    Semantics,
+    initial_state,
+    read_cell,
+    steps_with,
+    update_cell,
+)
 from monoref.surface import elaborate, parse_surface, typecheck_surface
 
 KERNELS = Path(__file__).resolve().parent.parent / "perfbench" / "kernels"

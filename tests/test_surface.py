@@ -179,6 +179,21 @@ def test_dyn_view_type_errors(source, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("source, message", [
+    ("(succ #t)", "1:7: cast from bool to inconsistent int"),
+    ("x", "1:1: unbound variable 'x'"),
+    ("((lambda (y : int) y) #t)", "1:23: cast from bool to inconsistent int"),
+    ("(let (r (ref int 1)) (:= r #t))",
+     "1:28: cast from bool to inconsistent int"),
+])
+def test_elaborate_rejects_ill_typed_programs(source, message):
+    # Without the checker in front, the elaborator still emits no cast
+    # between inconsistent types; it points at the offending operand.
+    with pytest.raises(TypeCheckError) as err:
+        elaborate(parse_surface(source))
+    assert str(err.value) == message
+
+
 def test_parse_comments_and_bools():
     ast = parse_surface("; heading\n(pair #t false) ; trailing\n")
     ty = typecheck_surface((), ast)
