@@ -70,7 +70,7 @@ def gread(v, heap: Heap):
     An identity layer is stepped over on the way down; the others are
     kept and cast on the way back up.
     """
-    layers = ()  # (layer, further layers), innermost first
+    layers = ()  # (casting layer, further layers), innermost first
     while type(v) is GProxy:
         s = type(v.src_cell)
         if s is not type(v.tgt_cell) or s not in IDENTITY_HEADS:

@@ -175,7 +175,8 @@ def eval_expr(e: Expr, env: Env, heap: Heap) -> Val:
 
 
 # The wrapper's atoms carry no types, so every wrapper shares them.
-_W_ARG, _W_FN, _W_RESULT, _W_CAST_ARG = (Var(f"$w{i}") for i in range(4))
+_W_ARG, _W_FN, _W_RESULT, _W_CAST_ARG = (
+    Var("$w0"), Var("$w1"), Var("$w2"), Var("$w3"))
 _W_RETURN = SRet(Var("$w4"))
 
 

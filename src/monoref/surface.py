@@ -524,7 +524,8 @@ class _Elaborator:
         """The callee and argument atoms of an application, and its type."""
         fn, fn_ty = self.view(e, *self.atom(e.fn, gamma, heads), heads)
         arg, arg_ty = self.atom(e.arg, gamma, heads)
-        return fn, self.coerce(e.arg, arg, arg_ty, fn_ty.dom, heads), fn_ty.cod
+        arg = self.coerce(e.arg, arg, arg_ty, fn_ty.dom, heads)
+        return fn, arg, fn_ty.cod
 
     def atom(self, e: SurfExpr, gamma, heads: list):
         """Elaborate `e` into `heads`; returns its value's atom and type."""
