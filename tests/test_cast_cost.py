@@ -8,7 +8,6 @@ iteration: the guarded baseline stays naive.
 """
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -19,6 +18,7 @@ from generators import (
     consistent_variant,
     random_ty,
 )
+from kernels import kernel, lattice_kernels
 from monoref.guarded import GUARDED, GProxy, cast_g, gread, gwrite, step_g
 from monoref.lang import (
     DYN,
@@ -41,7 +41,6 @@ from monoref.machine import (
 )
 from monoref.surface import elaborate, parse_surface, typecheck_surface
 
-KERNELS = Path(__file__).resolve().parent.parent / "perfbench" / "kernels"
 FUEL = 2_500
 
 
@@ -70,27 +69,6 @@ SLOW = Semantics(**{
     "dyn_update": lambda ref, v, ann, heap, work: slow_write(ref, v, heap),
     "dyn_deref": lambda ref, ann, heap, work: slow_read(ref, heap),
 })
-
-
-def kernel(name, **fields):
-    text = (KERNELS / f"{name}.gtlc.in").read_text(encoding="utf-8")
-    ast = parse_surface(text.format(init=7, **fields))
-    typecheck_surface((), ast)
-    return elaborate(ast)
-
-
-def lattice_kernels():
-    """Every configuration of the lattice kernel's three annotation
-    sites, then the dyn-call and ref-cast kernels."""
-    for ci, cell in enumerate(("int", "dyn")):
-        for pi, param in enumerate(("(ref-ty int)", "(ref-ty dyn)", "dyn")):
-            loops = (f"(-> {param} int)", "(-> dyn dyn)", "dyn")
-            for li, loop in enumerate(loops):
-                yield f"lattice-{ci}{pi}{li}", kernel(
-                    "lattice", cell=cell, param=param, loop=loop,
-                    type="int" if li == 0 else "dyn")
-    yield "dyn-call", kernel("dyn-call")
-    yield "ref-cast", kernel("ref-cast")
 
 
 def observe_and_trace(sem, stmt, fuel):
