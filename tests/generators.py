@@ -348,9 +348,13 @@ class ProgramGen:
                 value_ty = consistent_variant(rng, ref_ty.cell, allow_ref=True)
             return SAssign(SVar(name), self.expr(env, value_ty,
                                                  max(size - 1, 0)))
-        # ref-cast: view the reference at a consistent cell type
+        # ref-cast: view the reference at a consistent cell type, then
+        # read through the view or write a value of its cell type
         new_cell = consistent_variant(rng, ref_ty.cell, allow_ref=True)
-        return SCastE(SVar(name), RefT(new_cell))
+        view = SCastE(SVar(name), RefT(new_cell))
+        if rng.random() < 0.5:
+            return SDeref(view)
+        return SAssign(view, self.expr(env, new_cell, max(size - 1, 0)))
 
 
 # ---------------------------------------------------------------------------

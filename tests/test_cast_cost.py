@@ -182,3 +182,45 @@ def test_ref_cast_loop_piles_up_proxies(iterations):
     assert depth == 2 * iterations
     assert type(v) is VRef
     assert gread(ref, state.heap) == VConst(IntC(7))
+
+
+def reaches_a_proxy(stmt):
+    """Whether a guarded run of `stmt` reads or writes through a proxy."""
+    seen = []
+
+    def note(ref):
+        if type(ref) is GProxy:
+            seen.append(ref)
+
+    def read(ref, heap):
+        note(ref)
+        return gread(ref, heap)
+
+    def update(ref, v, heap):
+        note(ref)
+        return GUARDED.update(ref, v, heap)
+
+    def dyn_update(ref, v, ann, heap, work):
+        note(ref)
+        return GUARDED.dyn_update(ref, v, ann, heap, work)
+
+    def dyn_deref(ref, ann, heap, work):
+        note(ref)
+        return GUARDED.dyn_deref(ref, ann, heap, work)
+
+    probe = Semantics(**{**vars(GUARDED), "read": read, "update": update,
+                         "dyn_update": dyn_update, "dyn_deref": dyn_deref})
+    steps_with(probe, 20_000, initial_state(stmt), None)
+    return bool(seen)
+
+
+def test_generated_programs_read_and_write_through_proxies():
+    # The generated-program suites only cover the proxy walks if the
+    # programs use the references their casts make.
+    reached = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        ast = ProgramGen(rng, allow_ref_casts=True).program(rng.randint(3, 12))
+        typecheck_surface((), ast)
+        reached += reaches_a_proxy(elaborate(ast))
+    assert reached >= 25
