@@ -7,7 +7,9 @@ a cell with no pending cast whose tag is fully static: the tag lies
 below the static cell type, and pending casts exist only while the
 worklist is non-empty, when no statement runs. Probing records count
 the calls that reach the `read` and `update` hooks over the corpus,
-every benchmark kernel configuration and generated programs.
+every benchmark kernel configuration and generated programs. The
+driver reads and writes such a cell without calling either semantics,
+and only proxies and malformed states reach the hooks.
 """
 
 import random
@@ -117,6 +119,15 @@ def hook_calls(sem):
 def test_monotonic_static_access_meets_a_plain_static_cell():
     calls = hook_calls(MONOTONIC)
     assert set(calls) <= {"static"}
+
+
+def test_static_access_stays_in_the_driver():
+    # The driver reads and writes a plain cell itself, so static code
+    # never calls the monotonic hooks, and the guarded hooks see only
+    # the proxies that reference casts made.
+    assert hook_calls(MONOTONIC) == []
+    calls = hook_calls(GUARDED)
+    assert calls and set(calls) == {"GProxy"}
 
 
 SEMANTICS = pytest.mark.parametrize("sem", [MONOTONIC, GUARDED],
