@@ -8,7 +8,9 @@ reverse on the way in (outermost first) and store the result at the
 underlying address. Heap cells keep their allocation tag but the tag is
 never consulted, and there is no worklist. The driver in `machine`
 runs `GUARDED`: `run_g` owns a private, mutable heap and stack, while
-`step_g` and `gwrite` copy the heap they are given.
+`step_g` and `gwrite` copy the heap they are given. The driver reads and
+writes a plain reference itself, so `gread` and `write_in_place` serve a
+static access only when it goes through a proxy.
 
 The proxies' cost is kept naive on purpose: every reference cast makes
 one more proxy, even between equal types, and every read or write visits
