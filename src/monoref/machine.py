@@ -329,10 +329,10 @@ def observe(v: Val) -> Observable:
 class Semantics(Node):
     """What differs between the reference semantics the driver runs.
 
-    `read` serves `Deref` and `update` serves `SUpdate` when the
-    reference is not a `VRef` to an allocated cell or, for `read`, the
-    cell holds a pending cast; the driver reads and writes any other
-    cell itself, as both semantics would. `dyn_update`, `dyn_deref` and
+    `read` serves a `Deref` and `update` an `SUpdate` that the driver
+    does not do itself: one through anything but a `VRef` to an
+    allocated cell, or a read of a cell with a pending cast.
+    `dyn_update`, `dyn_deref` and
     `cast_ref` (the reference case of `cast_value`) serve their
     statements, updating the heap and the worklist (head last) in place;
     `active_step` is the worklist rule, None without a worklist.
