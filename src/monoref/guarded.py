@@ -5,8 +5,9 @@ cast on a reference never touches the heap: it wraps the reference in a
 proxy carrying the two cell types it mediates between. Reads apply each
 layer's cast on the way out (innermost first); writes apply the casts in
 reverse on the way in (outermost first) and store the result at the
-underlying address. Heap cells keep their allocation tag but the tag is
-never consulted, and there is no worklist. The driver in `machine`
+underlying address. A heap cell `(value, tag)` holds its value itself
+and keeps its allocation tag, which is never consulted; no cell is ever
+`Pending` and there is no worklist. The driver in `machine`
 runs `GUARDED`: `run_g` owns a private, mutable heap and stack, while
 `step_g` and `gwrite` copy the heap they are given. The driver reads and
 writes a plain reference itself, so `gread` and `write_in_place` serve a
@@ -90,8 +91,8 @@ def write_in_place(v, w, heap: Heap) -> None:
     while descending to the underlying reference; identity layers are
     stepped over.
 
-    The stored cell keeps its original allocation tag; guarded reads
-    never consult it.
+    The cell then holds the cast value under its original allocation
+    tag; guarded reads never consult the tag.
     """
     while type(v) is GProxy:
         t = type(v.tgt_cell)

@@ -8,6 +8,11 @@ observables produced by a finished run live here too, together with the
 type algebra (the less-or-equally-dynamic order, its meet, staticness,
 and ground types).
 
+Every runtime value is one object whose class is its runtime tag: a
+constant such as `IntC(3)` is its own value, a heap cell is the pair
+`(value, tag)`, or `(Pending(value, src, tgt), tag)` while a cast on it
+is pending.
+
 Every node, value and record class of the package derives from `Node`,
 an immutable record: its fields are its annotations, inherited ones
 first, and a class-level value is a field's default. Nodes compare and
@@ -137,8 +142,12 @@ IDENTITY_HEADS = frozenset((IntT, BoolT, DynT))
 # ---------------------------------------------------------------------------
 # Constants and primitive operators
 
-class Const(Node):
-    pass
+class Val(Node):
+    """Base class of runtime values."""
+
+
+class Const(Val):
+    """A literal; it is its own runtime value."""
 
 
 class IntC(Const):
@@ -278,8 +287,9 @@ class SDynDeref(Stmt):
 
 
 # ---------------------------------------------------------------------------
-# Runtime values. Environments are association sequences, newest binding
-# first; closures capture them whole. Type environments have the same shape.
+# Runtime values beyond the constants. Environments are association
+# sequences, newest binding first; closures capture them whole. Type
+# environments have the same shape.
 
 def lookup(key, pairs):
     """First match in an association sequence, or Stuck."""
@@ -287,14 +297,6 @@ def lookup(key, pairs):
         if name == key:
             return value
     raise Stuck(f"unbound name {key!r}")
-
-
-class Val(Node):
-    pass
-
-
-class VConst(Val):
-    const: Const
 
 
 class VPair(Val):
@@ -330,15 +332,9 @@ class Inject(Val):
     src_ty: Ty  # never DYN; injections box a value of known non-dyn type
 
 
-class CastedVal(Node):
-    """Heap cell content: a settled value or a value with a pending cast."""
-
-
-class Plain(CastedVal):
-    value: Val
-
-
-class Pending(CastedVal):
+class Pending(Node):
+    """The content of a heap cell whose `value` awaits a cast from `src`
+    to `tgt`; a settled cell holds its value itself."""
     value: Val
     src: Ty
     tgt: Ty

@@ -1,12 +1,16 @@
 """The monotonic-reference abstract machine, and the driver of both semantics.
 
 A machine state is a statement, an environment, a procedure call stack,
-a tagged heap, and a worklist of active addresses. Casting a reference
-rewrites the pointed-to heap cell toward the meet of its current tag and
-the target cell type, leaving a pending cast behind; statement execution
-resumes only once the worklist has drained. Heap tags only ever become
-less dynamic, and a cell whose tag is already low enough is left alone,
-which is what keeps casts over heap cycles from diverging.
+a tagged heap, and a worklist of active addresses. Each runtime value is
+one object: a constant is its own value, a heap cell is `(value, tag)`
+or `(Pending(value, src, tgt), tag)`, and a stack frame is the tuple
+`(name, cont, env)` of a call's result name, continuation and saved
+environment. Casting a reference rewrites the pointed-to heap cell
+toward the meet of its current tag and the target cell type, leaving a
+pending cast behind; statement execution resumes only once the worklist
+has drained. Heap tags only ever become less dynamic, and a cell whose
+tag is already low enough is left alone, which is what keeps casts over
+heap cycles from diverging.
 
 `run` owns a private, mutable heap dict and stack, updated in place;
 fresh addresses are allocated at the heap's size and never reclaimed.
@@ -27,8 +31,8 @@ from .lang import (
     ArrowT,
     BoolC,
     CastError,
-    CastedVal,
     Closure,
+    Const,
     Deref,
     DynT,
     EConst,
@@ -54,7 +58,6 @@ from .lang import (
     Opr,
     PairT,
     Pending,
-    Plain,
     Prev,
     PrimApp,
     RefT,
@@ -72,7 +75,6 @@ from .lang import (
     Stuck,
     Succ,
     Ty,
-    VConst,
     VPair,
     VRef,
     Val,
@@ -85,20 +87,17 @@ from .lang import (
 DEFAULT_FUEL = 1_000_000
 
 Env = tuple  # sequence of (name, Val), newest binding first
-Heap = dict  # address -> (CastedVal, Ty)
+Heap = dict  # address -> (Val or Pending, Ty)
 Active = tuple  # worklist of addresses, head processed first
 
 
-class Frame(Node):
-    name: str
-    cont: Stmt
-    env: Env
-
-
 class State(Node):
+    """A machine configuration. `stack` holds one `(name, cont, env)`
+    tuple per pending call, innermost first: the name the call's result
+    binds, the statement that resumes, and the caller's environment."""
     stmt: Stmt
     env: Env
-    stack: tuple  # frames, innermost first
+    stack: tuple
     heap: Heap
     active: Active
 
@@ -124,14 +123,14 @@ def heap_cell(heap: Heap, addr: int):
 def delta(f: Opr, v: Val) -> Val:
     """Primitive operators; any other operator/value shape is Stuck."""
     tf, tv = type(f), type(v)
-    if tv is VConst and type(v.const) is IntC:
-        n = v.const.value
+    if tv is IntC:
+        n = v.value
         if tf is Succ:
-            return VConst(IntC(n + 1))
+            return IntC(n + 1)
         if tf is Prev:
-            return VConst(IntC(n - 1))
+            return IntC(n - 1)
         if tf is IsZero:
-            return VConst(BoolC(n == 0))
+            return BoolC(n == 0)
     elif tv is VPair:
         if tf is Fst:
             return v.fst
@@ -146,16 +145,17 @@ def to_addr(v: Val) -> int:
     raise Stuck(f"not a reference: {v!r}")
 
 
-def to_val(cv: CastedVal) -> Val:
-    if isinstance(cv, Plain):
-        return cv.value
-    raise Stuck("read of a heap cell with a pending cast")
+def to_val(content) -> Val:
+    """A heap cell's value; Stuck while a cast on the cell is pending."""
+    if type(content) is Pending:
+        raise Stuck("read of a heap cell with a pending cast")
+    return content
 
 
 def read_cell(ref: Val, heap: Heap) -> Val:
     """The monotonic read: the value of a cell with no pending cast."""
-    cv, _ = heap_cell(heap, to_addr(ref))
-    return to_val(cv)
+    content, _ = heap_cell(heap, to_addr(ref))
+    return to_val(content)
 
 
 def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
@@ -171,15 +171,17 @@ def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
                 return v
         return lookup(name, env)
     if t is EConst:
-        return VConst(e.const)
+        return e.const
     if t is PrimApp:
         return delta(e.op, evaluate(e.arg, env, heap, read))
     if t is Deref:
         ref = evaluate(e.ref, env, heap, read)
         if type(ref) is VRef:
             cell = heap.get(ref.addr)
-            if cell is not None and type(cell[0]) is Plain:
-                return cell[0].value
+            if cell is not None:
+                v = cell[0]
+                if type(v) is not Pending:
+                    return v
         return read(ref, heap)
     if t is MkPair:
         return VPair(evaluate(e.fst, env, heap, read),
@@ -215,11 +217,26 @@ def wrap(v: Val, dom: Ty, cod: Ty, new_dom: Ty, new_cod: Ty) -> Closure:
     return Closure("$w0", new_dom, body, (("$w1", v),))
 
 
-def mk_vcast(cv: CastedVal, src: Ty, tgt: Ty) -> Pending:
+def unwrap(v: Closure):
+    """(wrapped value, dom -> cod, new_dom -> new_cod) when `v` is a
+    closure that `wrap` built, else None."""
+    outer = v.body
+    if (type(outer) is not SCast or type(outer.body) is not SCall
+            or type(outer.body.body) is not SCast or len(v.env) != 1):
+        return None
+    inner = outer.body.body
+    fn = v.env[0][1]
+    dom, cod, new_dom, new_cod = outer.tgt, inner.src, outer.src, inner.tgt
+    if wrap(fn, dom, cod, new_dom, new_cod) != v:
+        return None
+    return fn, ArrowT(dom, cod), ArrowT(new_dom, new_cod)
+
+
+def mk_vcast(content, src: Ty, tgt: Ty) -> Pending:
     """Retarget a heap cell's cast; pending casts never stack."""
-    if isinstance(cv, Plain):
-        return Pending(cv.value, src, tgt)
-    return Pending(cv.value, cv.src, tgt)
+    if type(content) is Pending:
+        return Pending(content.value, content.src, tgt)
+    return Pending(content, src, tgt)
 
 
 def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
@@ -259,10 +276,10 @@ def retag(v: Val, src: RefT, tgt: RefT, heap: Heap, work: list) -> Val:
     cast and make its address the worklist's head."""
     if type(v) is not VRef:
         raise CastError(f"no cast from {src} to {tgt}")
-    cv, tag = heap_cell(heap, v.addr)
+    content, tag = heap_cell(heap, v.addr)
     lowered = meet(tgt.cell, tag)
     if not lesseq(tag, lowered):
-        heap[v.addr] = (mk_vcast(cv, tag, lowered), lowered)
+        heap[v.addr] = (mk_vcast(content, tag, lowered), lowered)
         work.append(v.addr)
     return v
 
@@ -279,7 +296,7 @@ def update_cell(ref: Val, v: Val, heap: Heap) -> None:
     """Store `v` in the cell `ref` names, keeping the cell's tag."""
     addr = to_addr(ref)
     _, tag = heap_cell(heap, addr)
-    heap[addr] = (Plain(v), tag)
+    heap[addr] = (v, tag)
 
 
 def _dyn_update(ref: Val, v: Val, ann: Ty, heap: Heap, work: list) -> None:
@@ -290,20 +307,21 @@ def _dyn_update(ref: Val, v: Val, ann: Ty, heap: Heap, work: list) -> None:
 
 
 def _dyn_deref(ref: Val, ann: Ty, heap: Heap, work: list) -> Val:
-    cv, tag = heap_cell(heap, to_addr(ref))
-    return cast_value(to_val(cv), tag, ann, heap, work, retag)
+    content, tag = heap_cell(heap, to_addr(ref))
+    return cast_value(to_val(content), tag, ann, heap, work, retag)
 
 
 def _active_step(heap: Heap, work: list) -> str:
     """Process the worklist's head; returns the rule's name."""
     addr = work[-1]
-    cv, tag = heap_cell(heap, addr)
-    if isinstance(cv, Plain):
+    content, tag = heap_cell(heap, addr)
+    if type(content) is not Pending:
         work.pop()
         return "active-discard"
-    new_val = cast_value(cv.value, cv.src, cv.tgt, heap, work, retag)
+    new_val = cast_value(content.value, content.src, content.tgt, heap, work,
+                         retag)
     if lesseq(tag, heap[addr][1]):
-        heap[addr] = (Plain(new_val), tag)
+        heap[addr] = (new_val, tag)
         work[:] = [a for a in work if a != addr]
         return "active-commit"
     # The tag moved below this cast's target: a nested cast superseded
@@ -313,8 +331,8 @@ def _active_step(heap: Heap, work: list) -> str:
 
 def observe(v: Val) -> Observable:
     """Externally visible summary of a value; pairs keep their structure."""
-    if isinstance(v, VConst):
-        return OCon(v.const)
+    if isinstance(v, Const):
+        return OCon(v)
     if isinstance(v, VPair):
         return OPair(observe(v.fst), observe(v.snd))
     if isinstance(v, Closure):
@@ -375,7 +393,7 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 if type(fn) is not Closure:
                     raise Stuck(f"call of non-closure {fn!r}")
                 if t is SCall:
-                    stack.append(Frame(stmt.name, stmt.body, env))
+                    stack.append((stmt.name, stmt.body, env))
                     rule = "call"
                 else:
                     rule = "tailcall"
@@ -385,14 +403,13 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 if not stack:
                     break
                 v = evaluate(stmt.expr, env, heap, read)
-                frame = stack.pop()
-                env = ((frame.name, v),) + frame.env
-                stmt = frame.cont
+                name, stmt, env = stack.pop()
+                env = ((name, v),) + env
                 rule = "return"
             elif t is SAlloc:
                 v = evaluate(stmt.init, env, heap, read)
                 addr = len(heap)
-                heap[addr] = (Plain(v), stmt.cell_ty)
+                heap[addr] = (v, stmt.cell_ty)
                 env = ((stmt.name, VRef(addr)),) + env
                 stmt = stmt.body
                 rule = "alloc"
@@ -401,7 +418,7 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 v = evaluate(stmt.rhs, env, heap, read)
                 cell = heap.get(ref.addr) if type(ref) is VRef else None
                 if cell is not None:
-                    heap[ref.addr] = (Plain(v), cell[1])
+                    heap[ref.addr] = (v, cell[1])
                 else:
                     update(ref, v, heap)
                 stmt = stmt.body

@@ -12,8 +12,8 @@ from __future__ import annotations
 from .lang import (
     DYN,
     ArrowT,
-    CastedVal,
     Closure,
+    Const,
     Deref,
     EConst,
     Expr,
@@ -22,7 +22,6 @@ from .lang import (
     MkPair,
     PairT,
     Pending,
-    Plain,
     PrimApp,
     RefT,
     SAlloc,
@@ -37,17 +36,18 @@ from .lang import (
     Stmt,
     Stuck,
     Ty,
-    VConst,
     VPair,
     VRef,
     Val,
     Var,
+    consistent,
     is_static,
     lesseq,
     lookup,
     typeof_const,
     typeof_opr,
 )
+from .machine import unwrap
 
 TyEnv = tuple  # sequence of (name, Ty), newest binding first
 StoreTy = dict  # address -> Ty
@@ -166,6 +166,9 @@ def check_stmt(gamma, s: Stmt, path: tuple = ()) -> Ty:
                 raise TypeCheckError(
                     f"cast source annotated {s.src}, expression has type "
                     f"{src_ty}", path)
+            if not consistent(s.src, s.tgt):
+                raise TypeCheckError(
+                    f"cast from {s.src} to inconsistent {s.tgt}", path)
             gamma = ((s.name, s.tgt),) + gamma
             s, path = s.body, path + ("cast-body",)
         elif isinstance(s, SDynDeref):
@@ -194,16 +197,17 @@ def environment_typing(sigma: StoreTy, env) -> TyEnv:
     Each captured value is assigned its canonical runtime type:
     constants and pairs structurally, references at the heap tag of
     their address (the minimal type the reference rule allows),
-    injections at dyn, and closures at the arrow type their body
-    synthesizes under the canonical typing of the captured environment.
+    injections at dyn, closures at the arrow type their body
+    synthesizes under the canonical typing of the captured environment,
+    and function wrappers at their target arrow.
     """
     return tuple((name, value_type(sigma, v)) for name, v in env)
 
 
 def value_type(sigma: StoreTy, v: Val) -> Ty:
     """Canonical runtime type of a value; raises on untypable values."""
-    if isinstance(v, VConst):
-        return typeof_const(v.const)
+    if isinstance(v, Const):
+        return typeof_const(v)
     if isinstance(v, VPair):
         return PairT(value_type(sigma, v.fst), value_type(sigma, v.snd))
     if isinstance(v, VRef):
@@ -213,6 +217,18 @@ def value_type(sigma: StoreTy, v: Val) -> Ty:
     if isinstance(v, Inject):
         return DYN
     if isinstance(v, Closure):
+        # A wrapper is the cast value `fn : A => B` between two arrows,
+        # which need not be consistent: a projection out of dyn casts the
+        # payload from its injected type, which matches the target only
+        # in its head constructor. It types at B once `fn` types at A;
+        # its casts fail only on a value that meets a part where A and B
+        # disagree.
+        wrapper = unwrap(v)
+        if wrapper is not None:
+            fn, fn_ty, ty = wrapper
+            if not wt_val(sigma, fn, fn_ty):
+                raise TypeCheckError(f"wrapper of a value not of type {fn_ty}")
+            return ty
         gamma = ((v.param, v.param_ty),) + environment_typing(sigma, v.env)
         return ArrowT(v.param_ty, check_stmt(gamma, v.body))
     raise TypeCheckError(f"not a value: {v!r}")
@@ -220,8 +236,8 @@ def value_type(sigma: StoreTy, v: Val) -> Ty:
 
 def wt_val(sigma: StoreTy, v: Val, ty: Ty) -> bool:
     """Decide the value typing judgment against the store typing `sigma`."""
-    if isinstance(v, VConst):
-        return typeof_const(v.const) == ty
+    if isinstance(v, Const):
+        return typeof_const(v) == ty
     if isinstance(v, VPair):
         return (isinstance(ty, PairT)
                 and wt_val(sigma, v.fst, ty.left)
@@ -242,19 +258,18 @@ def wt_val(sigma: StoreTy, v: Val, ty: Ty) -> bool:
     return False
 
 
-def wt_casted(sigma: StoreTy, cv: CastedVal, ty: Ty) -> bool:
-    """Decide the casted-value typing judgment.
+def wt_casted(sigma: StoreTy, content, ty: Ty) -> bool:
+    """Decide the typing judgment of a heap cell's content at `ty`.
 
-    A pending cast types at its target, which must be less or equally
-    dynamic than the source the payload types at.
+    A settled cell holds its value, which types at `ty`. A `Pending`
+    cast types at its target, which must be less or equally dynamic
+    than the source the payload types at.
     """
-    if isinstance(cv, Plain):
-        return wt_val(sigma, cv.value, ty)
-    if isinstance(cv, Pending):
-        return (wt_val(sigma, cv.value, cv.src)
-                and lesseq(cv.tgt, cv.src)
-                and ty == cv.tgt)
-    return False
+    if isinstance(content, Pending):
+        return (wt_val(sigma, content.value, content.src)
+                and lesseq(content.tgt, content.src)
+                and ty == content.tgt)
+    return wt_val(sigma, content, ty)
 
 
 def wt_heap(sigma: StoreTy, heap, active) -> bool:
@@ -269,10 +284,10 @@ def wt_heap(sigma: StoreTy, heap, active) -> bool:
     for addr, ty in sigma.items():
         if addr not in heap:
             return False
-        cv, tag = heap[addr]
-        if tag != ty or not wt_casted(sigma, cv, ty):
+        content, tag = heap[addr]
+        if tag != ty or not wt_casted(sigma, content, ty):
             return False
-        if addr not in active and not isinstance(cv, Plain):
+        if addr not in active and isinstance(content, Pending):
             return False
     if any(addr >= len(heap) for addr in heap):
         return False

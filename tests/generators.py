@@ -25,11 +25,9 @@ from monoref.lang import (
     IntC,
     PairT,
     Pending,
-    Plain,
     RefT,
     SRet,
     Ty,
-    VConst,
     VPair,
     VRef,
     Var,
@@ -389,7 +387,7 @@ class HeapGen:
                 self.cells[addr] = (Pending(self.value_of(src), src, tag), tag)
                 self.pending_addrs.append(addr)
             else:
-                self.cells[addr] = (Plain(self.value_of(tag)), tag)
+                self.cells[addr] = (self.value_of(tag), tag)
         active = list(self.pending_addrs)
         rng.shuffle(active)
         return dict(self.cells), tuple(active)
@@ -402,15 +400,15 @@ class HeapGen:
         # nested references (including cycles back to this cell) resolve.
         addr = len(self.tags)
         self.tags.append(cell_ty)
-        self.cells[addr] = (Plain(self.value_of(cell_ty)), cell_ty)
+        self.cells[addr] = (self.value_of(cell_ty), cell_ty)
         return addr
 
     def value_of(self, ty: Ty, exact: bool = False):
         rng = self.rng
         if ty == INT:
-            return VConst(IntC(rng.randint(-5, 20)))
+            return IntC(rng.randint(-5, 20))
         if ty == BOOL:
-            return VConst(BoolC(rng.random() < 0.5))
+            return BoolC(rng.random() < 0.5)
         if ty == DYN:
             payload_ty = random_ty(rng, 2, dyn_weight=0.4)
             if isinstance(payload_ty, DynT):

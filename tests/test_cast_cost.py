@@ -27,7 +27,6 @@ from monoref.lang import (
     IntC,
     STailCall,
     Stuck,
-    VConst,
     VRef,
     ground,
     lookup,
@@ -181,7 +180,7 @@ def test_ref_cast_loop_piles_up_proxies(iterations):
         v = v.inner
     assert depth == 2 * iterations
     assert type(v) is VRef
-    assert gread(ref, state.heap) == VConst(IntC(7))
+    assert gread(ref, state.heap) == IntC(7)
 
 
 def reaches_a_proxy(stmt):

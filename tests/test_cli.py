@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoref.cli import (
     EXIT_CAST_ERROR,
@@ -280,3 +281,29 @@ def test_cli_import_skips_dataclasses_inspect_and_typing():
         capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# Grammar tokens, so that generated soups reach the parser's and the
+# checker's error paths and sometimes form a program.
+TOKENS = ["(", ")", "(", ")", "let", "lambda", ":", "ref", "!", ":=",
+          "cast", "pair", "fst", "snd", "begin", "succ", "prev", "zero?",
+          "->", "pair-ty", "ref-ty", "int", "bool", "dyn", "#t", "#f", "0",
+          "1", "-3", "x", "y", "r", "$t0", ";", "\n"]
+SOURCES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(TOKENS), max_size=60).map(
+        lambda tokens: " ".join(tokens).encode()))
+COMMANDS = [["check"], ["compile"],
+            ["run", "--fuel", "500", "--semantics", "monotonic"],
+            ["run", "--fuel", "500", "--semantics", "guarded"],
+            ["diff", "--fuel", "500"]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=SOURCES)
+def test_any_input_ends_in_a_documented_exit_code(source, tmp_path_factory):
+    path = tmp_path_factory.mktemp("input") / "input.gtlc"
+    path.write_bytes(source)
+    for command in COMMANDS:
+        code = main([command[0], str(path), *command[1:]])
+        assert code in range(EXIT_OK, EXIT_RESOURCE + 1), (command, code)

@@ -21,7 +21,6 @@ from monoref.lang import (
     O_TIMEOUT,
     PairT,
     Pending,
-    Plain,
     RefT,
     SAlloc,
     SCall,
@@ -33,14 +32,12 @@ from monoref.lang import (
     STailCall,
     SUpdate,
     Stuck,
-    VConst,
     VPair,
     VRef,
     Var,
 )
 from monoref.machine import (
     MONOTONIC,
-    Frame,
     Semantics,
     State,
     TraceRecord,
@@ -57,7 +54,7 @@ from monoref.surface import ParseError, elaborate, parse_surface, typecheck_surf
 from monoref.typecheck import TypeCheckError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-INT4 = VConst(IntC(4))
+INT4 = IntC(4)
 
 RULES = {SLet: "let", SRet: "return", SCall: "call", STailCall: "tailcall",
          SAlloc: "alloc", SUpdate: "update", SDynUpdate: "dyn-update",
@@ -71,9 +68,9 @@ def rule_of(before: State, after: State) -> str:
     if not before.active:
         return RULES[type(before.stmt)]
     head = before.active[0]
-    if isinstance(before.heap[head][0], Plain):
+    if not isinstance(before.heap[head][0], Pending):
         return "active-discard"
-    if isinstance(after.heap[head][0], Plain):
+    if not isinstance(after.heap[head][0], Pending):
         return "active-commit"
     return "active-supersede"
 
@@ -103,7 +100,7 @@ def iterate(stepper, sem, state, fuel):
 
 
 def cell(v, ty=INT):
-    return (Plain(v), ty)
+    return (v, ty)
 
 
 def start_states():
@@ -149,7 +146,7 @@ def test_steps_matches_iterated_step():
         "active-commit", "active-discard", "active-supersede"}
 
 
-FRAME = Frame("k", SRet(Var("k")), ())
+FRAME = ("k", SRet(Var("k")), ())
 
 
 @pytest.mark.parametrize("stepper, state", [
@@ -188,17 +185,17 @@ def test_step_leaves_its_input_unchanged(stepper, state):
     # The stack keeps its innermost frame first.
     assert after.stack[-1] == FRAME
     if len(after.stack) == 2:
-        assert after.stack[0] == Frame("k", SRet(Var("k")), state.env)
+        assert after.stack[0] == ("k", SRet(Var("k")), state.env)
     # Stepping the same input again gives the same state.
     assert stepper(state) == after
 
 
 def test_step_return_pops_the_innermost_frame():
-    outer = Frame("a", SRet(Var("a")), ())
+    outer = ("a", SRet(Var("a")), ())
     state = State(SRet(EConst(IntC(3))), (), (FRAME, outer), {}, ())
     after = step_g(state)
-    assert after.stack == (outer,) and after.stmt == FRAME.cont
-    assert after.env == (("k", VConst(IntC(3))),)
+    assert after.stack == (outer,) and after.stmt == FRAME[1]
+    assert after.env == (("k", IntC(3)),)
     assert state.stack == (FRAME, outer)
 
 

@@ -10,15 +10,21 @@ the calls that reach the `read` and `update` hooks over the corpus,
 every benchmark kernel configuration and generated programs. The
 driver reads and writes such a cell without calling either semantics,
 and only proxies and malformed states reach the hooks.
+
+Every runtime value is one object, so a static loop builds only the
+values it computes: counting node constructions over a window of steps
+shows no wrapper around a constant or a cell's value, and no node per
+stack frame.
 """
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from generators import ProgramGen
-from kernels import all_kernels
+from kernels import all_kernels, kernel
 from monoref.guarded import GUARDED
 from monoref.lang import (
     BOOL,
@@ -29,8 +35,8 @@ from monoref.lang import (
     Fst,
     IntC,
     IsZero,
+    Node,
     Pending,
-    Plain,
     Prev,
     SLet,
     SRet,
@@ -38,7 +44,6 @@ from monoref.lang import (
     Snd,
     Stuck,
     Succ,
-    VConst,
     VPair,
     VRef,
     Var,
@@ -62,8 +67,8 @@ from monoref.surface import (
 from monoref.typecheck import TypeCheckError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-SEVEN = VConst(IntC(7))
-TRUE = VConst(BoolC(True))
+SEVEN = IntC(7)
+TRUE = BoolC(True)
 
 
 def probing(sem, calls):
@@ -74,7 +79,7 @@ def probing(sem, calls):
         if ref.addr not in heap:
             return "unallocated"
         cv, tag = heap[ref.addr]
-        if type(cv) is not Plain:
+        if type(cv) is Pending:
             return "pending"
         return "static" if is_static(tag) else "dyn tag"
 
@@ -162,7 +167,7 @@ def test_static_read_of_a_pending_cell_is_stuck(sem):
 def test_static_write_replaces_a_pending_cell(sem):
     heap = {0: (Pending(SEVEN, INT, INT), INT)}
     after = step_with(sem, State(WRITE, (("r", VRef(0)),), (), heap, ()))
-    assert after.heap == {0: (Plain(VConst(IntC(1))), INT)}
+    assert after.heap == {0: (IntC(1), INT)}
     assert heap == {0: (Pending(SEVEN, INT, INT), INT)}
 
 
@@ -176,3 +181,61 @@ def test_primitive_shape_errors_name_operator_and_value():
         assert str(err.value) == f"delta undefined on {op!r} and {arg!r}"
     assert delta(fst, pair) == SEVEN
     assert delta(snd, pair) == TRUE
+
+
+def node_classes(cls=Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from node_classes(sub)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A Counter of the nodes built, by class name, while the test runs;
+    every class's `__init__` is restored afterwards."""
+    counts = Counter()
+    for cls in set(node_classes()):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def built_per_window(sem, stmt, built, window=3_000):
+    """Nodes built by steps `window` to `2 * window` of a run: the
+    difference between runs of both lengths, so set-up cancels."""
+    counts = []
+    for fuel in (window, 2 * window):
+        built.clear()
+        steps_with(sem, fuel, initial_state(stmt), None)
+        counts.append(Counter(built))
+    return dict(counts[1] - counts[0])
+
+
+@SEMANTICS
+@pytest.mark.parametrize("name, nodes", [
+    ("pure", {"IntC": 1_000}),
+    ("counter", {"IntC": 600}),
+    ("alloc", {"IntC": 500, "VRef": 500}),
+])
+def test_static_loop_builds_only_the_values_it_computes(sem, name, nodes,
+                                                        built):
+    # pure makes one successor per 3-step iteration, counter one per
+    # 5 steps, alloc one successor and one reference per 6 steps.
+    assert built_per_window(sem, kernel(name), built) == nodes
+
+
+@SEMANTICS
+def test_a_call_pushes_no_node(sem, built):
+    stmt = kernel("dyn-call")
+    nodes = built_per_window(sem, stmt, built)
+    # Each iteration wraps the loop function (a closure over two casts
+    # and a call), injects its result and computes a successor; the
+    # frame its non-tail call pushes is a tuple.
+    assert set(nodes) == {"Closure", "SCast", "SCall", "Inject", "IntC"}
+    rules = Counter()
+    steps_with(sem, 3_000, initial_state(stmt),
+               lambda record: rules.update((record.rule,)))
+    assert rules["call"] > 400

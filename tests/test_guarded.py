@@ -19,10 +19,8 @@ from monoref.lang import (
     O_INJ,
     O_STUCK,
     O_TIMEOUT,
-    Plain,
     RefT,
     Stuck,
-    VConst,
     VRef,
 )
 from monoref.guarded import GProxy, cast_g, gread, gwrite, run_g
@@ -31,8 +29,8 @@ from monoref.surface import elaborate, parse_surface, typecheck_surface
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
-INT4 = VConst(IntC(4))
-TRUE = VConst(BoolC(True))
+INT4 = IntC(4)
+TRUE = BoolC(True)
 ERRORS = (O_CASTERROR, O_STUCK, O_TIMEOUT)
 
 
@@ -59,11 +57,11 @@ def test_cast_g_stacks_proxies():
 
 
 def test_gread():
-    heap = {0: (Plain(VConst(IntC(7))), DYN)}
-    assert gread(VRef(0), heap) == VConst(IntC(7))
-    inj_heap = {0: (Plain(Inject(INT4, INT)), DYN)}
+    heap = {0: (IntC(7), DYN)}
+    assert gread(VRef(0), heap) == IntC(7)
+    inj_heap = {0: (Inject(INT4, INT), DYN)}
     assert gread(GProxy(VRef(0), DYN, INT), inj_heap) == INT4
-    bad_heap = {0: (Plain(Inject(TRUE, BOOL)), DYN)}
+    bad_heap = {0: (Inject(TRUE, BOOL), DYN)}
     with pytest.raises(CastError):
         gread(GProxy(VRef(0), DYN, INT), bad_heap)
     with pytest.raises(Stuck):
@@ -103,7 +101,7 @@ def test_steps_g_final_read_through_failing_proxy():
     from monoref.lang import Deref, SRet, Var
     from monoref.machine import State
 
-    heap = {0: (Plain(Inject(TRUE, BOOL)), DYN)}
+    heap = {0: (Inject(TRUE, BOOL), DYN)}
     env = (("r", GProxy(VRef(0), DYN, INT)),)
     state = State(SRet(Deref(Var("r"))), env, (), heap, ())
     assert steps_g(10, state) == O_CASTERROR
@@ -112,15 +110,15 @@ def test_steps_g_final_read_through_failing_proxy():
 
 
 def test_gwrite():
-    heap = {0: (Plain(INT4), INT)}
-    assert gwrite(VRef(0), VConst(IntC(5)), heap) == \
-        {0: (Plain(VConst(IntC(5))), INT)}
-    assert heap == {0: (Plain(INT4), INT)}  # input untouched
-    dyn_heap = {0: (Plain(Inject(INT4, INT)), DYN)}
+    heap = {0: (INT4, INT)}
+    assert gwrite(VRef(0), IntC(5), heap) == \
+        {0: (IntC(5), INT)}
+    assert heap == {0: (INT4, INT)}  # input untouched
+    dyn_heap = {0: (Inject(INT4, INT), DYN)}
     written = gwrite(GProxy(VRef(0), DYN, BOOL), TRUE, dyn_heap)
-    assert written[0] == (Plain(Inject(TRUE, BOOL)), DYN)
+    assert written[0] == (Inject(TRUE, BOOL), DYN)
     written_int = gwrite(GProxy(VRef(0), DYN, INT), INT4, dyn_heap)
-    assert written_int[0] == (Plain(Inject(INT4, INT)), DYN)
+    assert written_int[0] == (Inject(INT4, INT), DYN)
 
 
 def test_observe_proxy_is_address():
@@ -132,10 +130,10 @@ def test_read_and_write_through_a_deep_proxy_chain():
     ref = VRef(0)
     for _ in range(100_000):
         ref = GProxy(ref, INT, INT)
-    heap = {0: (Plain(INT4), INT)}
+    heap = {0: (INT4, INT)}
     assert gread(ref, heap) == INT4
-    five = VConst(IntC(5))
-    assert gwrite(ref, five, heap) == {0: (Plain(five), INT)}
+    five = IntC(5)
+    assert gwrite(ref, five, heap) == {0: (five, INT)}
 
 
 def test_boolean_cell_viewed_as_int_reference():

@@ -23,7 +23,6 @@ from monoref.lang import (
     SLet,
     SRet,
     SUCC,
-    VConst,
     Var,
     ground,
     is_static,
@@ -175,9 +174,9 @@ def test_ground_is_upper_approximation(a):
 
 def test_nodes_of_different_classes_are_unequal():
     assert IntT() != BoolT()
-    assert VConst(IntC(1)) != OCon(IntC(1))
-    assert VConst(IntC(1)) == VConst(IntC(1))
-    assert VConst(IntC(1)) != VConst(IntC(2))
+    assert IntC(1) != OCon(IntC(1))
+    assert IntC(1) == IntC(1)
+    assert IntC(1) != IntC(2)
 
 
 def test_equal_nodes_hash_equal():

@@ -22,20 +22,17 @@ from monoref.lang import (
     OPair,
     PairT,
     Pending,
-    Plain,
     RefT,
     SCast,
     SRet,
     STailCall,
     SUCC,
     Stuck,
-    VConst,
     VPair,
     VRef,
     Var,
 )
 from monoref.machine import (
-    Frame,
     State,
     cast,
     delta,
@@ -53,8 +50,8 @@ from monoref.machine import (
     wrap,
 )
 
-INT4 = VConst(IntC(4))
-TRUE = VConst(BoolC(True))
+INT4 = IntC(4)
+TRUE = BoolC(True)
 
 
 def run_to_value(stmt, env=(), heap=None):
@@ -75,11 +72,11 @@ def test_lookup():
 
 
 def test_delta():
-    assert delta(SUCC, INT4) == VConst(IntC(5))
-    assert delta(SUCC, VConst(IntC(-1))) == VConst(IntC(0))
+    assert delta(SUCC, INT4) == IntC(5)
+    assert delta(SUCC, IntC(-1)) == IntC(0)
     from monoref.lang import IsZero, Prev
-    assert delta(IsZero(), VConst(IntC(0))) == TRUE
-    assert delta(Prev(), INT4) == VConst(IntC(3))
+    assert delta(IsZero(), IntC(0)) == TRUE
+    assert delta(Prev(), INT4) == IntC(3)
     with pytest.raises(Stuck):
         delta(SUCC, TRUE)
 
@@ -87,27 +84,27 @@ def test_delta():
 def test_to_addr():
     assert to_addr(VRef(3)) == 3
     with pytest.raises(Stuck):
-        to_addr(VConst(IntC(3)))
+        to_addr(IntC(3))
     with pytest.raises(Stuck):
         to_addr(Inject(VRef(3), RefT(INT)))
 
 
 def test_to_val():
-    assert to_val(Plain(VConst(IntC(7)))) == VConst(IntC(7))
-    assert to_val(Plain(VRef(0))) == VRef(0)
+    assert to_val(IntC(7)) == IntC(7)
+    assert to_val(VRef(0)) == VRef(0)
     with pytest.raises(Stuck):
-        to_val(Pending(VConst(IntC(7)), INT, INT))
+        to_val(Pending(IntC(7), INT, INT))
 
 
 def test_eval_expr():
-    assert eval_expr(Var("x"), (("x", VConst(IntC(9))),), {}) == VConst(IntC(9))
-    heap = {0: (Plain(VConst(IntC(7))), INT)}
-    assert eval_expr(Deref(Var("r")), (("r", VRef(0)),), heap) == VConst(IntC(7))
-    pending_heap = {0: (Pending(VConst(IntC(7)), INT, INT), INT)}
+    assert eval_expr(Var("x"), (("x", IntC(9)),), {}) == IntC(9)
+    heap = {0: (IntC(7), INT)}
+    assert eval_expr(Deref(Var("r")), (("r", VRef(0)),), heap) == IntC(7)
+    pending_heap = {0: (Pending(IntC(7), INT, INT), INT)}
     with pytest.raises(Stuck):
         eval_expr(Deref(Var("r")), (("r", VRef(0)),), pending_heap)
     assert eval_expr(MkPair(EConst(IntC(1)), EConst(BoolC(True))), (), {}) == \
-        VPair(VConst(IntC(1)), TRUE)
+        VPair(IntC(1), TRUE)
 
 
 def identity_closure():
@@ -141,12 +138,12 @@ def test_wrap_bad_argument_cast_errors():
 
 
 def test_mk_vcast():
-    assert mk_vcast(Plain(INT4), INT, INT) == Pending(INT4, INT, INT)
+    assert mk_vcast(INT4, INT, INT) == Pending(INT4, INT, INT)
     retargeted = mk_vcast(
         Pending(INT4, DYN, PairT(DYN, DYN)), PairT(DYN, DYN), PairT(INT, DYN))
     assert retargeted == Pending(INT4, DYN, PairT(INT, DYN))
     inj = Inject(INT4, INT)
-    assert mk_vcast(Plain(inj), DYN, INT) == Pending(inj, DYN, INT)
+    assert mk_vcast(inj, DYN, INT) == Pending(inj, DYN, INT)
 
 
 def test_cast_identity_and_injection():
@@ -161,28 +158,28 @@ def test_cast_bad_projection():
 
 
 def test_cast_reference_strong_update():
-    heap = {0: (Plain(Inject(INT4, INT)), DYN)}
+    heap = {0: (Inject(INT4, INT), DYN)}
     v, new_heap, active = cast(VRef(0), RefT(DYN), RefT(INT), heap, ())
     assert v == VRef(0)
     assert new_heap == {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}
     assert active == (0,)
-    assert heap == {0: (Plain(Inject(INT4, INT)), DYN)}  # input unchanged
+    assert heap == {0: (Inject(INT4, INT), DYN)}  # input unchanged
 
 
 def test_cast_reference_already_low_enough():
-    heap = {0: (Plain(INT4), INT)}
+    heap = {0: (INT4, INT)}
     v, new_heap, active = cast(VRef(0), RefT(INT), RefT(DYN), heap, ())
     assert v == VRef(0) and new_heap == heap and active == ()
 
 
 def test_cast_reference_meet_failure():
-    heap = {0: (Plain(INT4), INT)}
+    heap = {0: (INT4, INT)}
     with pytest.raises(CastError):
         cast(VRef(0), RefT(DYN), RefT(BOOL), heap, ())
 
 
 def test_step_active_discard():
-    heap = {0: (Plain(INT4), INT)}
+    heap = {0: (INT4, INT)}
     state = State(SRet(EConst(IntC(1))), (), (), heap, (0,))
     after = step(state)
     assert after.active == () and after.heap == heap
@@ -192,22 +189,22 @@ def test_step_active_commit():
     heap = {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}
     state = State(SRet(EConst(IntC(1))), (), (), heap, (0,))
     after = step(state)
-    assert after.heap == {0: (Plain(INT4), INT)}
+    assert after.heap == {0: (INT4, INT)}
     assert after.active == ()
 
 
 def test_step_alloc_fresh_address_is_heap_size():
     from monoref.lang import SAlloc
-    heap = {0: (Plain(INT4), INT), 1: (Plain(TRUE), BOOL)}
+    heap = {0: (INT4, INT), 1: (TRUE, BOOL)}
     stmt = SAlloc("x", INT, EConst(IntC(4)), SRet(Var("x")))
     after = step(State(stmt, (), (), heap, ()))
     assert after.env[0] == ("x", VRef(2))
-    assert after.heap[2] == (Plain(INT4), INT)
+    assert after.heap[2] == (INT4, INT)
 
 
 def test_final():
     assert final(State(SRet(EConst(IntC(4))), (), (), {}, ()))
-    frame = Frame("x", SRet(Var("x")), ())
+    frame = ("x", SRet(Var("x")), ())
     assert not final(State(SRet(EConst(IntC(4))), (), (frame,), {}, ()))
     assert not final(State(SRet(EConst(IntC(4))), (), (), {}, (0,)))
 
@@ -218,9 +215,9 @@ def test_step_on_final_state_is_stuck():
 
 
 def test_observe():
-    assert observe(VConst(IntC(42))) == OCon(IntC(42))
+    assert observe(IntC(42)) == OCon(IntC(42))
     assert observe(Inject(INT4, INT)) == O_INJ
-    assert observe(VPair(VConst(IntC(1)), TRUE)) == \
+    assert observe(VPair(IntC(1), TRUE)) == \
         OPair(OCon(IntC(1)), OCon(BoolC(True)))
 
 
@@ -319,5 +316,5 @@ def test_step_supersede_then_commit_with_duplicate_worklist_entries():
     assert mid.active == (0, 0)
 
     done = step(mid)
-    assert done.heap[0] == (Plain(VPair(VRef(0), INT4)), lowered)
+    assert done.heap[0] == (VPair(VRef(0), INT4), lowered)
     assert done.active == ()

@@ -20,20 +20,18 @@ from monoref.lang import (
     MkPair,
     PairT,
     Pending,
-    Plain,
     PrimApp,
     RefT,
     SRet,
     SUCC,
     SUpdate,
-    VConst,
     VPair,
     VRef,
     Var,
     is_static,
     lesseq,
 )
-from monoref.machine import eval_expr, final, initial_state, step
+from monoref.machine import eval_expr, final, initial_state, step, wrap
 from monoref.surface import elaborate, parse_surface, typecheck_surface
 from monoref.typecheck import (
     TypeCheckError,
@@ -49,7 +47,7 @@ from monoref.typecheck import (
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
-INT4 = VConst(IntC(4))
+INT4 = IntC(4)
 
 
 def corpus_ir(name):
@@ -127,6 +125,8 @@ def test_check_stmt_error_paths():
         ((("r", RefT(INT)),),
          SDynUpdate(Var("r"), EConst(BoolC(True)), INT, ret0)),
         ((), SCast("x", EConst(IntC(1)), BOOL, INT, ret0)),
+        ((), SCast("x", EConst(IntC(1)), INT, BOOL, ret0)),
+        ((), SCast("x", EConst(IntC(1)), INT, RefT(INT), ret0)),
         ((("r", RefT(INT)),), SDynDeref("x", Var("r"), BOOL, ret0)),
         ((), SDynDeref("x", EConst(IntC(1)), INT, ret0)),
         ((("r", BOOL),), SUpdate(Var("r"), EConst(IntC(1)), ret0)),
@@ -136,11 +136,14 @@ def test_check_stmt_error_paths():
     for gamma, stmt in bad:
         with pytest.raises(TypeCheckError):
             check_stmt(gamma, stmt)
+    with pytest.raises(TypeCheckError) as err:
+        check_stmt((), SCast("x", EConst(IntC(1)), INT, BOOL, SRet(Var("x"))))
+    assert err.value.message == "cast from int to inconsistent bool"
 
 
 def test_derive_store_typing():
     assert derive_store_typing({}) == {}
-    assert derive_store_typing({0: (Plain(INT4), INT)}) == {0: INT}
+    assert derive_store_typing({0: (INT4, INT)}) == {0: INT}
     heap = {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}
     assert derive_store_typing(heap) == {0: INT}
 
@@ -149,7 +152,7 @@ def test_wt_val():
     assert wt_val({}, INT4, INT)
     assert wt_val({0: INT}, VRef(0), RefT(DYN))
     assert not wt_val({0: DYN}, VRef(0), RefT(INT))
-    assert wt_val({}, VPair(INT4, VConst(BoolC(True))), PairT(INT, BOOL))
+    assert wt_val({}, VPair(INT4, BoolC(True)), PairT(INT, BOOL))
     assert not wt_val({}, INT4, BOOL)
 
 
@@ -161,10 +164,11 @@ def test_wt_val_closure():
 
 
 def test_wt_casted():
-    assert wt_casted({}, Plain(INT4), INT)
+    assert wt_casted({}, INT4, INT)
     assert wt_casted({}, Pending(Inject(INT4, INT), DYN, INT), INT)
     assert not wt_casted({}, Pending(INT4, INT, DYN), DYN)
-    assert not wt_casted({}, INT4, INT)  # not a heap cell content
+    assert not wt_casted({}, INT4, BOOL)
+    assert not wt_casted({}, INT, INT)  # not a heap cell content
 
 
 def test_value_type_failures():
@@ -178,22 +182,39 @@ def test_value_type_failures():
     assert not wt_val({}, ill_closure, ArrowT(INT, INT))
 
 
+def test_value_type_of_a_wrapper_is_its_target_arrow():
+    from monoref.typecheck import value_type
+
+    identity = Closure("x", INT, SRet(Var("x")), ())
+    # A projection out of dyn can wrap a function between arrows that
+    # agree only in their head; the wrapper still types at its target.
+    for new_dom, new_cod in [(DYN, INT), (BOOL, BOOL), (INT, RefT(INT))]:
+        wrapper = wrap(identity, INT, INT, new_dom, new_cod)
+        assert value_type({}, wrapper) == ArrowT(new_dom, new_cod)
+        assert wt_val({}, wrapper, ArrowT(new_dom, new_cod))
+    wrong_source = wrap(identity, BOOL, INT, DYN, DYN)
+    with pytest.raises(TypeCheckError):
+        value_type({}, wrong_source)
+    assert not wt_val({}, wrap(VRef(0), INT, INT, INT, INT),
+                      ArrowT(INT, INT))
+
+
 def test_wt_heap_missing_address():
     assert not wt_heap({0: INT}, {}, set())
     # allocation counter bound: addresses must sit below the heap size
-    assert not wt_heap({5: INT}, {5: (Plain(INT4), INT)}, set())
+    assert not wt_heap({5: INT}, {5: (INT4, INT)}, set())
 
 
 def test_wt_heap():
     assert wt_heap({}, {}, set())
-    assert wt_heap({0: INT}, {0: (Plain(INT4), INT)}, set())
+    assert wt_heap({0: INT}, {0: (INT4, INT)}, set())
     pending = {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}
     assert not wt_heap({0: INT}, pending, set())
     assert wt_heap({0: INT}, pending, {0})
 
 
 def test_wt_heap_rejects_tag_mismatch():
-    assert not wt_heap({0: BOOL}, {0: (Plain(INT4), INT)}, set())
+    assert not wt_heap({0: BOOL}, {0: (INT4, INT)}, set())
 
 
 def test_environment_typing_canonical():
