@@ -20,9 +20,10 @@ types are the same base type or both dyn, without a call, since
 `cast_value` would return the value unchanged; every other layer casts
 through `cast_value` directly.
 
-Values are the ordinary runtime values plus `lang.GProxy`, which
-`machine.observe` sees as an address; pairs, injections, and closure
-environments may contain proxies.
+Values are the ordinary runtime values, host `int` and `bool` for the
+base types, plus `lang.GProxy`, which `machine.observe` sees as an
+address; pairs, injections, and closure environments may contain
+proxies.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ observables produced by a finished run live here too, together with the
 type algebra (the less-or-equally-dynamic order, its meet, staticness,
 and ground types).
 
-Every runtime value is one object whose class is its runtime tag: a
-constant such as `IntC(3)` is its own value, a heap cell is the pair
-`(value, tag)`, or `(Pending(value, src, tgt), tag)` while a cast on it
-is pending.
+Every runtime value is one object whose class is its runtime tag. An
+integer or Boolean is the host `int` or `bool` itself; the constant
+nodes `IntC` and `BoolC` are literal syntax and observables only. A heap
+cell is the pair `(value, tag)`, or `(Pending(value, src, tgt), tag)`
+while a cast on it is pending.
 
 Every node, value and record class of the package derives from `Node`,
 an immutable record: its fields are its annotations, inherited ones
@@ -143,11 +144,12 @@ IDENTITY_HEADS = frozenset((IntT, BoolT, DynT))
 # Constants and primitive operators
 
 class Val(Node):
-    """Base class of runtime values."""
+    """Base class of the runtime values that are nodes; integers and
+    Booleans are the host `int` and `bool`."""
 
 
-class Const(Val):
-    """A literal; it is its own runtime value."""
+class Const(Node):
+    """A literal; its runtime value is the host `value` it holds."""
 
 
 class IntC(Const):
@@ -287,7 +289,7 @@ class SDynDeref(Stmt):
 
 
 # ---------------------------------------------------------------------------
-# Runtime values beyond the constants. Environments are association
+# Runtime values beyond integers and Booleans. Environments are association
 # sequences, newest binding first; closures capture them whole. Type
 # environments have the same shape.
 

@@ -2,15 +2,16 @@
 
 A machine state is a statement, an environment, a procedure call stack,
 a tagged heap, and a worklist of active addresses. Each runtime value is
-one object: a constant is its own value, a heap cell is `(value, tag)`
-or `(Pending(value, src, tgt), tag)`, and a stack frame is the tuple
-`(name, cont, env)` of a call's result name, continuation and saved
-environment. Casting a reference rewrites the pointed-to heap cell
-toward the meet of its current tag and the target cell type, leaving a
-pending cast behind; statement execution resumes only once the worklist
-has drained. Heap tags only ever become less dynamic, and a cell whose
-tag is already low enough is left alone, which is what keeps casts over
-heap cycles from diverging.
+one object whose class is its runtime tag: an integer or Boolean is the
+host `int` or `bool`, so a base-type result builds no node, a heap cell
+is `(value, tag)` or `(Pending(value, src, tgt), tag)`, and a stack
+frame is the tuple `(name, cont, env)` of a call's result name,
+continuation and saved environment. Casting a reference rewrites the
+pointed-to heap cell toward the meet of its current tag and the target
+cell type, leaving a pending cast behind; statement execution resumes
+only once the worklist has drained. Heap tags only ever become less
+dynamic, and a cell whose tag is already low enough is left alone, which
+is what keeps casts over heap cycles from diverging.
 
 `run` owns a private, mutable heap dict and stack, updated in place;
 fresh addresses are allocated at the heap's size and never reclaimed.
@@ -32,7 +33,6 @@ from .lang import (
     BoolC,
     CastError,
     Closure,
-    Const,
     Deref,
     DynT,
     EConst,
@@ -121,16 +121,18 @@ def heap_cell(heap: Heap, addr: int):
 
 
 def delta(f: Opr, v: Val) -> Val:
-    """Primitive operators; any other operator/value shape is Stuck."""
+    """Primitive operators; any other operator/value shape is Stuck.
+
+    The checks are exact: `bool` subclasses `int`, but a Boolean is no
+    integer here."""
     tf, tv = type(f), type(v)
-    if tv is IntC:
-        n = v.value
+    if tv is int:
         if tf is Succ:
-            return IntC(n + 1)
+            return v + 1
         if tf is Prev:
-            return IntC(n - 1)
+            return v - 1
         if tf is IsZero:
-            return BoolC(n == 0)
+            return v == 0
     elif tv is VPair:
         if tf is Fst:
             return v.fst
@@ -171,7 +173,7 @@ def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
                 return v
         return lookup(name, env)
     if t is EConst:
-        return e.const
+        return e.const.value
     if t is PrimApp:
         return delta(e.op, evaluate(e.arg, env, heap, read))
     if t is Deref:
@@ -331,8 +333,11 @@ def _active_step(heap: Heap, work: list) -> str:
 
 def observe(v: Val) -> Observable:
     """Externally visible summary of a value; pairs keep their structure."""
-    if isinstance(v, Const):
-        return OCon(v)
+    t = type(v)
+    if t is int:
+        return OCon(IntC(v))
+    if t is bool:
+        return OCon(BoolC(v))
     if isinstance(v, VPair):
         return OPair(observe(v.fst), observe(v.snd))
     if isinstance(v, Closure):

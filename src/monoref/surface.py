@@ -45,6 +45,7 @@ a typechecked AST; `typecheck_surface` is the checker.
 from __future__ import annotations
 
 import re
+import sys
 
 from .lang import (
     BOOL,
@@ -201,6 +202,11 @@ class SBegin(SurfExpr):
 # `\s` matches exactly what `str.isspace` does; `;` starts a comment.
 _TOKEN_RE = re.compile(r"[()]|[^\s();]+|;")
 _INT_RE = re.compile(r"-?\d+\Z")
+# Python's cap on the digits of an int read from or printed to a string;
+# 0 means no cap, as before Python 3.10.7. A literal must stay below it:
+# `succ` and `prev` add at most one digit, so every result stays
+# printable.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _read(text: str):
@@ -275,6 +281,10 @@ def _expr(sx) -> SurfExpr:
     form, pos = sx
     if type(form) is str:
         if _INT_RE.match(form):
+            digits, limit = len(form.lstrip("-")), _int_max_str_digits()
+            if limit and digits >= limit:
+                _fail(sx, f"integer literal of {digits} digits; at most "
+                          f"{limit - 1} are allowed")
             return Lit(IntC(int(form)), pos)
         if form in ("#t", "true"):
             return Lit(BoolC(True), pos)

@@ -10,10 +10,11 @@ used as oracles by the test suite.
 from __future__ import annotations
 
 from .lang import (
+    BOOL,
     DYN,
+    INT,
     ArrowT,
     Closure,
-    Const,
     Deref,
     EConst,
     Expr,
@@ -194,10 +195,10 @@ def derive_store_typing(heap) -> StoreTy:
 def environment_typing(sigma: StoreTy, env) -> TyEnv:
     """Canonical typing of a runtime environment.
 
-    Each captured value is assigned its canonical runtime type:
-    constants and pairs structurally, references at the heap tag of
-    their address (the minimal type the reference rule allows),
-    injections at dyn, closures at the arrow type their body
+    Each captured value is assigned its canonical runtime type: a host
+    `int` at int and a `bool` at bool, pairs structurally, references at
+    the heap tag of their address (the minimal type the reference rule
+    allows), injections at dyn, closures at the arrow type their body
     synthesizes under the canonical typing of the captured environment,
     and function wrappers at their target arrow.
     """
@@ -206,8 +207,11 @@ def environment_typing(sigma: StoreTy, env) -> TyEnv:
 
 def value_type(sigma: StoreTy, v: Val) -> Ty:
     """Canonical runtime type of a value; raises on untypable values."""
-    if isinstance(v, Const):
-        return typeof_const(v)
+    t = type(v)
+    if t is int:
+        return INT
+    if t is bool:
+        return BOOL
     if isinstance(v, VPair):
         return PairT(value_type(sigma, v.fst), value_type(sigma, v.snd))
     if isinstance(v, VRef):
@@ -236,8 +240,11 @@ def value_type(sigma: StoreTy, v: Val) -> Ty:
 
 def wt_val(sigma: StoreTy, v: Val, ty: Ty) -> bool:
     """Decide the value typing judgment against the store typing `sigma`."""
-    if isinstance(v, Const):
-        return typeof_const(v) == ty
+    t = type(v)
+    if t is int:
+        return ty == INT
+    if t is bool:
+        return ty == BOOL
     if isinstance(v, VPair):
         return (isinstance(ty, PairT)
                 and wt_val(sigma, v.fst, ty.left)

@@ -406,9 +406,9 @@ class HeapGen:
     def value_of(self, ty: Ty, exact: bool = False):
         rng = self.rng
         if ty == INT:
-            return IntC(rng.randint(-5, 20))
+            return rng.randint(-5, 20)
         if ty == BOOL:
-            return BoolC(rng.random() < 0.5)
+            return rng.random() < 0.5
         if ty == DYN:
             payload_ty = random_ty(rng, 2, dyn_weight=0.4)
             if isinstance(payload_ty, DynT):

@@ -24,7 +24,6 @@ from monoref.lang import (
     DYN,
     CastError,
     Inject,
-    IntC,
     STailCall,
     Stuck,
     VRef,
@@ -180,7 +179,7 @@ def test_ref_cast_loop_piles_up_proxies(iterations):
         v = v.inner
     assert depth == 2 * iterations
     assert type(v) is VRef
-    assert gread(ref, state.heap) == IntC(7)
+    assert gread(ref, state.heap) == 7
 
 
 def reaches_a_proxy(stmt):

@@ -32,6 +32,7 @@ from monoref.lang import (
     O_TIMEOUT,
     OPair,
 )
+from monoref.machine import observe
 from test_driver import REF_CAST_LOOP
 from test_surface import LONG_PROGRAMS
 
@@ -162,6 +163,54 @@ def test_non_utf8_file_is_unreadable(tmp_path, capsys):
     path.write_bytes(b"(succ \xff)")
     assert main(["run", str(path)]) == EXIT_PARSE_ERROR
     assert f"error: cannot read {path}:" in capsys.readouterr().err
+
+
+# Python caps the digits of an int read from or printed to a string
+# (from 3.10.7 on); the child interpreter is pinned to the default cap.
+DIGIT_CAP = 4300
+needs_digit_cap = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python does not cap the digits of an int")
+
+
+def run_capped(path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONINTMAXSTRDIGITS=str(DIGIT_CAP))
+    return subprocess.run(
+        [sys.executable, "-m", "monoref.cli", "run", str(path)],
+        capture_output=True, text=True, env=env)
+
+
+@needs_digit_cap
+@pytest.mark.parametrize("digits", [5000, DIGIT_CAP])
+def test_an_integer_literal_at_the_digit_cap_is_a_parse_error(digits,
+                                                              tmp_path):
+    # 5000 digits cannot be read as an int; the successor of 4300 nines
+    # could not be printed.
+    path = tmp_path / "huge.gtlc"
+    path.write_text(f"(succ {'9' * digits})")
+    result = run_capped(path)
+    assert result.returncode == EXIT_PARSE_ERROR
+    assert result.stdout == ""
+    assert result.stderr == (f"{path}:1:7: integer literal of {digits} "
+                             f"digits; at most {DIGIT_CAP - 1} are allowed\n")
+
+
+@needs_digit_cap
+def test_the_successor_of_the_longest_literal_prints(tmp_path):
+    path = tmp_path / "long.gtlc"
+    path.write_text(f"(succ {'9' * (DIGIT_CAP - 1)})")
+    result = run_capped(path)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout == "1" + "0" * (DIGIT_CAP - 1) + "\n"
+
+
+def test_one_and_true_observe_and_render_apart():
+    assert observe(1) != observe(True)
+    assert render_observable(observe(1)) == "1"
+    assert render_observable(observe(True)) == "#t"
+    assert render_observable(observe(0)) == "0"
+    assert render_observable(observe(False)) == "#f"
 
 
 def test_deep_nesting_is_a_resource_failure(tmp_path, capsys):

@@ -54,7 +54,7 @@ from monoref.surface import ParseError, elaborate, parse_surface, typecheck_surf
 from monoref.typecheck import TypeCheckError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-INT4 = IntC(4)
+INT4 = 4
 
 RULES = {SLet: "let", SRet: "return", SCall: "call", STailCall: "tailcall",
          SAlloc: "alloc", SUpdate: "update", SDynUpdate: "dyn-update",
@@ -195,7 +195,7 @@ def test_step_return_pops_the_innermost_frame():
     state = State(SRet(EConst(IntC(3))), (), (FRAME, outer), {}, ())
     after = step_g(state)
     assert after.stack == (outer,) and after.stmt == FRAME[1]
-    assert after.env == (("k", IntC(3)),)
+    assert after.env == (("k", 3),)
     assert state.stack == (FRAME, outer)
 
 

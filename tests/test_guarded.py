@@ -29,8 +29,8 @@ from monoref.surface import elaborate, parse_surface, typecheck_surface
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
-INT4 = IntC(4)
-TRUE = BoolC(True)
+INT4 = 4
+TRUE = True
 ERRORS = (O_CASTERROR, O_STUCK, O_TIMEOUT)
 
 
@@ -57,8 +57,8 @@ def test_cast_g_stacks_proxies():
 
 
 def test_gread():
-    heap = {0: (IntC(7), DYN)}
-    assert gread(VRef(0), heap) == IntC(7)
+    heap = {0: (7, DYN)}
+    assert gread(VRef(0), heap) == 7
     inj_heap = {0: (Inject(INT4, INT), DYN)}
     assert gread(GProxy(VRef(0), DYN, INT), inj_heap) == INT4
     bad_heap = {0: (Inject(TRUE, BOOL), DYN)}
@@ -111,8 +111,7 @@ def test_steps_g_final_read_through_failing_proxy():
 
 def test_gwrite():
     heap = {0: (INT4, INT)}
-    assert gwrite(VRef(0), IntC(5), heap) == \
-        {0: (IntC(5), INT)}
+    assert gwrite(VRef(0), 5, heap) == {0: (5, INT)}
     assert heap == {0: (INT4, INT)}  # input untouched
     dyn_heap = {0: (Inject(INT4, INT), DYN)}
     written = gwrite(GProxy(VRef(0), DYN, BOOL), TRUE, dyn_heap)
@@ -132,7 +131,7 @@ def test_read_and_write_through_a_deep_proxy_chain():
         ref = GProxy(ref, INT, INT)
     heap = {0: (INT4, INT)}
     assert gread(ref, heap) == INT4
-    five = IntC(5)
+    five = 5
     assert gwrite(ref, five, heap) == {0: (five, INT)}
 
 
@@ -182,6 +181,31 @@ def test_agreement_without_reference_casts():
         mono = run(ir, fuel=10_000)
         guard = run_g(ir, fuel=10_000)
         assert mono == guard, f"program {i}: {mono} vs {guard}"
+
+
+def test_monotonic_is_more_restrictive_than_guarded():
+    """Monotonic references allow fewer programs, never other results:
+    where the monotonic run gives a value, the guarded run gives the same
+    observable, and where the two differ, the monotonic run failed a cast.
+    """
+    values = only_monotonic_failed = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        prog = ProgramGen(rng, allow_ref_casts=True).program(
+            size=rng.randint(3, 14))
+        typecheck_surface((), prog)
+        ir = elaborate(prog)
+        mono = run(ir, fuel=20_000)
+        guard = run_g(ir, fuel=20_000)
+        # A timeout on either side would make the property vacuous.
+        assert O_TIMEOUT not in (mono, guard), f"program {seed} timed out"
+        if mono not in ERRORS:
+            values += 1
+            assert guard == mono, f"program {seed}: {mono} vs {guard}"
+        elif guard != mono:
+            only_monotonic_failed += 1
+            assert mono == O_CASTERROR, f"program {seed}: {mono} vs {guard}"
+    assert values > 0 and only_monotonic_failed > 0
 
 
 def test_pickiness_statistics():

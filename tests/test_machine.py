@@ -12,6 +12,7 @@ from monoref.lang import (
     Deref,
     EConst,
     Inject,
+    ISZERO,
     IntC,
     MkPair,
     OCon,
@@ -22,6 +23,7 @@ from monoref.lang import (
     OPair,
     PairT,
     Pending,
+    PrimApp,
     RefT,
     SCast,
     SRet,
@@ -50,8 +52,8 @@ from monoref.machine import (
     wrap,
 )
 
-INT4 = IntC(4)
-TRUE = BoolC(True)
+INT4 = 4
+TRUE = True
 
 
 def run_to_value(stmt, env=(), heap=None):
@@ -72,39 +74,51 @@ def test_lookup():
 
 
 def test_delta():
-    assert delta(SUCC, INT4) == IntC(5)
-    assert delta(SUCC, IntC(-1)) == IntC(0)
+    assert delta(SUCC, INT4) == 5
+    zero = delta(SUCC, -1)
+    assert zero == 0 and type(zero) is int
     from monoref.lang import IsZero, Prev
-    assert delta(IsZero(), IntC(0)) == TRUE
-    assert delta(Prev(), INT4) == IntC(3)
+    assert delta(IsZero(), 0) is TRUE
+    assert delta(Prev(), INT4) == 3
     with pytest.raises(Stuck):
         delta(SUCC, TRUE)
+
+
+def test_one_and_true_stay_apart():
+    # `bool` subclasses `int`, but the machine checks types exactly: a
+    # Boolean is no integer, and a projection tells them apart.
+    with pytest.raises(Stuck):
+        delta(ISZERO, False)
+    with pytest.raises(CastError):
+        cast(Inject(TRUE, BOOL), DYN, INT, {}, ())
+    assert run(SRet(PrimApp(SUCC, EConst(BoolC(True))))) == O_STUCK
 
 
 def test_to_addr():
     assert to_addr(VRef(3)) == 3
     with pytest.raises(Stuck):
-        to_addr(IntC(3))
+        to_addr(3)
     with pytest.raises(Stuck):
         to_addr(Inject(VRef(3), RefT(INT)))
 
 
 def test_to_val():
-    assert to_val(IntC(7)) == IntC(7)
+    assert to_val(7) == 7
     assert to_val(VRef(0)) == VRef(0)
     with pytest.raises(Stuck):
-        to_val(Pending(IntC(7), INT, INT))
+        to_val(Pending(7, INT, INT))
 
 
 def test_eval_expr():
-    assert eval_expr(Var("x"), (("x", IntC(9)),), {}) == IntC(9)
-    heap = {0: (IntC(7), INT)}
-    assert eval_expr(Deref(Var("r")), (("r", VRef(0)),), heap) == IntC(7)
-    pending_heap = {0: (Pending(IntC(7), INT, INT), INT)}
+    assert eval_expr(Var("x"), (("x", 9),), {}) == 9
+    heap = {0: (7, INT)}
+    assert eval_expr(Deref(Var("r")), (("r", VRef(0)),), heap) == 7
+    pending_heap = {0: (Pending(7, INT, INT), INT)}
     with pytest.raises(Stuck):
         eval_expr(Deref(Var("r")), (("r", VRef(0)),), pending_heap)
-    assert eval_expr(MkPair(EConst(IntC(1)), EConst(BoolC(True))), (), {}) == \
-        VPair(IntC(1), TRUE)
+    pair = eval_expr(MkPair(EConst(IntC(1)), EConst(BoolC(True))), (), {})
+    assert pair == VPair(1, TRUE)
+    assert type(pair.fst) is int and type(pair.snd) is bool
 
 
 def identity_closure():
@@ -215,9 +229,9 @@ def test_step_on_final_state_is_stuck():
 
 
 def test_observe():
-    assert observe(IntC(42)) == OCon(IntC(42))
+    assert observe(42) == OCon(IntC(42))
     assert observe(Inject(INT4, INT)) == O_INJ
-    assert observe(VPair(IntC(1), TRUE)) == \
+    assert observe(VPair(1, TRUE)) == \
         OPair(OCon(IntC(1)), OCon(BoolC(True)))
 
 

@@ -47,7 +47,7 @@ from monoref.typecheck import (
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
-INT4 = IntC(4)
+INT4 = 4
 
 
 def corpus_ir(name):
@@ -152,8 +152,19 @@ def test_wt_val():
     assert wt_val({}, INT4, INT)
     assert wt_val({0: INT}, VRef(0), RefT(DYN))
     assert not wt_val({0: DYN}, VRef(0), RefT(INT))
-    assert wt_val({}, VPair(INT4, BoolC(True)), PairT(INT, BOOL))
+    assert wt_val({}, VPair(INT4, True), PairT(INT, BOOL))
     assert not wt_val({}, INT4, BOOL)
+
+
+def test_one_and_true_type_apart():
+    from monoref.typecheck import value_type
+
+    # `bool` subclasses `int`, but a Boolean types only at bool.
+    assert not wt_val({}, True, INT)
+    assert not wt_val({}, 1, BOOL)
+    assert wt_val({}, True, BOOL) and wt_val({}, 1, INT)
+    assert value_type({}, True) == BOOL
+    assert value_type({}, 1) == INT
 
 
 def test_wt_val_closure():
