@@ -7,7 +7,8 @@ semantics and report agreement).
 Exit codes: 0 success or a value; 1 cast error; 2 stuck; 3 timeout;
 4 type error; 5 parse error, unreadable input or a usage error;
 6 resource failure: the input nests too deeply for the parser, the
-surface checker or the IR printer of `compile`.
+elaborator (which is also the typechecker) or the IR printer of
+`compile`.
 `--trace` streams one tab-separated record per machine transition to
 standard error. The default fuel is 1000000 and can be set with
 MONOREF_FUEL or --fuel, either at least 1.

@@ -1,4 +1,5 @@
-"""Surface language: s-expression parser, gradual typechecker, elaborator.
+"""Surface language: s-expression parser, and one pass that typechecks
+gradually and elaborates.
 
 Grammar (file extension .gtlc, UTF-8, `;` line comments):
 
@@ -17,7 +18,8 @@ Grammar (file extension .gtlc, UTF-8, `;` line comments):
     T ::= int | bool | dyn
         | (-> T T) | (pair-ty T T) | (ref-ty T)
 
-`(× T T)` is accepted for pair types and `(ref T)` for reference types.
+INT is an optional `-` followed by ASCII digits. `(× T T)` is accepted
+for pair types and `(ref T)` for reference types.
 Identifiers starting with `$` are reserved for generated temporaries.
 
 The reader makes one pass, pushing each line's tokens straight onto a
@@ -26,20 +28,21 @@ stack of open lists. Fixed-shape forms are parsed from the tables
 
 Typechecking is consistency-based: `dyn` is consistent with everything,
 other types structurally with themselves. An operand of type dyn used as
-a function, pair or reference is seen as that constructor over dyn;
-`_view` states this once, for the checker and the elaborator.
-Elaboration lowers to the statement IR, inserting a cast at every
-boundary the checker accepted by consistency rather than equality, and
-picking the plain dereference and update forms exactly when the
-reference's cell type is static. Like the cast-insertion translation of
-Siek and Taha (Scheme Workshop 2006), it is one type-directed pass: each
-subterm's type is computed together with its IR, a lambda's from the
-type at its body's return or tail call. It is written in direct style:
-each subterm appends the heads of the statements that compute it to a
-list, which is folded around the return or tail call at the end, and
-`let`/`begin` chains are walked in a loop. A `let` that rebinds a name
-already bound in the program is renamed to a fresh temporary. It expects
-a typechecked AST; `typecheck_surface` is the checker.
+a function, pair or reference is seen as that constructor over dyn
+(`_view`). Typechecking and elaboration are one pass, which lowers to
+the statement IR, inserting a cast at every boundary accepted by
+consistency rather than equality, and picking the plain dereference and
+update forms exactly when the reference's cell type is static. Like the
+cast-insertion translation of Siek and Taha (Scheme Workshop 2006), it
+is type-directed: each subterm's type is computed together with its IR,
+a lambda's from the type at its body's return or tail call. It is
+written in direct style: each subterm appends the heads of the
+statements that compute it to a list, which is folded around the return
+or tail call at the end, and `let`/`begin` chains are walked in a loop.
+A `let` that rebinds a name already bound in the program is renamed to a
+fresh temporary. `typecheck_surface` returns the pass's type and
+`elaborate` its IR; an ill-typed program raises the same
+`TypeCheckError` from either.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ class SBegin(SurfExpr):
 
 # `\s` matches exactly what `str.isspace` does; `;` starts a comment.
 _TOKEN_RE = re.compile(r"[()]|[^\s();]+|;")
-_INT_RE = re.compile(r"-?\d+\Z")
+_INT_RE = re.compile(r"-?[0-9]+\Z")  # ASCII digits only, unlike `\d`
 # Python's cap on the digits of an int read from or printed to a string;
 # 0 means no cap, as before Python 3.10.7. A literal must stay below it:
 # `succ` and `prev` add at most one digit, so every result stays
@@ -363,7 +366,7 @@ def parse_surface(text: str) -> SurfExpr:
 
 
 # ---------------------------------------------------------------------------
-# Consistency-based typechecking
+# The type errors
 
 def _pos_path(e: SurfExpr) -> tuple:
     return (f"{e.pos[0]}:{e.pos[1]}",) if e.pos != (0, 0) else ()
@@ -391,79 +394,23 @@ def _view(ty: Ty, e: SurfExpr) -> Ty:
     raise TypeCheckError(f"{what} {ty}", _pos_path(e))
 
 
-def typecheck_surface(gamma, e: SurfExpr) -> Ty:
-    """Synthesize the type of a surface expression; operands are seen
-    through `_view`, and assignment requires consistency, not equality."""
-    if isinstance(e, Lit):
-        return typeof_const(e.const)
-    if isinstance(e, SVar):
-        try:
-            return lookup(e.name, gamma)
-        except Stuck:
-            raise TypeCheckError(f"unbound variable {e.name!r}",
-                                 _pos_path(e)) from None
-    if isinstance(e, SLambda):
-        body_ty = typecheck_surface(((e.param, e.ann),) + tuple(gamma), e.body)
-        return ArrowT(e.ann, body_ty)
-    if isinstance(e, SApp):
-        fn_ty = typecheck_surface(gamma, e.fn)
-        arg_ty = typecheck_surface(gamma, e.arg)
-        fn_ty = _view(fn_ty, e)
-        if not consistent(arg_ty, fn_ty.dom):
-            raise TypeCheckError(
-                f"argument type {arg_ty} not consistent with {fn_ty.dom}",
-                _pos_path(e))
-        return fn_ty.cod
-    if isinstance(e, SPair):
-        return PairT(typecheck_surface(gamma, e.fst),
-                     typecheck_surface(gamma, e.snd))
-    if isinstance(e, (SFst, SSnd)):
-        pair_ty = _view(typecheck_surface(gamma, e.pair), e)
-        return pair_ty.left if isinstance(e, SFst) else pair_ty.right
-    if isinstance(e, SPrim):
-        arg_ty = typecheck_surface(gamma, e.arg)
-        if not consistent(arg_ty, INT):
-            raise TypeCheckError(
-                f"{e.op} expects int, argument has type {arg_ty}", _pos_path(e))
-        return _PRIMS[e.op][1]
-    if isinstance(e, SRefNew):
-        init_ty = typecheck_surface(gamma, e.init)
-        if not consistent(init_ty, e.cell_ty):
-            raise TypeCheckError(
-                f"initializer type {init_ty} not consistent with cell type "
-                f"{e.cell_ty}", _pos_path(e))
-        return RefT(e.cell_ty)
-    if isinstance(e, SDeref):
-        return _view(typecheck_surface(gamma, e.ref), e).cell
-    if isinstance(e, SAssign):
-        target_ty = typecheck_surface(gamma, e.target)
-        value_ty = typecheck_surface(gamma, e.value)
-        target_ty = _view(target_ty, e)
-        if not consistent(value_ty, target_ty.cell):
-            raise TypeCheckError(
-                f"assignment of {value_ty} not consistent with cell type "
-                f"{target_ty.cell}", _pos_path(e))
-        return target_ty.cell
-    if isinstance(e, SCastE):
-        src_ty = typecheck_surface(gamma, e.expr)
-        if not consistent(src_ty, e.ty):
-            raise TypeCheckError(f"cast from {src_ty} to inconsistent {e.ty}",
-                                 _pos_path(e))
-        return e.ty
-    if isinstance(e, SLetE):
-        rhs_ty = typecheck_surface(gamma, e.rhs)
-        return typecheck_surface(((e.name, rhs_ty),) + tuple(gamma), e.body)
-    if isinstance(e, SBegin):
-        typecheck_surface(gamma, e.first)
-        return typecheck_surface(gamma, e.second)
-    raise TypeCheckError(f"unknown surface form {e!r}")
+# The error of each form whose operand's type `have` is not consistent
+# with the type `want` that the form needs of it; it is reported at the
+# form.
+_MISMATCHES = {
+    SApp: "argument type {have} not consistent with {want}",
+    SPrim: "{e.op} expects int, argument has type {have}",
+    SRefNew: "initializer type {have} not consistent with cell type {want}",
+    SAssign: "assignment of {have} not consistent with cell type {want}",
+    SCastE: "cast from {have} to inconsistent {want}",
+}
 
 
 # ---------------------------------------------------------------------------
-# Elaboration to the IR
+# Typing and elaboration to the IR
 
 class _Elaborator:
-    """Lowers a typechecked surface expression to ANF statements.
+    """Types a surface expression and lowers it to ANF statements.
 
     Direct-style A-normal form (Flanagan, Sabry, Duba and Felleisen, PLDI
     1993): `atom` returns an expression's value as a Var/Const atom with
@@ -471,8 +418,8 @@ class _Elaborator:
     head is a statement class with every field but its body, which is
     always the last field; `tail` folds a list of heads around the leaf,
     a return or, for an application, a tail call. Every intermediate value
-    is named by a fresh `$tN` temporary; casts appear exactly where the
-    checker used consistency instead of equality.
+    is named by a fresh `$tN` temporary; casts appear exactly where an
+    operand's type is consistent with, but not equal to, the type needed.
 
     A `let` keeps its name unless a `let` or a lambda has already bound
     that name in the program; then it gets a fresh `$tN`, since the rest
@@ -497,18 +444,29 @@ class _Elaborator:
 
     def coerce(self, e: SurfExpr, atom: Expr, have: Ty, want: Ty,
                heads: list) -> Expr:
-        """`atom`, the value of operand `e`, cast from `have` to `want`
-        unless they are equal; an inconsistent pair is a type error."""
+        """`atom`, the value of an operand of `e`, cast from `have` to
+        `want` unless they are equal; an inconsistent pair is `e`'s type
+        error from `_MISMATCHES`."""
         if have is want or have == want:
             return atom
         if not consistent(have, want):
-            raise TypeCheckError(f"cast from {have} to inconsistent {want}",
-                                 _pos_path(e))
+            raise TypeCheckError(
+                _MISMATCHES[type(e)].format(e=e, have=have, want=want),
+                _pos_path(e))
         return self.bind(heads, SCast, atom, have, want)
 
-    def view(self, e: SurfExpr, atom: Expr, ty: Ty, heads: list):
-        """`atom` of type `ty` cast to `_view(ty, e)` unless that is `ty`."""
-        want = _view(ty, e)
+    def view(self, e: SurfExpr, atom: Expr, ty: Ty, heads: list,
+             gamma=(), then: SurfExpr | None = None):
+        """`atom` of type `ty` cast to `_view(ty, e)` unless that is `ty`.
+        If the view fails and `e` has a second operand `then`, that is
+        typed in `gamma` before the failure is reported, so an error
+        inside it comes first."""
+        try:
+            want = _view(ty, e)
+        except TypeCheckError:
+            if then is not None:
+                self.atom(then, gamma, [])
+            raise
         if want is not ty:
             atom = self.bind(heads, SCast, atom, ty, want)
         return atom, want
@@ -532,10 +490,10 @@ class _Elaborator:
 
     def call(self, e: SApp, gamma, heads: list):
         """The callee and argument atoms of an application, and its type."""
-        fn, fn_ty = self.view(e, *self.atom(e.fn, gamma, heads), heads)
+        fn, fn_ty = self.view(e, *self.atom(e.fn, gamma, heads), heads,
+                              gamma, e.arg)
         arg, arg_ty = self.atom(e.arg, gamma, heads)
-        arg = self.coerce(e.arg, arg, arg_ty, fn_ty.dom, heads)
-        return fn, arg, fn_ty.cod
+        return fn, self.coerce(e, arg, arg_ty, fn_ty.dom, heads), fn_ty.cod
 
     def atom(self, e: SurfExpr, gamma, heads: list):
         """Elaborate `e` into `heads`; returns its value's atom and type."""
@@ -571,11 +529,11 @@ class _Elaborator:
         if isinstance(e, SPrim):
             op, out = _PRIMS[e.op]
             atom, ty = self.atom(e.arg, gamma, heads)
-            atom = self.coerce(e.arg, atom, ty, INT, heads)
+            atom = self.coerce(e, atom, ty, INT, heads)
             return self.bind(heads, SLet, PrimApp(op, atom)), out
         if isinstance(e, SRefNew):
             atom, ty = self.atom(e.init, gamma, heads)
-            atom = self.coerce(e.init, atom, ty, e.cell_ty, heads)
+            atom = self.coerce(e, atom, ty, e.cell_ty, heads)
             return self.bind(heads, SAlloc, e.cell_ty, atom), RefT(e.cell_ty)
         if isinstance(e, SDeref):
             atom, ty = self.view(e, *self.atom(e.ref, gamma, heads), heads)
@@ -584,9 +542,9 @@ class _Elaborator:
             return self.bind(heads, SDynDeref, atom, ty.cell), ty.cell
         if isinstance(e, SAssign):
             target, ty = self.view(e, *self.atom(e.target, gamma, heads),
-                                   heads)
+                                   heads, gamma, e.value)
             value, value_ty = self.atom(e.value, gamma, heads)
-            value = self.coerce(e.value, value, value_ty, ty.cell, heads)
+            value = self.coerce(e, value, value_ty, ty.cell, heads)
             if is_static(ty.cell):
                 heads.append((SUpdate, target, value))
             else:
@@ -594,7 +552,7 @@ class _Elaborator:
             return value, ty.cell
         if isinstance(e, SCastE):
             atom, ty = self.atom(e.expr, gamma, heads)
-            return self.coerce(e.expr, atom, ty, e.ty, heads), e.ty
+            return self.coerce(e, atom, ty, e.ty, heads), e.ty
         raise TypeCheckError(f"unknown surface form {e!r}")
 
     def tail(self, e: SurfExpr, gamma):
@@ -613,16 +571,40 @@ class _Elaborator:
         return stmt, ty
 
 
+# The last closed program `typecheck_surface` typed, and its IR. Callers
+# check a program and then elaborate that same AST; this makes the two
+# calls one pass. Nodes are immutable, so an AST's identity fixes its IR;
+# the entry is one tuple, so a call that replaces it between the two
+# only costs `elaborate` a pass of its own.
+_last = None
+
+
+def typecheck_surface(gamma, e: SurfExpr) -> Ty:
+    """The type of surface expression `e` in `gamma`, a sequence of (name,
+    type) pairs, innermost first; an ill-typed `e` raises `TypeCheckError`.
+
+    This is the elaborator's pass, each name in `gamma` standing for
+    itself; in the empty context its IR is kept for `elaborate`."""
+    global _last
+    scope = tuple((name, (Var(name), ty)) for name, ty in gamma)
+    stmt, ty = _Elaborator().tail(e, scope)
+    _last = None if scope else (e, stmt)
+    return ty
+
+
 def elaborate(e: SurfExpr) -> Stmt:
-    """Lower a typechecked surface program to the statement IR.
+    """Lower a closed surface program to the statement IR.
 
     The result passes `check_stmt` at exactly the surface type; fully
     static programs elaborate without any cast or dynamic access forms.
-    Run `typecheck_surface` first: its messages are the documented ones.
-    On an ill-typed program `elaborate` still raises `TypeCheckError`,
-    never emitting a cast between inconsistent types: at the operand for
-    an inconsistent cast, at the name for an unbound one.
+    An ill-typed program raises the same `TypeCheckError` as
+    `typecheck_surface`. Right after `typecheck_surface((), e)` this
+    returns the IR of that pass instead of making another.
     """
+    global _last
+    last, _last = _last, None
+    if last is not None and last[0] is e:
+        return last[1]
     return _Elaborator().tail(e, ())[0]
 
 

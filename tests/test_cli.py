@@ -83,7 +83,21 @@ def test_check_parse_error(capsys):
 
 def test_check_type_error(capsys):
     assert main(["check", corpus("ill-typed")]) == EXIT_TYPE_ERROR
-    assert "type error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"{corpus('ill-typed')}: type error: 2:1: succ expects int, "
+        "argument has type bool\n")
+
+
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_a_non_ascii_digit_is_not_an_integer(tmp_path, capsys, command):
+    # `\d` would read the Arabic-Indic digits as the literal 33.
+    source = tmp_path / "digits.gtlc"
+    source.write_text("(succ \u0663\u0663)", encoding="utf-8")
+    assert main([command, str(source)]) == EXIT_TYPE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{source}: type error: 1:7: unbound variable '\u0663\u0663'\n")
 
 
 def test_check_missing_file(capsys):

@@ -53,6 +53,12 @@ def test_parse_examples():
     assert parse_surface("(cast x (ref-ty dyn))") == SCastE(SVar("x"), RefT(DYN))
 
 
+def test_integer_literals_are_ascii_digits():
+    assert parse_surface("(succ -12)") == SPrim("succ", Lit(IntC(-12)))
+    assert parse_surface("(succ \u0663\u0663)") == \
+        SPrim("succ", SVar("\u0663\u0663"))
+
+
 def test_parse_positions():
     ast = parse_surface("\n  (succ 4)")
     assert ast.pos == (2, 3)
@@ -168,10 +174,26 @@ def test_keywords_are_not_binders(keyword):
      "1:1: dereference of non-reference type (pair-ty int int)"),
     ("(begin 1 (:= (succ 1) 5))",
      "1:10: assignment through non-reference type int"),
+    ("(fst 3)", "1:1: projection from non-pair type int"),
+    ("(succ #t)", "1:1: succ expects int, argument has type bool"),
+    ("(zero? #f)", "1:1: zero? expects int, argument has type bool"),
+    ("(cast 4 bool)", "1:1: cast from int to inconsistent bool"),
+    ("(ref int #t)",
+     "1:1: initializer type bool not consistent with cell type int"),
+    ("((lambda (y : int) y) #t)",
+     "1:1: argument type bool not consistent with int"),
+    ("(let (r (ref int 1)) (:= r #t))",
+     "1:22: assignment of bool not consistent with cell type int"),
+    ("x", "1:1: unbound variable 'x'"),
+    ("nope", "1:1: unbound variable 'nope'"),
+    # Both operands are typed before the first is seen as a function or
+    # a reference, so the error inside the second comes first.
+    ("(#t (succ #f))", "1:5: succ expects int, argument has type bool"),
+    ("(:= 4 (succ #f))", "1:7: succ expects int, argument has type bool"),
 ])
 def test_dyn_view_type_errors(source, message):
-    # The checker and the elaborator see operands through one rule, so
-    # both reject these with the same text.
+    # Typechecking and elaboration are one pass, so both entry points
+    # reject each program with the same first error, at the form.
     ast = parse_surface(source)
     for stage in (lambda: typecheck_surface((), ast), lambda: elaborate(ast)):
         with pytest.raises(TypeCheckError) as err:
@@ -179,19 +201,39 @@ def test_dyn_view_type_errors(source, message):
         assert str(err.value) == message
 
 
-@pytest.mark.parametrize("source, message", [
-    ("(succ #t)", "1:7: cast from bool to inconsistent int"),
-    ("x", "1:1: unbound variable 'x'"),
-    ("((lambda (y : int) y) #t)", "1:23: cast from bool to inconsistent int"),
-    ("(let (r (ref int 1)) (:= r #t))",
-     "1:28: cast from bool to inconsistent int"),
-])
-def test_elaborate_rejects_ill_typed_programs(source, message):
-    # Without the checker in front, the elaborator still emits no cast
-    # between inconsistent types; it points at the offending operand.
-    with pytest.raises(TypeCheckError) as err:
-        elaborate(parse_surface(source))
-    assert str(err.value) == message
+def test_elaborate_after_check_returns_its_own_ir():
+    a, b = parse_surface("(succ 1)"), parse_surface("(zero? (prev 1))")
+    fresh = stmt_to_sexpr(elaborate(b))
+    assert typecheck_surface((), a) == INT
+    assert stmt_to_sexpr(elaborate(b)) == fresh
+    assert typecheck_surface((), a) == INT
+    assert stmt_to_sexpr(elaborate(a)) == "(let $t0 (succ 1)\n  (return $t0))"
+
+
+def test_typecheck_in_a_context_and_elaborate_closed():
+    ast = parse_surface("(succ x)")
+    assert typecheck_surface((("x", INT),), ast) == INT
+    with pytest.raises(TypeCheckError, match="unbound variable 'x'"):
+        elaborate(ast)
+    with pytest.raises(TypeCheckError, match="succ expects int"):
+        typecheck_surface([("x", BOOL)], ast)
+
+
+def test_check_then_elaborate_is_one_pass(monkeypatch):
+    import monoref.surface as surface
+
+    built = []
+
+    class Counting(surface._Elaborator):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(surface, "_Elaborator", Counting)
+    ast = parse_surface((CORPUS / "ex1.gtlc").read_text())
+    assert typecheck_surface((), ast) == BOOL
+    assert check_stmt((), elaborate(ast)) == BOOL
+    assert len(built) == 1
 
 
 def test_parse_comments_and_bools():
