@@ -66,6 +66,10 @@ def test_render_observable():
 
 def test_exit_code_mapping():
     assert observable_exit_code(OCon(IntC(1))) == EXIT_OK
+    assert observable_exit_code(O_FUN) == EXIT_OK
+    assert observable_exit_code(O_ADDR) == EXIT_OK
+    assert observable_exit_code(O_INJ) == EXIT_OK
+    assert observable_exit_code(OPair(O_INJ, OCon(BoolC(False)))) == EXIT_OK
     assert observable_exit_code(O_CASTERROR) == EXIT_CAST_ERROR
     assert observable_exit_code(O_STUCK) == EXIT_STUCK
     assert observable_exit_code(O_TIMEOUT) == EXIT_TIMEOUT

@@ -24,6 +24,7 @@ from monoref.lang import (
     SRet,
     SUCC,
     Var,
+    consistent,
     ground,
     is_static,
     lesseq,
@@ -133,6 +134,28 @@ def test_meet_lemmas_exhaustive():
 def test_meet_idempotent_exhaustive():
     for a in all_types(3):
         assert meet(a, a) == a
+
+
+def has_meet(a, b):
+    try:
+        meet(a, b)
+    except CastError:
+        return False
+    return True
+
+
+def test_consistent_is_the_existence_of_a_meet_exhaustive():
+    universe = all_types(2)
+    for a in universe:
+        for b in universe:
+            assert consistent(a, b) == consistent(b, a)
+            assert consistent(a, b) == has_meet(a, b), (a, b)
+
+
+@given(types, types)
+def test_consistent_is_the_existence_of_a_meet_random(a, b):
+    assert consistent(a, b) == consistent(b, a)
+    assert consistent(a, b) == has_meet(a, b)
 
 
 @given(types)

@@ -11,20 +11,31 @@ from monoref.lang import (
     BOOL,
     DYN,
     INT,
+    ISZERO,
+    PREV,
+    SUCC,
     ArrowT,
+    BoolC,
     Deref,
+    EConst,
+    Fst,
     IntC,
     Lam,
+    MkPair,
     PairT,
+    PrimApp,
     RefT,
     SCall,
     SCast,
     SDynDeref,
     SDynUpdate,
     SLet,
+    SRet,
     STailCall,
     SAlloc,
     SUpdate,
+    Snd,
+    Var,
 )
 from monoref.surface import (
     Lit,
@@ -542,11 +553,49 @@ def test_elaboration_matches_golden_ir(name):
     assert (stmt_to_sexpr(elaborate(ast)) + "\n").encode("utf-8") == golden
 
 
+# One statement of every IR form: the 9 statement forms, the 6
+# expression forms, the 5 operators, both Boolean literals and every type
+# constructor, with a lambda at the top and one nested in a chain.
+ALL_FORMS = SLet(
+    "f", Lam("x", ArrowT(INT, BOOL), STailCall(Var("x"), EConst(IntC(-7)))),
+    SCall("a", Var("f"), EConst(BoolC(True)),
+    SAlloc("r", RefT(PairT(INT, DYN)),
+           MkPair(EConst(IntC(0)), EConst(BoolC(False))),
+    SUpdate(Var("r"), Deref(Var("r")),
+    SDynUpdate(Var("r"), EConst(IntC(1)), DYN,
+    SCast("c", Var("a"), BOOL, DYN,
+    SDynDeref("d", Var("r"), PairT(INT, DYN),
+    SLet("e", PrimApp(SUCC, Var("d")),
+    SLet("g", PrimApp(PREV, Var("e")),
+    SLet("h", PrimApp(ISZERO, Var("g")),
+    SLet("k", Lam("y", DYN, SLet("z", PrimApp(Fst(INT, BOOL), Var("y")),
+                                 SRet(Var("z")))),
+    SRet(PrimApp(Snd(RefT(DYN), ArrowT(BOOL, INT)), Var("d"))))))))))))))
+
+ALL_FORMS_TEXT = """\
+(let f (lambda (x : (-> int bool))
+  (tailcall x -7))
+  (call a f #t
+    (alloc r (ref-ty (pair-ty int dyn)) (pair 0 #f)
+      (update r (! r)
+        (dyn-update r 1 dyn
+          (cast c a bool dyn
+            (dyn-deref d r (pair-ty int dyn)
+              (let e (succ d)
+                (let g (prev e)
+                  (let h (zero? g)
+                    (let k (lambda (y : dyn)
+                      (let z (fst int bool y)
+                        (return z)))
+                      (return (snd (ref-ty dyn) (-> bool int) d)))))))))))))"""
+
+
 def test_printers_cover_all_forms():
     for name in CORPUS_NAMES:
         ast = parse_surface((CORPUS / f"{name}.gtlc").read_text())
         text = stmt_to_sexpr(elaborate(ast))
         assert text.count("(") == text.count(")")
+    assert stmt_to_sexpr(ALL_FORMS) == ALL_FORMS_TEXT
 
 
 @given(hypothesis_types())
