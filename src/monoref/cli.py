@@ -21,18 +21,11 @@ import os
 import sys
 
 from .guarded import run_g
-from .lang import (
-    OCastError,
-    OCon,
-    OPair,
-    OStuck,
-    OTimeOut,
-    IntC,
-    Observable,
-)
+from .lang import O_CASTERROR, O_STUCK, O_TIMEOUT, OCon, OPair, Observable
 from .machine import DEFAULT_FUEL, format_trace, run
 from .surface import (
     ParseError,
+    const_to_sexpr,
     elaborate,
     parse_surface,
     stmt_to_sexpr,
@@ -50,32 +43,22 @@ EXIT_PARSE_ERROR = 5
 EXIT_RESOURCE = 6
 
 
+# The exit code of each observable that ends a run without a value.
+_ERROR_EXITS = {O_CASTERROR: EXIT_CAST_ERROR, O_STUCK: EXIT_STUCK,
+                O_TIMEOUT: EXIT_TIMEOUT}
+
+
 def render_observable(obs: Observable) -> str:
     """Canonical rendering; injective up to address/function/injection opacity."""
     if isinstance(obs, OCon):
-        if isinstance(obs.const, IntC):
-            return str(obs.const.value)
-        return "#t" if obs.const.value else "#f"
+        return const_to_sexpr(obs.const)
     if isinstance(obs, OPair):
         return f"(pair {render_observable(obs.fst)} {render_observable(obs.snd)})"
-    if isinstance(obs, OCastError):
-        return "error: cast"
-    if isinstance(obs, OStuck):
-        return "error: stuck"
-    if isinstance(obs, OTimeOut):
-        return "timeout"
-    name = type(obs).__name__
-    return {"OFun": "#fun", "OAddr": "#addr", "OInj": "#inj"}[name]
+    return obs.text
 
 
 def observable_exit_code(obs: Observable) -> int:
-    if isinstance(obs, OCastError):
-        return EXIT_CAST_ERROR
-    if isinstance(obs, OStuck):
-        return EXIT_STUCK
-    if isinstance(obs, OTimeOut):
-        return EXIT_TIMEOUT
-    return EXIT_OK
+    return _ERROR_EXITS.get(obs, EXIT_OK)
 
 
 def _load(path: str):

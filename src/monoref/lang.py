@@ -5,8 +5,10 @@ and the unknown type `dyn`. The IR separates pure expressions from
 effectful statements; every control path through a statement ends in a
 return or a tail call. Runtime values, heap cell contents, and the
 observables produced by a finished run live here too, together with the
-type algebra (the less-or-equally-dynamic order, its meet, staticness,
-and ground types).
+type algebra: the less-or-equally-dynamic order, its meet, consistency,
+staticness and ground types, each one rule over a type's fields. An
+observable is a pair, a literal, or an `OAtom` whose text is its
+rendering: an opaque value, or the end of a run that gave none.
 
 Every runtime value is one object whose class is its runtime tag. An
 integer or Boolean is the host `int` or `bool` itself; the constant
@@ -354,64 +356,40 @@ class OPair(Observable):
     snd: Observable
 
 
-class OFun(Observable):
-    pass
-
-
 class OCon(Observable):
     const: Const
 
 
-class OAddr(Observable):
-    pass
+class OAtom(Observable):
+    text: str
 
 
-class OInj(Observable):
-    pass
-
-
-class OStuck(Observable):
-    pass
-
-
-class OTimeOut(Observable):
-    pass
-
-
-class OCastError(Observable):
-    pass
-
-
-O_FUN = OFun()
-O_ADDR = OAddr()
-O_INJ = OInj()
-O_STUCK = OStuck()
-O_TIMEOUT = OTimeOut()
-O_CASTERROR = OCastError()
+O_FUN = OAtom("#fun")
+O_ADDR = OAtom("#addr")
+O_INJ = OAtom("#inj")
+O_STUCK = OAtom("error: stuck")
+O_TIMEOUT = OAtom("timeout")
+O_CASTERROR = OAtom("error: cast")
 
 
 # ---------------------------------------------------------------------------
-# Type algebra
+# Type algebra. Each relation is one rule over a type's fields, `_key()`:
+# `dyn` first, then the same constructor with every pair of components
+# related. Identical and field-less types take a fast path: the
+# monotonic cast asks `meet` and `lesseq` of a cell's tag on every
+# reference cast, and that tag is most often a shared base type.
 
 def lesseq(a: Ty, b: Ty) -> bool:
     """Less-or-equally-dynamic order on types (naive subtyping).
 
-    Everything is below `dyn`; base types relate to themselves; pairs,
-    arrows, and references are covariant in every position.
+    Everything is below `dyn`; every other constructor relates to itself,
+    covariantly in every component.
     """
-    if isinstance(b, DynT):
+    if a is b or type(b) is DynT:
         return True
-    if isinstance(a, IntT) and isinstance(b, IntT):
-        return True
-    if isinstance(a, BoolT) and isinstance(b, BoolT):
-        return True
-    if isinstance(a, PairT) and isinstance(b, PairT):
-        return lesseq(a.left, b.left) and lesseq(a.right, b.right)
-    if isinstance(a, ArrowT) and isinstance(b, ArrowT):
-        return lesseq(a.dom, b.dom) and lesseq(a.cod, b.cod)
-    if isinstance(a, RefT) and isinstance(b, RefT):
-        return lesseq(a.cell, b.cell)
-    return False
+    if type(a) is not type(b) or not isinstance(a, Ty):
+        return False
+    return not a._fields or all(map(lesseq, a._key(), b._key()))
 
 
 def meet(a: Ty, b: Ty) -> Ty:
@@ -420,64 +398,38 @@ def meet(a: Ty, b: Ty) -> Ty:
     Raises CastError when the head constructors clash and neither side
     is `dyn`; such a cast can never be satisfied.
     """
-    if isinstance(a, DynT):
+    if type(a) is DynT:
         return b
-    if isinstance(b, DynT):
+    if a is b or type(b) is DynT:
         return a
-    if isinstance(a, IntT) and isinstance(b, IntT):
-        return INT
-    if isinstance(a, BoolT) and isinstance(b, BoolT):
-        return BOOL
-    if isinstance(a, PairT) and isinstance(b, PairT):
-        return PairT(meet(a.left, b.left), meet(a.right, b.right))
-    if isinstance(a, ArrowT) and isinstance(b, ArrowT):
-        return ArrowT(meet(a.dom, b.dom), meet(a.cod, b.cod))
-    if isinstance(a, RefT) and isinstance(b, RefT):
-        return RefT(meet(a.cell, b.cell))
-    raise CastError(f"no meet of {a} and {b}")
+    if type(a) is not type(b) or not isinstance(a, Ty):
+        raise CastError(f"no meet of {a} and {b}")
+    return type(a)(*map(meet, a._key(), b._key())) if a._fields else a
 
 
 def consistent(a: Ty, b: Ty) -> bool:
     """Standard gradual-typing consistency: dyn matches everything."""
-    if isinstance(a, DynT) or isinstance(b, DynT):
+    if a is b or type(a) is DynT or type(b) is DynT:
         return True
-    if isinstance(a, (IntT, BoolT)):
-        return a == b
-    if isinstance(a, PairT) and isinstance(b, PairT):
-        return consistent(a.left, b.left) and consistent(a.right, b.right)
-    if isinstance(a, ArrowT) and isinstance(b, ArrowT):
-        return consistent(a.dom, b.dom) and consistent(a.cod, b.cod)
-    if isinstance(a, RefT) and isinstance(b, RefT):
-        return consistent(a.cell, b.cell)
-    return False
+    if type(a) is not type(b) or not isinstance(a, Ty):
+        return False
+    return not a._fields or all(map(consistent, a._key(), b._key()))
 
 
 def is_static(a: Ty) -> bool:
     """True when `dyn` occurs nowhere in the type."""
-    if isinstance(a, DynT):
+    if type(a) is DynT:
         return False
-    if isinstance(a, (IntT, BoolT)):
-        return True
-    if isinstance(a, PairT):
-        return is_static(a.left) and is_static(a.right)
-    if isinstance(a, ArrowT):
-        return is_static(a.dom) and is_static(a.cod)
-    if isinstance(a, RefT):
-        return is_static(a.cell)
-    raise TypeError(f"not a type: {a!r}")
+    if not isinstance(a, Ty):
+        raise TypeError(f"not a type: {a!r}")
+    return not a._fields or all(map(is_static, a._key()))
 
 
 def ground(a: Ty) -> Ty:
     """Collapse a type to its head constructor with `dyn` arguments."""
-    if isinstance(a, (IntT, BoolT, DynT)):
-        return a
-    if isinstance(a, PairT):
-        return PairT(DYN, DYN)
-    if isinstance(a, ArrowT):
-        return ArrowT(DYN, DYN)
-    if isinstance(a, RefT):
-        return RefT(DYN)
-    raise TypeError(f"not a type: {a!r}")
+    if not isinstance(a, Ty):
+        raise TypeError(f"not a type: {a!r}")
+    return type(a)(*[DYN] * len(a._fields)) if a._fields else a
 
 
 def typeof_const(c: Const) -> Ty:

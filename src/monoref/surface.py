@@ -24,7 +24,9 @@ Identifiers starting with `$` are reserved for generated temporaries.
 
 The reader makes one pass, pushing each line's tokens straight onto a
 stack of open lists. Fixed-shape forms are parsed from the tables
-`_FORMS` and `_TYPE_FORMS`, from which `_KEYWORDS` is also built.
+`_FORMS` and `_TYPE_FORMS`, from which `_KEYWORDS` is also built. The
+IR is printed from one keyword table, `_IR_KEYWORDS`, which also names
+the primitives of `_PRIMS`.
 
 Typechecking is consistency-based: `dyn` is consistent with everything,
 other types structurally with themselves. An operand of type dyn used as
@@ -54,6 +56,9 @@ from .lang import (
     BOOL,
     DYN,
     INT,
+    ISZERO,
+    PREV,
+    SUCC,
     ArrowT,
     BoolC,
     Const,
@@ -89,6 +94,7 @@ from .lang import (
     is_static,
     lookup,
     typeof_const,
+    typeof_opr,
 )
 from .typecheck import TypeCheckError
 
@@ -155,8 +161,21 @@ class SPrim(SurfExpr):
     pos: Pos = (0, 0)
 
 
+# The IR printer's keyword table: the keyword of each statement head, of
+# the pair and dereference expressions and of each operator. A statement
+# head prints as its keyword and its fields but the body, in declaration
+# order; an expression as its keyword and its fields; an operator
+# application as the operator's keyword, its type fields and the operand.
+_IR_KEYWORDS = {
+    SLet: "let", SCall: "call", SAlloc: "alloc", SUpdate: "update",
+    SDynUpdate: "dyn-update", SCast: "cast", SDynDeref: "dyn-deref",
+    MkPair: "pair", Deref: "!",
+    Succ: "succ", Prev: "prev", IsZero: "zero?", Fst: "fst", Snd: "snd",
+}
+
 # Each primitive's IR operator and result type; every one takes an int.
-_PRIMS = {"succ": (Succ(), INT), "prev": (Prev(), INT), "zero?": (IsZero(), BOOL)}
+_PRIMS = {_IR_KEYWORDS[type(op)]: (op, typeof_opr(op).cod)
+          for op in (SUCC, PREV, ISZERO)}
 
 
 class SRefNew(SurfExpr):
@@ -617,36 +636,40 @@ def ty_to_sexpr(t: Ty) -> str:
     return str(t)
 
 
-def _const_to_sexpr(c: Const) -> str:
+def const_to_sexpr(c: Const) -> str:
+    """A literal as the parser reads it."""
     if isinstance(c, IntC):
         return str(c.value)
     return "#t" if c.value else "#f"
 
 
+def _fields_to_sexpr(fields, indent: int) -> str:
+    """Names, types and expressions printed in order, each after a space.
+    A loop, not a generator, so a nested lambda costs no extra frame."""
+    text = ""
+    for x in fields:
+        if type(x) is not str and not isinstance(x, Ty):
+            x = expr_to_sexpr(x, indent)
+        text += f" {x}"
+    return text
+
+
 def expr_to_sexpr(e: Expr, indent: int = 0) -> str:
-    if isinstance(e, Var):
+    cls = type(e)
+    if cls is Var:
         return e.name
-    if isinstance(e, EConst):
-        return _const_to_sexpr(e.const)
-    if isinstance(e, PrimApp):
-        op = e.op
-        if isinstance(op, Succ):
-            return f"(succ {expr_to_sexpr(e.arg)})"
-        if isinstance(op, Prev):
-            return f"(prev {expr_to_sexpr(e.arg)})"
-        if isinstance(op, IsZero):
-            return f"(zero? {expr_to_sexpr(e.arg)})"
-        name = "fst" if isinstance(op, Fst) else "snd"
-        return (f"({name} {ty_to_sexpr(op.left)} {ty_to_sexpr(op.right)} "
-                f"{expr_to_sexpr(e.arg)})")
-    if isinstance(e, MkPair):
-        return f"(pair {expr_to_sexpr(e.fst)} {expr_to_sexpr(e.snd)})"
-    if isinstance(e, Lam):
+    if cls is EConst:
+        return const_to_sexpr(e.const)
+    if cls is Lam:
         body = stmt_to_sexpr(e.body, indent + 1)
         return f"(lambda ({e.param} : {ty_to_sexpr(e.param_ty)})\n{body})"
-    if isinstance(e, Deref):
-        return f"(! {expr_to_sexpr(e.ref)})"
-    raise TypeError(f"not an expression: {e!r}")
+    if cls is PrimApp:
+        cls, fields = type(e.op), (*e.op._key(), e.arg)
+    elif isinstance(e, Expr) and cls in _IR_KEYWORDS:
+        fields = e._key()
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    return f"({_IR_KEYWORDS[cls]}{_fields_to_sexpr(fields, indent)})"
 
 
 def stmt_to_sexpr(s: Stmt, indent: int = 0) -> str:
@@ -654,33 +677,14 @@ def stmt_to_sexpr(s: Stmt, indent: int = 0) -> str:
     lambdas recurse."""
     parts = []
     depth = indent
-
-    def ex(e: Expr) -> str:
-        return expr_to_sexpr(e, depth)
-
-    while not isinstance(s, (SRet, STailCall)):
-        if isinstance(s, SLet):
-            head = f"let {s.name} {ex(s.rhs)}"
-        elif isinstance(s, SCall):
-            head = f"call {s.name} {ex(s.fn)} {ex(s.arg)}"
-        elif isinstance(s, SAlloc):
-            head = f"alloc {s.name} {ty_to_sexpr(s.cell_ty)} {ex(s.init)}"
-        elif isinstance(s, SUpdate):
-            head = f"update {ex(s.ref)} {ex(s.rhs)}"
-        elif isinstance(s, SDynUpdate):
-            head = f"dyn-update {ex(s.ref)} {ex(s.rhs)} {ty_to_sexpr(s.ann)}"
-        elif isinstance(s, SCast):
-            head = (f"cast {s.name} {ex(s.expr)} {ty_to_sexpr(s.src)} "
-                    f"{ty_to_sexpr(s.tgt)}")
-        elif isinstance(s, SDynDeref):
-            head = f"dyn-deref {s.name} {ex(s.ref)} {ty_to_sexpr(s.ann)}"
-        else:
+    while type(s) is not SRet and type(s) is not STailCall:
+        if not isinstance(s, Stmt) or type(s) not in _IR_KEYWORDS:
             raise TypeError(f"not a statement: {s!r}")
-        parts.append(f"{'  ' * depth}({head}\n")
-        s = s.body
+        *fields, body = s._key()
+        parts.append(f"{'  ' * depth}({_IR_KEYWORDS[type(s)]}"
+                     f"{_fields_to_sexpr(fields, depth)}\n")
+        s = body
         depth += 1
-    if isinstance(s, SRet):
-        leaf = f"(return {ex(s.expr)})"
-    else:
-        leaf = f"(tailcall {ex(s.fn)} {ex(s.arg)})"
-    return "".join(parts) + "  " * depth + leaf + ")" * (depth - indent)
+    leaf = "return" if type(s) is SRet else "tailcall"
+    return (f"{''.join(parts)}{'  ' * depth}({leaf}"
+            f"{_fields_to_sexpr(s._key(), depth)}){')' * (depth - indent)}")
