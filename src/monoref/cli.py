@@ -29,7 +29,6 @@ from .surface import (
     elaborate,
     parse_surface,
     stmt_to_sexpr,
-    ty_to_sexpr,
     typecheck_surface,
 )
 from .typecheck import TypeCheckError
@@ -96,7 +95,7 @@ def _default_fuel() -> int:
 
 def cmd_check(args) -> int:
     _, ty = _load(args.file)
-    print(ty_to_sexpr(ty))
+    print(ty)
     return EXIT_OK
 
 

@@ -59,7 +59,7 @@ def proxy(v, src: RefT, tgt: RefT, heap, work) -> GProxy:
     """The guarded reference cast: one more proxy layer, no heap effects."""
     if isinstance(v, (VRef, GProxy)):
         return GProxy(v, src.cell, tgt.cell)
-    raise CastError(f"no cast from {src} to {tgt}")
+    raise CastError("no cast from {} to {}", src, tgt)
 
 
 def cast_g(v, src: Ty, tgt: Ty):

@@ -1,7 +1,8 @@
 """Core language definitions.
 
 The type language has integers, Booleans, pairs, functions, references,
-and the unknown type `dyn`. The IR separates pure expressions from
+and the unknown type `dyn`; a type prints, and the parser reads it, by
+the keywords of `TYPE_KEYWORDS`. The IR separates pure expressions from
 effectful statements; every control path through a statement ends in a
 return or a tail call. Runtime values, heap cell contents, and the
 observables produced by a finished run live here too, together with the
@@ -12,9 +13,14 @@ rendering: an opaque value, or the end of a run that gave none.
 
 Every runtime value is one object whose class is its runtime tag. An
 integer or Boolean is the host `int` or `bool` itself; the constant
-nodes `IntC` and `BoolC` are literal syntax and observables only. A heap
-cell is the pair `(value, tag)`, or `(Pending(value, src, tgt), tag)`
-while a cast on it is pending.
+nodes `IntC` and `BoolC` are literal syntax and observables only. The
+other values are pairs (`VPair`), closures (`Closure`), functions cast
+between two arrow types (`FunCast`), references (`VRef`), references
+seen through a guarded cast (`GProxy`) and injections into dyn
+(`Inject`). A heap cell is the pair `(value, tag)`, or
+`(Pending(value, src, tgt), tag)` while a cast on it is pending.
+Identifiers starting with `$` are reserved: the elaborator's
+temporaries use them, and so do the five names of a `FunCast`'s body.
 
 Every node, value and record class of the package derives from `Node`,
 an immutable record: its fields are its annotations, inherited ones
@@ -31,7 +37,11 @@ class Stuck(Exception):
 
 
 class CastError(Exception):
-    """Runtime cast failure; the user-visible error of the language."""
+    """Runtime cast failure; the user-visible error of the language.
+    Raised as `CastError(template, *types)`, formatted only if printed."""
+
+    def __str__(self) -> str:
+        return self.args[0].format(*self.args[1:])
 
 
 class FrozenNodeError(AttributeError):
@@ -94,43 +104,50 @@ class Node:
 class Ty(Node):
     """Base class of the type language."""
 
+    def __str__(self) -> str:
+        """`kw` or `(kw field ...)`, `kw` from `TYPE_KEYWORDS`; a loop."""
+        text, todo = [], [self]  # each type prints after a space
+        while todo:
+            t = todo.pop()
+            if type(t) is str:
+                text.append(t)
+            elif t._fields:
+                text.append(" (" + TYPE_KEYWORDS[type(t)])
+                todo += (")", *reversed(t._key()))
+            else:
+                text.append(" " + TYPE_KEYWORDS[type(t)])
+        return "".join(text)[1:]
+
 
 class IntT(Ty):
-    def __str__(self) -> str:
-        return "int"
+    pass
 
 
 class BoolT(Ty):
-    def __str__(self) -> str:
-        return "bool"
+    pass
 
 
 class PairT(Ty):
     left: Ty
     right: Ty
 
-    def __str__(self) -> str:
-        return f"(pair-ty {self.left} {self.right})"
-
 
 class ArrowT(Ty):
     dom: Ty
     cod: Ty
 
-    def __str__(self) -> str:
-        return f"(-> {self.dom} {self.cod})"
-
 
 class RefT(Ty):
     cell: Ty
 
-    def __str__(self) -> str:
-        return f"(ref-ty {self.cell})"
-
 
 class DynT(Ty):
-    def __str__(self) -> str:
-        return "dyn"
+    pass
+
+
+# The keyword each type constructor prints as, and the parser reads.
+TYPE_KEYWORDS = {IntT: "int", BoolT: "bool", DynT: "dyn", PairT: "pair-ty",
+                 ArrowT: "->", RefT: "ref-ty"}
 
 
 INT = IntT()
@@ -194,8 +211,7 @@ ISZERO = IsZero()
 
 
 # ---------------------------------------------------------------------------
-# IR syntax. Names are strings; identifiers starting with `$` are reserved
-# for generated temporaries and the bindings of wrapper closures.
+# IR syntax. Names are strings; those starting with `$` are reserved.
 
 class Expr(Node):
     pass
@@ -331,6 +347,17 @@ class GProxy(Val):
     tgt_cell: Ty
 
 
+class FunCast(Val):
+    """The function `fn` cast from arrow type `src` to `tgt`. A call runs
+    `body` with the argument bound to `$w0` and `fn` to `$w1`; the body
+    follows from the two types, so it takes no part in equality."""
+    _uncompared = ("body",)
+    fn: Val
+    src: Ty
+    tgt: Ty
+    body: Stmt
+
+
 class Inject(Val):
     payload: Val
     src_ty: Ty  # never DYN; injections box a value of known non-dyn type
@@ -403,7 +430,7 @@ def meet(a: Ty, b: Ty) -> Ty:
     if a is b or type(b) is DynT:
         return a
     if type(a) is not type(b) or not isinstance(a, Ty):
-        raise CastError(f"no meet of {a} and {b}")
+        raise CastError("no meet of {} and {}", a, b)
     return type(a)(*map(meet, a._key(), b._key())) if a._fields else a
 
 

@@ -6,7 +6,9 @@ one object whose class is its runtime tag: an integer or Boolean is the
 host `int` or `bool`, so a base-type result builds no node, a heap cell
 is `(value, tag)` or `(Pending(value, src, tgt), tag)`, and a stack
 frame is the tuple `(name, cont, env)` of a call's result name,
-continuation and saved environment. Casting a reference rewrites the
+continuation and saved environment. Casting a function between two
+arrow types makes a `FunCast`, whose body, built once per cast, the call
+rule runs just as it runs a closure's. Casting a reference rewrites the
 pointed-to heap cell toward the meet of its current tag and the target
 cell type, leaving a pending cast behind; statement execution resumes
 only once the worklist has drained. Heap tags only ever become less
@@ -38,6 +40,7 @@ from .lang import (
     EConst,
     Expr,
     Fst,
+    FunCast,
     GProxy,
     IDENTITY_HEADS,
     Inject,
@@ -198,40 +201,20 @@ def eval_expr(e: Expr, env: Env, heap: Heap) -> Val:
     return evaluate(e, env, heap, read_cell)
 
 
-# The wrapper's atoms carry no types, so every wrapper shares them.
+# A function cast's body shares its atoms: they carry no types.
 _W_ARG, _W_FN, _W_RESULT, _W_CAST_ARG = (
     Var("$w0"), Var("$w1"), Var("$w2"), Var("$w3"))
 _W_RETURN = SRet(Var("$w4"))
 
 
-def wrap(v: Val, dom: Ty, cod: Ty, new_dom: Ty, new_cod: Ty) -> Closure:
-    """Wrap a function value of type dom -> cod for use at new_dom -> new_cod.
-
-    The wrapper casts its argument back to `dom`, calls the wrapped
-    function, and casts the result out to `new_cod`. Its bound names use
-    the reserved `$` prefix and its environment is exactly the single
-    wrapped-function binding, so capture is impossible.
-    """
+def fun_cast(fn: Val, src: ArrowT, tgt: ArrowT) -> FunCast:
+    """`fn` cast from `src` to `tgt`: the body casts the argument `$w0`
+    back, calls `$w1` and casts the result out."""
     body = SCast(
-        "$w3", _W_ARG, new_dom, dom,
+        "$w3", _W_ARG, tgt.dom, src.dom,
         SCall("$w2", _W_FN, _W_CAST_ARG,
-              SCast("$w4", _W_RESULT, cod, new_cod, _W_RETURN)))
-    return Closure("$w0", new_dom, body, (("$w1", v),))
-
-
-def unwrap(v: Closure):
-    """(wrapped value, dom -> cod, new_dom -> new_cod) when `v` is a
-    closure that `wrap` built, else None."""
-    outer = v.body
-    if (type(outer) is not SCast or type(outer.body) is not SCall
-            or type(outer.body.body) is not SCast or len(v.env) != 1):
-        return None
-    inner = outer.body.body
-    fn = v.env[0][1]
-    dom, cod, new_dom, new_cod = outer.tgt, inner.src, outer.src, inner.tgt
-    if wrap(fn, dom, cod, new_dom, new_cod) != v:
-        return None
-    return fn, ArrowT(dom, cod), ArrowT(new_dom, new_cod)
+              SCast("$w4", _W_RESULT, src.cod, tgt.cod, _W_RETURN)))
+    return FunCast(fn, src, tgt, body)
 
 
 def mk_vcast(content, src: Ty, tgt: Ty) -> Pending:
@@ -245,17 +228,18 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     """Cast `v` from `src` to `tgt`, as both semantics do.
 
     Identity on matching base types and dyn (`IDENTITY_HEADS`); arrows
-    wrap; pairs go componentwise; a projection out of dyn requires the
-    injected type and the target to have the same head constructor,
-    which is equality of their ground types, since neither is dyn. A
-    cast between reference types is `cast_ref(v, src, tgt, heap, work)`,
-    which may update `heap` and the worklist `work` (head last) in place.
+    make a `FunCast`; pairs go componentwise; a projection out of dyn
+    requires the injected type and the target to have the same head
+    constructor, which is equality of their ground types, since neither
+    is dyn. A cast between reference types is `cast_ref(v, src, tgt,
+    heap, work)`, which may update `heap` and the worklist `work` (head
+    last) in place.
     """
     ts, tt = type(src), type(tgt)
     if ts is tt and ts in IDENTITY_HEADS:
         return v
     if ts is ArrowT and tt is ArrowT:
-        return wrap(v, src.dom, src.cod, tgt.dom, tgt.cod)
+        return fun_cast(v, src, tgt)
     tv = type(v)
     if tv is VPair and ts is PairT and tt is PairT:
         fst = cast_value(v.fst, src.left, tgt.left, heap, work, cast_ref)
@@ -266,10 +250,10 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     if tv is Inject and ts is DynT:
         if type(v.src_ty) is tt:
             return cast_value(v.payload, v.src_ty, tgt, heap, work, cast_ref)
-        raise CastError(f"projection of {v.src_ty} payload to {tgt}")
+        raise CastError("projection of {} payload to {}", v.src_ty, tgt)
     if tt is DynT:
         return Inject(v, src)
-    raise CastError(f"no cast from {src} to {tgt}")
+    raise CastError("no cast from {} to {}", src, tgt)
 
 
 def retag(v: Val, src: RefT, tgt: RefT, heap: Heap, work: list) -> Val:
@@ -277,7 +261,7 @@ def retag(v: Val, src: RefT, tgt: RefT, heap: Heap, work: list) -> Val:
     and the cell's tag lies below the tag, retag the cell with a pending
     cast and make its address the worklist's head."""
     if type(v) is not VRef:
-        raise CastError(f"no cast from {src} to {tgt}")
+        raise CastError("no cast from {} to {}", src, tgt)
     content, tag = heap_cell(heap, v.addr)
     lowered = meet(tgt.cell, tag)
     if not lesseq(tag, lowered):
@@ -340,7 +324,7 @@ def observe(v: Val) -> Observable:
         return OCon(BoolC(v))
     if isinstance(v, VPair):
         return OPair(observe(v.fst), observe(v.snd))
-    if isinstance(v, Closure):
+    if isinstance(v, (Closure, FunCast)):
         return O_FUN
     if isinstance(v, (VRef, GProxy)):
         return O_ADDR
@@ -381,7 +365,7 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
     """
     read, update, dyn_update = sem.read, sem.update, sem.dyn_update
     cast_ref, dyn_deref, active_step = sem.cast_ref, sem.dyn_deref, sem.active_step
-    index = 0
+    start = fuel
     while fuel > 0:
         if work:
             rule = active_step(heap, work)
@@ -395,14 +379,17 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
             elif t is STailCall or t is SCall:
                 fn = evaluate(stmt.fn, env, heap, read)
                 arg = evaluate(stmt.arg, env, heap, read)
-                if type(fn) is not Closure:
-                    raise Stuck(f"call of non-closure {fn!r}")
                 if t is SCall:
                     stack.append((stmt.name, stmt.body, env))
                     rule = "call"
                 else:
                     rule = "tailcall"
-                env = ((fn.param, arg),) + fn.env
+                if type(fn) is Closure:
+                    env = ((fn.param, arg),) + fn.env
+                elif type(fn) is FunCast:
+                    env = (("$w0", arg), ("$w1", fn.fn))
+                else:
+                    raise Stuck(f"call of non-function {fn!r}")
                 stmt = fn.body
             elif t is SRet:
                 if not stack:
@@ -449,8 +436,7 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
             else:
                 raise Stuck(f"no transition from {stmt!r}")
         if trace is not None:
-            trace(TraceRecord(index, rule, len(work), len(heap)))
-        index += 1
+            trace(TraceRecord(start - fuel, rule, len(work), len(heap)))
         fuel -= 1
     return stmt, env, fuel
 

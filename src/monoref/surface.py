@@ -24,7 +24,8 @@ Identifiers starting with `$` are reserved for generated temporaries.
 
 The reader makes one pass, pushing each line's tokens straight onto a
 stack of open lists. Fixed-shape forms are parsed from the tables
-`_FORMS` and `_TYPE_FORMS`, from which `_KEYWORDS` is also built. The
+`_FORMS` and `_TYPE_FORMS`, from which `_KEYWORDS` is also built; the
+type keywords come from `lang.TYPE_KEYWORDS`, by which types print. The
 IR is printed from one keyword table, `_IR_KEYWORDS`, which also names
 the primitives of `_PRIMS`.
 
@@ -59,6 +60,7 @@ from .lang import (
     ISZERO,
     PREV,
     SUCC,
+    TYPE_KEYWORDS,
     ArrowT,
     BoolC,
     Const,
@@ -281,9 +283,7 @@ def _type(sx) -> Ty:
     cls = _TYPE_FORMS.get(head)
     if cls is None or len(form) != 1 + len(cls._fields):
         _fail(sx, f"malformed type starting with {head!r}")
-    if len(form) == 2:
-        return cls(_type(form[1]))
-    return cls(_type(form[1]), _type(form[2]))
+    return cls(*map(_type, form[1:]))
 
 
 def _name(sx) -> str:
@@ -371,10 +371,11 @@ _FORMS = {
     "fst": (SFst, "(fst e)", (_expr,)),
     "snd": (SSnd, "(snd e)", (_expr,)),
 }
-# Type constructors take one type per field.
-_TYPE_FORMS = {"->": ArrowT, "pair-ty": PairT, "×": PairT, "ref-ty": RefT,
-               "ref": RefT}
-_BASE_TYPES = {"int": INT, "bool": BOOL, "dyn": DYN}
+# The type keywords of `TYPE_KEYWORDS`, plus the aliases `×` and `ref`. A
+# type constructor takes one type per field.
+_TYPE_FORMS = {**{kw: cls for cls, kw in TYPE_KEYWORDS.items() if cls._fields},
+               "×": PairT, "ref": RefT}
+_BASE_TYPES = {TYPE_KEYWORDS[type(t)]: t for t in (INT, BOOL, DYN)}
 _KEYWORDS = {*_FORMS, *_TYPE_FORMS, *_BASE_TYPES, *_PRIMS, "lambda", "let",
              "begin", ":", "#t", "#f", "true", "false"}
 
@@ -630,12 +631,6 @@ def elaborate(e: SurfExpr) -> Stmt:
 # ---------------------------------------------------------------------------
 # Printers
 
-def ty_to_sexpr(t: Ty) -> str:
-    if not isinstance(t, Ty):
-        raise TypeError(f"not a type: {t!r}")
-    return str(t)
-
-
 def const_to_sexpr(c: Const) -> str:
     """A literal as the parser reads it."""
     if isinstance(c, IntC):
@@ -662,7 +657,7 @@ def expr_to_sexpr(e: Expr, indent: int = 0) -> str:
         return const_to_sexpr(e.const)
     if cls is Lam:
         body = stmt_to_sexpr(e.body, indent + 1)
-        return f"(lambda ({e.param} : {ty_to_sexpr(e.param_ty)})\n{body})"
+        return f"(lambda ({e.param} : {e.param_ty})\n{body})"
     if cls is PrimApp:
         cls, fields = type(e.op), (*e.op._key(), e.arg)
     elif isinstance(e, Expr) and cls in _IR_KEYWORDS:

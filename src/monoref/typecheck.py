@@ -18,6 +18,7 @@ from .lang import (
     Deref,
     EConst,
     Expr,
+    FunCast,
     Inject,
     Lam,
     MkPair,
@@ -48,7 +49,6 @@ from .lang import (
     typeof_const,
     typeof_opr,
 )
-from .machine import unwrap
 
 TyEnv = tuple  # sequence of (name, Ty), newest binding first
 StoreTy = dict  # address -> Ty
@@ -200,7 +200,7 @@ def environment_typing(sigma: StoreTy, env) -> TyEnv:
     the heap tag of their address (the minimal type the reference rule
     allows), injections at dyn, closures at the arrow type their body
     synthesizes under the canonical typing of the captured environment,
-    and function wrappers at their target arrow.
+    and function casts (`FunCast`) at their target arrow.
     """
     return tuple((name, value_type(sigma, v)) for name, v in env)
 
@@ -220,19 +220,13 @@ def value_type(sigma: StoreTy, v: Val) -> Ty:
         return RefT(sigma[v.addr])
     if isinstance(v, Inject):
         return DYN
+    if isinstance(v, FunCast):
+        # `src` and `tgt` may agree only in their heads: a projection out
+        # of dyn casts a payload from the type it was injected at.
+        if not wt_val(sigma, v.fn, v.src):
+            raise TypeCheckError(f"cast of a function not of type {v.src}")
+        return v.tgt
     if isinstance(v, Closure):
-        # A wrapper is the cast value `fn : A => B` between two arrows,
-        # which need not be consistent: a projection out of dyn casts the
-        # payload from its injected type, which matches the target only
-        # in its head constructor. It types at B once `fn` types at A;
-        # its casts fail only on a value that meets a part where A and B
-        # disagree.
-        wrapper = unwrap(v)
-        if wrapper is not None:
-            fn, fn_ty, ty = wrapper
-            if not wt_val(sigma, fn, fn_ty):
-                raise TypeCheckError(f"wrapper of a value not of type {fn_ty}")
-            return ty
         gamma = ((v.param, v.param_ty),) + environment_typing(sigma, v.env)
         return ArrowT(v.param_ty, check_stmt(gamma, v.body))
     raise TypeCheckError(f"not a value: {v!r}")
@@ -255,9 +249,7 @@ def wt_val(sigma: StoreTy, v: Val, ty: Ty) -> bool:
                 and lesseq(sigma[v.addr], ty.cell))
     if isinstance(v, Inject):
         return ty == DYN and wt_val(sigma, v.payload, v.src_ty)
-    if isinstance(v, Closure):
-        if not (isinstance(ty, ArrowT) and ty.dom == v.param_ty):
-            return False
+    if isinstance(v, (Closure, FunCast)):
         try:
             return value_type(sigma, v) == ty
         except TypeCheckError:

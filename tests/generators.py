@@ -6,7 +6,8 @@ programs, optionally biased toward reference allocation, reference
 casts, and dynamic access forms. `HeapGen` builds well-typed runtime
 heaps together with typed values for exercising the cast function
 directly; generated closures capture values at their canonical runtime
-types so the typing oracle accepts them.
+types so the typing oracle accepts them, and some functions come cast
+from a consistent arrow type (`FunCast`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from monoref.lang import (
     Var,
     lesseq,
 )
+from monoref.machine import fun_cast
 from monoref.surface import (
     Lit,
     SApp,
@@ -364,7 +366,8 @@ class HeapGen:
     Addresses are allocated on demand while values are generated, so
     references (including cyclic ones) always point at cells whose tag
     satisfies the reference typing rule. Values captured by generated
-    closures use exact tags so their canonical typing matches.
+    closures use exact tags so their canonical typing matches; a value
+    at an arrow type is sometimes a closure cast to it (`FunCast`).
     """
 
     def __init__(self, rng: random.Random, max_depth: int = 2):
@@ -418,6 +421,11 @@ class HeapGen:
             return VPair(self.value_of(ty.left, exact),
                          self.value_of(ty.right, exact))
         if isinstance(ty, ArrowT):
+            if rng.random() < 0.3:
+                # A closure cast to `ty` from a consistent arrow.
+                src = ArrowT(consistent_variant(rng, ty.dom, True),
+                             consistent_variant(rng, ty.cod, True))
+                return fun_cast(self.closure_of(src.dom, src.cod), src, ty)
             return self.closure_of(ty.dom, ty.cod)
         if isinstance(ty, RefT):
             if exact:

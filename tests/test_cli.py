@@ -240,6 +240,17 @@ def test_deep_nesting_is_a_resource_failure(tmp_path, capsys):
     assert err == f"error: {path}: nesting too deep (RecursionError)\n"
 
 
+def test_check_prints_the_type_of_400_nested_lambdas(tmp_path, capsys):
+    # A type prints in a loop, so `check` reaches as far as the
+    # elaborator, which is also the typechecker, does.
+    path = tmp_path / "lambdas.gtlc"
+    path.write_text("(lambda (x : int) " * 400 + "x" + ")" * 400)
+    assert main(["check", str(path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == "(-> int " * 400 + "int" + ")" * 400 + "\n"
+
+
 def test_deep_proxy_chain_times_out(tmp_path, capsys):
     # The guarded semantics piles up proxies two per iteration and walks
     # them in a loop, so it runs out of fuel like the monotonic one.

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from generators import ProgramGen
-from kernels import all_kernels, kernel
+from kernels import all_kernels, kernel, lattice_kernels
 from monoref.guarded import GUARDED
 from monoref.lang import (
     BOOL,
@@ -33,13 +33,16 @@ from monoref.lang import (
     Deref,
     EConst,
     Fst,
+    FunCast,
     IntC,
     IsZero,
     Node,
     Pending,
     Prev,
+    SCall,
     SLet,
     SRet,
+    STailCall,
     SUpdate,
     Snd,
     Stuck,
@@ -54,6 +57,7 @@ from monoref.machine import (
     Semantics,
     State,
     delta,
+    evaluate,
     initial_state,
     step_with,
     steps_with,
@@ -233,11 +237,37 @@ def test_static_loop_builds_only_the_values_it_computes(sem, name, nodes,
 def test_a_call_pushes_no_node(sem, built):
     stmt = kernel("dyn-call")
     nodes = built_per_window(sem, stmt, built)
-    # Each iteration wraps the loop function (a closure over two casts
-    # and a call) and injects its result; its successor is a host int
-    # and the frame its non-tail call pushes is a tuple.
-    assert set(nodes) == {"Closure", "SCast", "SCall", "Inject"}
+    # Each iteration casts the loop function (a `FunCast` whose body is
+    # two casts and a call) and injects its result; its successor is a
+    # host int and the frame its non-tail call pushes is a tuple.
+    assert set(nodes) == {"FunCast", "SCast", "SCall", "Inject"}
     rules = Counter()
     steps_with(sem, 3_000, initial_state(stmt),
                lambda record: rules.update((record.rule,)))
     assert rules["call"] > 400
+
+
+def calls_of_function_casts(sem, stmt, window=3_000):
+    """Calls of a `FunCast` among steps `window` to `2 * window` of a run."""
+    state, calls = initial_state(stmt), 0
+    for n in range(2 * window):
+        s = state.stmt
+        if n >= window and not state.active and type(s) in (SCall, STailCall):
+            fn = evaluate(s.fn, state.env, state.heap, sem.read)
+            calls += type(fn) is FunCast
+        state = step_with(sem, state)
+    return calls
+
+
+@SEMANTICS
+def test_a_function_cast_builds_its_body_once(sem, built):
+    # lattice-001 calls each function it casts about three times under
+    # the monotonic semantics, and one cast function throughout under the
+    # guarded one. A cast builds the `FunCast` and its body, two casts
+    # and a call; a call of it builds nothing.
+    stmt = dict(lattice_kernels())["lattice-001"]
+    nodes = built_per_window(sem, stmt, built)
+    casts = nodes.get("FunCast", 0)
+    assert nodes.get("SCast", 0) == 2 * casts
+    assert nodes.get("SCall", 0) == casts
+    assert calls_of_function_casts(sem, stmt) > 2 * casts

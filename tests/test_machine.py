@@ -6,6 +6,7 @@ from monoref.lang import (
     BOOL,
     DYN,
     INT,
+    ArrowT,
     BoolC,
     CastError,
     Closure,
@@ -40,6 +41,7 @@ from monoref.machine import (
     delta,
     eval_expr,
     final,
+    fun_cast,
     initial_state,
     lookup,
     mk_vcast,
@@ -49,7 +51,6 @@ from monoref.machine import (
     steps,
     to_addr,
     to_val,
-    wrap,
 )
 
 INT4 = 4
@@ -131,21 +132,24 @@ def apply_value(fn, arg, heap=None):
     return run_to_value(stmt, env, heap)
 
 
+INT_INT = ArrowT(INT, INT)
+
+
 def test_wrap_identity_through_dyn():
-    wrapped = wrap(identity_closure(), INT, INT, DYN, DYN)
+    wrapped = fun_cast(identity_closure(), INT_INT, ArrowT(DYN, DYN))
     value, _ = apply_value(wrapped, Inject(INT4, INT))
     assert value == Inject(INT4, INT)
 
 
 def test_wrap_same_types_behaves_as_wrapped():
-    wrapped = wrap(identity_closure(), INT, INT, INT, INT)
+    wrapped = fun_cast(identity_closure(), INT_INT, INT_INT)
     value, _ = apply_value(wrapped, INT4)
     direct, _ = apply_value(identity_closure(), INT4)
     assert value == direct == INT4
 
 
 def test_wrap_bad_argument_cast_errors():
-    wrapped = wrap(identity_closure(), INT, INT, BOOL, BOOL)
+    wrapped = fun_cast(identity_closure(), INT_INT, ArrowT(BOOL, BOOL))
     stmt = STailCall(Var("$fn"), Var("$arg"))
     env = (("$fn", wrapped), ("$arg", TRUE))
     assert steps(1_000, State(stmt, env, (), {}, ())) == O_CASTERROR

@@ -323,6 +323,17 @@ def test_dyn_application_runs_through_wrapper():
     assert run(not_a_function) == run_g(not_a_function) == O_CASTERROR
 
 
+def test_a_cast_function_observes_as_a_function():
+    from monoref.guarded import run_g
+    from monoref.lang import O_FUN
+    from monoref.machine import run
+
+    cast_fn = elaborate(parse_surface(
+        "(cast (lambda (x : int) x) (-> dyn dyn))"))
+    assert check_stmt((), cast_fn) == ArrowT(DYN, DYN)
+    assert run(cast_fn) == run_g(cast_fn) == O_FUN
+
+
 def test_dyn_assignment_reaches_the_underlying_cell():
     from monoref.guarded import run_g
     from monoref.lang import IntC, OCon
@@ -600,9 +611,7 @@ def test_printers_cover_all_forms():
 
 @given(hypothesis_types())
 def test_type_print_parse_roundtrip(ty):
-    from monoref.surface import ty_to_sexpr
-
-    reparsed = parse_surface(f"(cast 4 {ty_to_sexpr(ty)})")
+    reparsed = parse_surface(f"(cast 4 {ty})")
     assert reparsed.ty == ty
 
 

@@ -31,7 +31,7 @@ from monoref.lang import (
     is_static,
     lesseq,
 )
-from monoref.machine import eval_expr, final, initial_state, step, wrap
+from monoref.machine import eval_expr, final, fun_cast, initial_state, step
 from monoref.surface import elaborate, parse_surface, typecheck_surface
 from monoref.typecheck import (
     TypeCheckError,
@@ -197,17 +197,34 @@ def test_value_type_of_a_wrapper_is_its_target_arrow():
     from monoref.typecheck import value_type
 
     identity = Closure("x", INT, SRet(Var("x")), ())
-    # A projection out of dyn can wrap a function between arrows that
-    # agree only in their head; the wrapper still types at its target.
+    # A projection out of dyn can cast a function between arrows that
+    # agree only in their head; the cast still types at its target.
+    int_int = ArrowT(INT, INT)
     for new_dom, new_cod in [(DYN, INT), (BOOL, BOOL), (INT, RefT(INT))]:
-        wrapper = wrap(identity, INT, INT, new_dom, new_cod)
-        assert value_type({}, wrapper) == ArrowT(new_dom, new_cod)
-        assert wt_val({}, wrapper, ArrowT(new_dom, new_cod))
-    wrong_source = wrap(identity, BOOL, INT, DYN, DYN)
+        cast_fn = fun_cast(identity, int_int, ArrowT(new_dom, new_cod))
+        assert value_type({}, cast_fn) == ArrowT(new_dom, new_cod)
+        assert wt_val({}, cast_fn, ArrowT(new_dom, new_cod))
+    wrong_source = fun_cast(identity, ArrowT(BOOL, INT), ArrowT(DYN, DYN))
     with pytest.raises(TypeCheckError):
         value_type({}, wrong_source)
-    assert not wt_val({}, wrap(VRef(0), INT, INT, INT, INT),
-                      ArrowT(INT, INT))
+    assert not wt_val({}, fun_cast(VRef(0), int_int, int_int), int_int)
+
+
+def test_a_cast_of_a_cast_function_types_at_its_target():
+    from monoref.typecheck import value_type
+
+    identity = Closure("x", INT, SRet(Var("x")), ())
+    dyn_dyn = ArrowT(DYN, DYN)
+    once = fun_cast(identity, ArrowT(INT, INT), dyn_dyn)
+    twice = fun_cast(once, dyn_dyn, ArrowT(INT, BOOL))
+    assert value_type({}, twice) == ArrowT(INT, BOOL)
+    assert wt_val({}, twice, ArrowT(INT, BOOL))
+    assert not wt_val({}, twice, dyn_dyn)
+    # The inner cast types at its target, not at its source.
+    misread = fun_cast(once, ArrowT(INT, INT), dyn_dyn)
+    with pytest.raises(TypeCheckError):
+        value_type({}, misread)
+    assert not wt_val({}, misread, dyn_dyn)
 
 
 def test_wt_heap_missing_address():
