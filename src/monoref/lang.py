@@ -307,16 +307,35 @@ class SDynDeref(Stmt):
 
 
 # ---------------------------------------------------------------------------
-# Runtime values beyond integers and Booleans. Environments are association
-# sequences, newest binding first; closures capture them whole. Type
-# environments have the same shape.
+# Runtime values beyond integers and Booleans. An environment is a linked
+# cell `(name, value, rest)`, newest binding first, and `()` is the empty
+# one: a binding is one 3-tuple, and a closure shares its scope's tail.
+# The checker's and the elaborator's scopes have the same shape.
 
-def lookup(key, pairs):
-    """First match in an association sequence, or Stuck."""
-    for name, value in pairs:
+def lookup(key, env):
+    """The value of the newest binding of `key` in a linked environment,
+    or Stuck."""
+    while env:
+        name, value, env = env
         if name == key:
             return value
     raise Stuck(f"unbound name {key!r}")
+
+
+def bindings(env):
+    """The (name, value) pairs of a linked environment, newest first."""
+    while env:
+        name, value, env = env
+        yield name, value
+
+
+def link(pairs):
+    """The linked environment of a sequence of (name, value) pairs, newest
+    first; the inverse of `bindings`."""
+    env = ()
+    for name, value in reversed(tuple(pairs)):
+        env = (name, value, env)
+    return env
 
 
 class VPair(Val):
@@ -328,7 +347,7 @@ class Closure(Val):
     param: str
     param_ty: Ty
     body: Stmt
-    env: tuple
+    env: tuple  # linked environment cell
 
 
 class VRef(Val):

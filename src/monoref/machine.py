@@ -1,12 +1,16 @@
 """The monotonic-reference abstract machine, and the driver of both semantics.
 
 A machine state is a statement, an environment, a procedure call stack,
-a tagged heap, and a worklist of active addresses. Each runtime value is
+a tagged heap, and a worklist of active addresses. An environment is a
+linked cell `(name, value, rest)`, `()` when empty (Dybvig, "Three
+Implementation Models for Scheme", 1987): a binding builds one 3-tuple
+and copies nothing, and a closure or a stack frame shares its scope's
+tail. Each runtime value is
 one object whose class is its runtime tag: an integer or Boolean is the
 host `int` or `bool`, so a base-type result builds no node, a heap cell
 is `(value, tag)` or `(Pending(value, src, tgt), tag)`, and a stack
 frame is the tuple `(name, cont, env)` of a call's result name,
-continuation and saved environment. Casting a function between two
+continuation and saved environment cell. Casting a function between two
 arrow types makes a `FunCast`, whose body, built once per cast, the call
 rule runs just as it runs a closure's. Casting a reference rewrites the
 pointed-to heap cell toward the meet of its current tag and the target
@@ -19,6 +23,8 @@ is what keeps casts over heap cycles from diverging.
 fresh addresses are allocated at the heap's size and never reclaimed.
 `step`, `cast` and the guarded `gwrite` copy at the boundary: they
 return new heaps and never mutate a `State` or a heap handed to them.
+`State.env` alone lists its bindings as (name, value) pairs, newest
+first: the driver links it on entry and `step` lists it again.
 A `Semantics` supplies what the guarded semantics does differently.
 The driver reads and writes a plain reference itself, which is all that
 statically typed code does with the heap: it calls a semantics' `read`
@@ -82,24 +88,26 @@ from .lang import (
     VRef,
     Val,
     Var,
+    bindings,
     lesseq,
-    lookup,
+    link,
     meet,
 )
 
 DEFAULT_FUEL = 1_000_000
 
-Env = tuple  # sequence of (name, Val), newest binding first
+Env = tuple  # linked cell (name, Val, rest), newest binding first; () is empty
 Heap = dict  # address -> (Val or Pending, Ty)
 Active = tuple  # worklist of addresses, head processed first
 
 
 class State(Node):
-    """A machine configuration. `stack` holds one `(name, cont, env)`
-    tuple per pending call, innermost first: the name the call's result
-    binds, the statement that resumes, and the caller's environment."""
+    """A machine configuration. `env` lists the bindings as (name, value)
+    pairs, newest first. `stack` holds one `(name, cont, env)` tuple per
+    pending call, innermost first: the name the call's result binds, the
+    statement that resumes, and the caller's linked environment cell."""
     stmt: Stmt
-    env: Env
+    env: tuple
     stack: tuple
     heap: Heap
     active: Active
@@ -169,12 +177,13 @@ def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
     missing cell, goes to `read(ref, heap)`."""
     t = type(e)
     if t is Var:
-        # Scanned inline: a call per variable cost 3-5% of static-loop steps/s.
+        # Walked inline: a call per variable cost 3-5% of static-loop steps/s.
         name = e.name
-        for key, v in env:
+        while env:
+            key, v, env = env
             if key == name:
                 return v
-        return lookup(name, env)
+        raise Stuck(f"unbound name {name!r}")
     if t is EConst:
         return e.const.value
     if t is PrimApp:
@@ -373,7 +382,7 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
             t = type(stmt)
             if t is SLet:
                 v = evaluate(stmt.rhs, env, heap, read)
-                env = ((stmt.name, v),) + env
+                env = (stmt.name, v, env)
                 stmt = stmt.body
                 rule = "let"
             elif t is STailCall or t is SCall:
@@ -385,9 +394,9 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 else:
                     rule = "tailcall"
                 if type(fn) is Closure:
-                    env = ((fn.param, arg),) + fn.env
+                    env = (fn.param, arg, fn.env)
                 elif type(fn) is FunCast:
-                    env = (("$w0", arg), ("$w1", fn.fn))
+                    env = ("$w0", arg, ("$w1", fn.fn, ()))
                 else:
                     raise Stuck(f"call of non-function {fn!r}")
                 stmt = fn.body
@@ -396,13 +405,13 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     break
                 v = evaluate(stmt.expr, env, heap, read)
                 name, stmt, env = stack.pop()
-                env = ((name, v),) + env
+                env = (name, v, env)
                 rule = "return"
             elif t is SAlloc:
                 v = evaluate(stmt.init, env, heap, read)
                 addr = len(heap)
                 heap[addr] = (v, stmt.cell_ty)
-                env = ((stmt.name, VRef(addr)),) + env
+                env = (stmt.name, VRef(addr), env)
                 stmt = stmt.body
                 rule = "alloc"
             elif t is SUpdate:
@@ -418,13 +427,13 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
             elif t is SCast:
                 v = evaluate(stmt.expr, env, heap, read)
                 v = cast_value(v, stmt.src, stmt.tgt, heap, work, cast_ref)
-                env = ((stmt.name, v),) + env
+                env = (stmt.name, v, env)
                 stmt = stmt.body
                 rule = "cast"
             elif t is SDynDeref:
                 ref = evaluate(stmt.ref, env, heap, read)
                 v = dyn_deref(ref, stmt.ann, heap, work)
-                env = ((stmt.name, v),) + env
+                env = (stmt.name, v, env)
                 stmt = stmt.body
                 rule = "dyn-deref"
             elif t is SDynUpdate:
@@ -442,21 +451,23 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
 
 
 def _unpack(sem: Semantics, state: State):
-    """Private copies of a state's stack, heap and worklist, tops last."""
+    """A state's environment as a linked cell, and private copies of its
+    stack, heap and worklist, tops last."""
     if state.active and sem.active_step is None:
         raise Stuck("a worklist in a state of a semantics without one")
-    return (list(reversed(state.stack)), dict(state.heap),
+    return (link(state.env), list(reversed(state.stack)), dict(state.heap),
             list(reversed(state.active)))
 
 
 def step_with(sem: Semantics, state: State) -> State:
     """One transition on a copy of `state`; Stuck at a final state."""
-    stack, heap, work = _unpack(sem, state)
-    stmt, env, left = _transitions(sem, 1, state.stmt, state.env, stack,
-                                   heap, work, None)
+    env, stack, heap, work = _unpack(sem, state)
+    stmt, env, left = _transitions(sem, 1, state.stmt, env, stack, heap,
+                                   work, None)
     if left:
         raise Stuck("return from the outermost statement")
-    return State(stmt, env, tuple(reversed(stack)), heap, tuple(reversed(work)))
+    return State(stmt, tuple(bindings(env)), tuple(reversed(stack)), heap,
+                 tuple(reversed(work)))
 
 
 def steps_with(sem: Semantics, fuel: int, state: State,
@@ -470,9 +481,9 @@ def steps_with(sem: Semantics, fuel: int, state: State,
     transition.
     """
     try:
-        stack, heap, work = _unpack(sem, state)
-        stmt, env, left = _transitions(sem, fuel, state.stmt, state.env,
-                                       stack, heap, work, trace)
+        env, stack, heap, work = _unpack(sem, state)
+        stmt, env, left = _transitions(sem, fuel, state.stmt, env, stack,
+                                       heap, work, trace)
         if left <= 0:
             return O_TIMEOUT
         v = evaluate(stmt.expr, env, heap, sem.read)

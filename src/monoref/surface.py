@@ -27,7 +27,8 @@ stack of open lists. Fixed-shape forms are parsed from the tables
 `_FORMS` and `_TYPE_FORMS`, from which `_KEYWORDS` is also built; the
 type keywords come from `lang.TYPE_KEYWORDS`, by which types print. The
 IR is printed from one keyword table, `_IR_KEYWORDS`, which also names
-the primitives of `_PRIMS`.
+the primitives of `_PRIMS`, and from an explicit work stack, so a
+printed program may nest as deeply as it runs.
 
 Typechecking is consistency-based: `dyn` is consistent with everything,
 other types structurally with themselves. An operand of type dyn used as
@@ -94,6 +95,7 @@ from .lang import (
     Var,
     consistent,
     is_static,
+    link,
     lookup,
     typeof_const,
     typeof_opr,
@@ -444,7 +446,8 @@ class _Elaborator:
     A `let` keeps its name unless a `let` or a lambda has already bound
     that name in the program; then it gets a fresh `$tN`, since the rest
     of the enclosing expression is emitted inside its binding. `gamma`
-    maps each surface name to its atom and type.
+    is a linked environment (`lang.lookup`) that binds each surface name
+    to its atom and type.
     """
 
     def __init__(self):
@@ -500,7 +503,7 @@ class _Elaborator:
                 name = self.fresh() if e.name in self.bound else e.name
                 self.bound.add(e.name)
                 heads.append((SLet, name, atom))
-                gamma = ((e.name, (Var(name), ty)),) + gamma
+                gamma = (e.name, (Var(name), ty), gamma)
                 e = e.body
             elif isinstance(e, SBegin):
                 self.atom(e.first, gamma, heads)
@@ -528,8 +531,8 @@ class _Elaborator:
                                      _pos_path(e)) from None
         if isinstance(e, SLambda):
             self.bound.add(e.param)
-            param = ((e.param, (Var(e.param), e.ann)),)
-            body, cod = self.tail(e.body, param + gamma)
+            param = (e.param, (Var(e.param), e.ann), gamma)
+            body, cod = self.tail(e.body, param)
             return (self.bind(heads, SLet, Lam(e.param, e.ann, body)),
                     ArrowT(e.ann, cod))
         if isinstance(e, SApp):
@@ -606,7 +609,7 @@ def typecheck_surface(gamma, e: SurfExpr) -> Ty:
     This is the elaborator's pass, each name in `gamma` standing for
     itself; in the empty context its IR is kept for `elaborate`."""
     global _last
-    scope = tuple((name, (Var(name), ty)) for name, ty in gamma)
+    scope = link([(name, (Var(name), ty)) for name, ty in gamma])
     stmt, ty = _Elaborator().tail(e, scope)
     _last = None if scope else (e, stmt)
     return ty
@@ -638,48 +641,65 @@ def const_to_sexpr(c: Const) -> str:
     return "#t" if c.value else "#f"
 
 
-def _fields_to_sexpr(fields, indent: int) -> str:
-    """Names, types and expressions printed in order, each after a space.
-    A loop, not a generator, so a nested lambda costs no extra frame."""
-    text = ""
+def _field_items(fields, indent: int) -> list:
+    """Names, types and expressions in order, each after a space: text,
+    or an expression still to print at `indent`."""
+    items = []
     for x in fields:
-        if type(x) is not str and not isinstance(x, Ty):
-            x = expr_to_sexpr(x, indent)
-        text += f" {x}"
-    return text
+        items += (" ", f"{x}" if type(x) is str or isinstance(x, Ty)
+                  else (x, indent, Expr))
+    return items
+
+
+def _to_sexpr(node, indent: int, kind) -> str:
+    """`node`, an `Expr` or `Stmt` as `kind` says, printed at `indent`
+    from an explicit work stack: neither a statement's body nor a
+    lambda's costs a Python frame. The stack holds text to emit and
+    (node, indent, kind) triples still to print, the next on top."""
+    text, todo = [], [(node, indent, kind)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            text.append(item)
+            continue
+        x, indent, kind = item
+        cls = type(x)
+        if kind is Stmt:
+            items, depth = [], indent
+            while cls is not SRet and cls is not STailCall:
+                if not isinstance(x, Stmt) or cls not in _IR_KEYWORDS:
+                    raise TypeError(f"not a statement: {x!r}")
+                *fields, x = x._key()
+                items += (f"{'  ' * depth}({_IR_KEYWORDS[cls]}",
+                          *_field_items(fields, depth), "\n")
+                cls, depth = type(x), depth + 1
+            leaf = "return" if cls is SRet else "tailcall"
+            items += (f"{'  ' * depth}({leaf}", *_field_items(x._key(), depth),
+                      ")" * (depth - indent + 1))
+        elif cls is Var:
+            items = (x.name,)
+        elif cls is EConst:
+            items = (const_to_sexpr(x.const),)
+        elif cls is Lam:
+            items = (f"(lambda ({x.param} : {x.param_ty})\n",
+                     (x.body, indent + 1, Stmt), ")")
+        else:
+            if cls is PrimApp:
+                cls, fields = type(x.op), (*x.op._key(), x.arg)
+            elif isinstance(x, Expr) and cls in _IR_KEYWORDS:
+                fields = x._key()
+            else:
+                raise TypeError(f"not an expression: {x!r}")
+            items = (f"({_IR_KEYWORDS[cls]}", *_field_items(fields, indent),
+                     ")")
+        todo += reversed(items)
+    return "".join(text)
 
 
 def expr_to_sexpr(e: Expr, indent: int = 0) -> str:
-    cls = type(e)
-    if cls is Var:
-        return e.name
-    if cls is EConst:
-        return const_to_sexpr(e.const)
-    if cls is Lam:
-        body = stmt_to_sexpr(e.body, indent + 1)
-        return f"(lambda ({e.param} : {e.param_ty})\n{body})"
-    if cls is PrimApp:
-        cls, fields = type(e.op), (*e.op._key(), e.arg)
-    elif isinstance(e, Expr) and cls in _IR_KEYWORDS:
-        fields = e._key()
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    return f"({_IR_KEYWORDS[cls]}{_fields_to_sexpr(fields, indent)})"
+    return _to_sexpr(e, indent, Expr)
 
 
 def stmt_to_sexpr(s: Stmt, indent: int = 0) -> str:
-    """Print a statement, following bodies in a loop; only the bodies of
-    lambdas recurse."""
-    parts = []
-    depth = indent
-    while type(s) is not SRet and type(s) is not STailCall:
-        if not isinstance(s, Stmt) or type(s) not in _IR_KEYWORDS:
-            raise TypeError(f"not a statement: {s!r}")
-        *fields, body = s._key()
-        parts.append(f"{'  ' * depth}({_IR_KEYWORDS[type(s)]}"
-                     f"{_fields_to_sexpr(fields, depth)}\n")
-        s = body
-        depth += 1
-    leaf = "return" if type(s) is SRet else "tailcall"
-    return (f"{''.join(parts)}{'  ' * depth}({leaf}"
-            f"{_fields_to_sexpr(s._key(), depth)}){')' * (depth - indent)}")
+    """Print a statement, its body indented one level per statement."""
+    return _to_sexpr(s, indent, Stmt)

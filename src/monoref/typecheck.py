@@ -42,9 +42,11 @@ from .lang import (
     VRef,
     Val,
     Var,
+    bindings,
     consistent,
     is_static,
     lesseq,
+    link,
     lookup,
     typeof_const,
     typeof_opr,
@@ -69,119 +71,144 @@ class TypeCheckError(Exception):
 
 
 def check_expr(gamma, e: Expr, path: tuple = ()) -> Ty:
-    """Synthesize the type of a pure expression under `gamma`."""
+    """Synthesize the type of a pure expression under `gamma`, a sequence
+    of (name, type) pairs, newest first, at `path` into the AST."""
+    return _expr(link(gamma), e, _link_path(path))
+
+
+def check_stmt(gamma, s: Stmt, path: tuple = ()) -> Ty:
+    """Synthesize the type of a statement under `gamma`, a sequence of
+    (name, type) pairs, newest first, at `path` into the AST."""
+    return _stmt(link(gamma), s, _link_path(path))
+
+
+# The checker's own scope is a linked environment, and its path a linked
+# cell `(segment, rest)`, innermost segment first: a statement extends
+# both without copying, and a path is listed only for an error.
+
+def _link_path(path: tuple):
+    cell = ()
+    for segment in path:
+        cell = (segment, cell)
+    return cell
+
+
+def _error(message: str, path) -> TypeCheckError:
+    segments = []
+    while path:
+        segment, path = path
+        segments.append(segment)
+    return TypeCheckError(message, tuple(reversed(segments)))
+
+
+def _expr(gamma, e: Expr, path) -> Ty:
     if isinstance(e, Var):
         try:
             return lookup(e.name, gamma)
         except Stuck:
-            raise TypeCheckError(f"unbound variable {e.name!r}", path) from None
+            raise _error(f"unbound variable {e.name!r}", path) from None
     if isinstance(e, EConst):
         return typeof_const(e.const)
     if isinstance(e, PrimApp):
         arrow = typeof_opr(e.op)
-        arg_ty = check_expr(gamma, e.arg, path + ("arg",))
+        arg_ty = _expr(gamma, e.arg, ("arg", path))
         if arg_ty != arrow.dom:
-            raise TypeCheckError(
+            raise _error(
                 f"operator expects {arrow.dom}, argument has type {arg_ty}", path)
         return arrow.cod
     if isinstance(e, MkPair):
-        return PairT(check_expr(gamma, e.fst, path + ("fst",)),
-                     check_expr(gamma, e.snd, path + ("snd",)))
+        return PairT(_expr(gamma, e.fst, ("fst", path)),
+                     _expr(gamma, e.snd, ("snd", path)))
     if isinstance(e, Lam):
-        body_ty = check_stmt(((e.param, e.param_ty),) + tuple(gamma),
-                             e.body, path + ("body",))
+        body_ty = _stmt((e.param, e.param_ty, gamma), e.body, ("body", path))
         return ArrowT(e.param_ty, body_ty)
     if isinstance(e, Deref):
-        ref_ty = check_expr(gamma, e.ref, path + ("ref",))
+        ref_ty = _expr(gamma, e.ref, ("ref", path))
         if not isinstance(ref_ty, RefT):
-            raise TypeCheckError(f"dereference of non-reference type {ref_ty}", path)
+            raise _error(f"dereference of non-reference type {ref_ty}", path)
         if not is_static(ref_ty.cell):
-            raise TypeCheckError(
+            raise _error(
                 f"dereference of non-static reference type {ref_ty}", path)
         return ref_ty.cell
-    raise TypeCheckError(f"unknown expression form {e!r}", path)
+    raise _error(f"unknown expression form {e!r}", path)
 
 
-def check_stmt(gamma, s: Stmt, path: tuple = ()) -> Ty:
-    """Synthesize the type of a statement under `gamma`.
-
-    Follows each statement's body in a loop; only a `Lam` body nested in
-    an expression costs a Python frame.
-    """
-    gamma = tuple(gamma)
+def _stmt(gamma, s: Stmt, path) -> Ty:
+    """Follows each statement's body in a loop; only a `Lam` body nested
+    in an expression costs a Python frame."""
     while True:
         if isinstance(s, SLet):
-            rhs_ty = check_expr(gamma, s.rhs, path + ("let-rhs",))
-            gamma = ((s.name, rhs_ty),) + gamma
-            s, path = s.body, path + ("let-body",)
+            rhs_ty = _expr(gamma, s.rhs, ("let-rhs", path))
+            gamma = (s.name, rhs_ty, gamma)
+            s, path = s.body, ("let-body", path)
         elif isinstance(s, SRet):
-            return check_expr(gamma, s.expr, path + ("return",))
+            return _expr(gamma, s.expr, ("return", path))
         elif isinstance(s, (SCall, STailCall)):
-            fn_ty = check_expr(gamma, s.fn, path + ("fn",))
+            fn_ty = _expr(gamma, s.fn, ("fn", path))
             if not isinstance(fn_ty, ArrowT):
-                raise TypeCheckError(f"call of non-function type {fn_ty}", path)
-            arg_ty = check_expr(gamma, s.arg, path + ("call-arg",))
+                raise _error(f"call of non-function type {fn_ty}", path)
+            arg_ty = _expr(gamma, s.arg, ("call-arg", path))
             if arg_ty != fn_ty.dom:
-                raise TypeCheckError(
+                raise _error(
                     f"call expects {fn_ty.dom}, argument has type {arg_ty}", path)
             if isinstance(s, STailCall):
                 return fn_ty.cod
-            gamma = ((s.name, fn_ty.cod),) + gamma
-            s, path = s.body, path + ("call-body",)
+            gamma = (s.name, fn_ty.cod, gamma)
+            s, path = s.body, ("call-body", path)
         elif isinstance(s, SAlloc):
-            init_ty = check_expr(gamma, s.init, path + ("alloc-init",))
+            init_ty = _expr(gamma, s.init, ("alloc-init", path))
             if init_ty != s.cell_ty:
-                raise TypeCheckError(
+                raise _error(
                     f"allocation at {s.cell_ty} initialized with {init_ty}", path)
-            gamma = ((s.name, RefT(s.cell_ty)),) + gamma
-            s, path = s.body, path + ("alloc-body",)
+            gamma = (s.name, RefT(s.cell_ty), gamma)
+            s, path = s.body, ("alloc-body", path)
         elif isinstance(s, SUpdate):
-            ref_ty = check_expr(gamma, s.ref, path + ("update-ref",))
+            ref_ty = _expr(gamma, s.ref, ("update-ref", path))
             if not isinstance(ref_ty, RefT):
-                raise TypeCheckError(
+                raise _error(
                     f"update through non-reference type {ref_ty}", path)
             if not is_static(ref_ty.cell):
-                raise TypeCheckError(
+                raise _error(
                     f"update through non-static reference type {ref_ty}", path)
-            rhs_ty = check_expr(gamma, s.rhs, path + ("update-rhs",))
+            rhs_ty = _expr(gamma, s.rhs, ("update-rhs", path))
             if rhs_ty != ref_ty.cell:
-                raise TypeCheckError(
+                raise _error(
                     f"update expects {ref_ty.cell}, value has type {rhs_ty}",
                     path)
-            s, path = s.body, path + ("update-body",)
+            s, path = s.body, ("update-body", path)
         elif isinstance(s, SDynUpdate):
-            ref_ty = check_expr(gamma, s.ref, path + ("dyn-update-ref",))
+            ref_ty = _expr(gamma, s.ref, ("dyn-update-ref", path))
             if ref_ty != RefT(s.ann):
-                raise TypeCheckError(
+                raise _error(
                     f"annotated update at {s.ann} through reference of type "
                     f"{ref_ty}", path)
-            rhs_ty = check_expr(gamma, s.rhs, path + ("dyn-update-rhs",))
+            rhs_ty = _expr(gamma, s.rhs, ("dyn-update-rhs", path))
             if rhs_ty != s.ann:
-                raise TypeCheckError(
+                raise _error(
                     f"annotated update expects {s.ann}, value has type {rhs_ty}",
                     path)
-            s, path = s.body, path + ("dyn-update-body",)
+            s, path = s.body, ("dyn-update-body", path)
         elif isinstance(s, SCast):
-            src_ty = check_expr(gamma, s.expr, path + ("cast-expr",))
+            src_ty = _expr(gamma, s.expr, ("cast-expr", path))
             if src_ty != s.src:
-                raise TypeCheckError(
+                raise _error(
                     f"cast source annotated {s.src}, expression has type "
                     f"{src_ty}", path)
             if not consistent(s.src, s.tgt):
-                raise TypeCheckError(
+                raise _error(
                     f"cast from {s.src} to inconsistent {s.tgt}", path)
-            gamma = ((s.name, s.tgt),) + gamma
-            s, path = s.body, path + ("cast-body",)
+            gamma = (s.name, s.tgt, gamma)
+            s, path = s.body, ("cast-body", path)
         elif isinstance(s, SDynDeref):
-            ref_ty = check_expr(gamma, s.ref, path + ("dyn-deref-ref",))
+            ref_ty = _expr(gamma, s.ref, ("dyn-deref-ref", path))
             if ref_ty != RefT(s.ann):
-                raise TypeCheckError(
+                raise _error(
                     f"annotated dereference at {s.ann} through reference of "
                     f"type {ref_ty}", path)
-            gamma = ((s.name, s.ann),) + gamma
-            s, path = s.body, path + ("dyn-deref-body",)
+            gamma = (s.name, s.ann, gamma)
+            s, path = s.body, ("dyn-deref-body", path)
         else:
-            raise TypeCheckError(f"unknown statement form {s!r}", path)
+            raise _error(f"unknown statement form {s!r}", path)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +220,8 @@ def derive_store_typing(heap) -> StoreTy:
 
 
 def environment_typing(sigma: StoreTy, env) -> TyEnv:
-    """Canonical typing of a runtime environment.
+    """Canonical typing of a linked runtime environment, as (name, type)
+    pairs, newest first.
 
     Each captured value is assigned its canonical runtime type: a host
     `int` at int and a `bool` at bool, pairs structurally, references at
@@ -202,7 +230,7 @@ def environment_typing(sigma: StoreTy, env) -> TyEnv:
     synthesizes under the canonical typing of the captured environment,
     and function casts (`FunCast`) at their target arrow.
     """
-    return tuple((name, value_type(sigma, v)) for name, v in env)
+    return tuple((name, value_type(sigma, v)) for name, v in bindings(env))
 
 
 def value_type(sigma: StoreTy, v: Val) -> Ty:

@@ -444,4 +444,4 @@ class HeapGen:
         if dom == cod and self.rng.random() < 0.5:
             return Closure("x", dom, SRet(Var("x")), ())
         captured = self.value_of(cod, exact=True)
-        return Closure("x", dom, SRet(Var("$c")), (("$c", captured),))
+        return Closure("x", dom, SRet(Var("$c")), ("$c", captured, ()))

@@ -28,6 +28,7 @@ from monoref.lang import (
     Stuck,
     VRef,
     ground,
+    link,
     lookup,
 )
 from monoref.machine import (
@@ -171,7 +172,7 @@ def test_ref_cast_loop_piles_up_proxies(iterations):
             entries += 1
             if entries == iterations + 1:
                 break
-    ref = lookup("r", state.env)
+    ref = lookup("r", link(state.env))
     depth = 0
     v = ref
     while type(v) is GProxy:

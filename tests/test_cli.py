@@ -251,6 +251,22 @@ def test_check_prints_the_type_of_400_nested_lambdas(tmp_path, capsys):
     assert out == "(-> int " * 400 + "int" + ")" * 400 + "\n"
 
 
+def test_compile_prints_the_ir_of_400_nested_lambdas(tmp_path, capsys):
+    # The IR printer works from an explicit stack, lambda bodies
+    # included, so `compile` reaches as far as `check` does.
+    n = 400
+    path = tmp_path / "lambdas.gtlc"
+    path.write_text("(lambda (x : int) " * n + "x" + ")" * n)
+    assert main(["compile", str(path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    lets = [f"{'  ' * k}(let $t{n - 1 - k} (lambda (x : int)"
+            for k in range(n)]
+    returns = [f"{'  ' * (k + 1)}(return $t{n - 1 - k}))" + ")" * (k > 0)
+               for k in reversed(range(n))]
+    assert out == "\n".join(lets + ["  " * n + "(return x))"] + returns) + "\n"
+
+
 def test_deep_proxy_chain_times_out(tmp_path, capsys):
     # The guarded semantics piles up proxies two per iteration and walks
     # them in a loop, so it runs out of fuel like the monotonic one.

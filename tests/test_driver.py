@@ -2,6 +2,7 @@
 the boundary, and which exceptions the driver maps to observables."""
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from monoref.lang import (
     EConst,
     Inject,
     IntC,
+    Lam,
+    OCon,
     O_CASTERROR,
     O_STUCK,
     O_TIMEOUT,
@@ -35,6 +38,7 @@ from monoref.lang import (
     VPair,
     VRef,
     Var,
+    link,
 )
 from monoref.machine import (
     MONOTONIC,
@@ -81,7 +85,8 @@ def iterate(stepper, sem, state, fuel):
     for index in range(fuel):
         if final(state):
             try:
-                v = evaluate(state.stmt.expr, state.env, state.heap, sem.read)
+                v = evaluate(state.stmt.expr, link(state.env), state.heap,
+                             sem.read)
             except Stuck:
                 return O_STUCK, records
             except CastError:
@@ -185,7 +190,7 @@ def test_step_leaves_its_input_unchanged(stepper, state):
     # The stack keeps its innermost frame first.
     assert after.stack[-1] == FRAME
     if len(after.stack) == 2:
-        assert after.stack[0] == ("k", SRet(Var("k")), state.env)
+        assert after.stack[0] == ("k", SRet(Var("k")), link(state.env))
     # Stepping the same input again gives the same state.
     assert stepper(state) == after
 
@@ -197,6 +202,53 @@ def test_step_return_pops_the_innermost_frame():
     assert after.stack == (outer,) and after.stmt == FRAME[1]
     assert after.env == (("k", 3),)
     assert state.stack == (FRAME, outer)
+
+
+@pytest.mark.parametrize("stepper", [step, step_g])
+def test_step_lists_the_environment_as_pairs(stepper):
+    # `State.env` lists (name, value) pairs, newest first, although the
+    # driver keeps a linked cell; a closure and a frame hold the cell.
+    identity = Lam("y", INT, SRet(Var("y")))
+    stmt = SLet("x", EConst(IntC(1)), SLet("f", identity, SCall(
+        "z", Var("f"), Var("x"),
+        SAlloc("r", INT, Var("z"), SRet(Var("r"))))))
+    closure = Closure("y", INT, identity.body, ("x", 1, ()))
+    state, envs = initial_state(stmt), []
+    while not final(state):
+        state = stepper(state)
+        assert type(state.env) is tuple
+        assert all(type(b) is tuple and len(b) == 2 for b in state.env)
+        envs.append(state.env)
+        if state.stack:
+            assert state.stack[0][2] == ("f", closure, ("x", 1, ()))
+    assert envs == [
+        (("x", 1),),
+        (("f", closure), ("x", 1)),
+        (("y", 1), ("x", 1)),
+        (("z", 1), ("f", closure), ("x", 1)),
+        (("r", VRef(0)), ("z", 1), ("f", closure), ("x", 1)),
+    ]
+
+
+@pytest.mark.parametrize("runner", [run, run_g])
+def test_closures_share_their_scope(runner):
+    # Each of n `let`s binds a closure, which holds the scope it was made
+    # in. Linked cells share that scope's tail, so the memory a run holds
+    # grows linearly with n; copying each scope would make it quadratic
+    # (about 4x from n = 400 to 800).
+    def peak_bytes(n):
+        stmt = SRet(EConst(IntC(0)))
+        for i in range(n):
+            stmt = SLet(f"f{i}", Lam("x", INT, SRet(Var("x"))), stmt)
+        tracemalloc.start()
+        try:
+            assert runner(stmt) == OCon(IntC(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(800)  # a first run also makes one-time allocations
+    assert peak_bytes(800) < 2.5 * peak_bytes(400)
 
 
 REF_CAST_LOOP = """

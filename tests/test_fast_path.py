@@ -51,6 +51,7 @@ from monoref.lang import (
     VRef,
     Var,
     is_static,
+    link,
 )
 from monoref.machine import (
     MONOTONIC,
@@ -253,7 +254,7 @@ def calls_of_function_casts(sem, stmt, window=3_000):
     for n in range(2 * window):
         s = state.stmt
         if n >= window and not state.active and type(s) in (SCall, STailCall):
-            fn = evaluate(s.fn, state.env, state.heap, sem.read)
+            fn = evaluate(s.fn, link(state.env), state.heap, sem.read)
             calls += type(fn) is FunCast
         state = step_with(sem, state)
     return calls

@@ -1,4 +1,5 @@
-"""Type algebra: table cases and the order/meet lemmas; the Node contract."""
+"""Type algebra: table cases and the order/meet lemmas; the Node contract;
+linked environments."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,11 +24,15 @@ from monoref.lang import (
     SLet,
     SRet,
     SUCC,
+    Stuck,
     Var,
+    bindings,
     consistent,
     ground,
     is_static,
     lesseq,
+    link,
+    lookup,
     meet,
     typeof_const,
     typeof_opr,
@@ -252,3 +257,23 @@ def test_node_repr_keeps_the_record_format():
     assert repr(app) == (
         "SApp(fn=SVar(name='f', pos=(1, 2)), "
         "arg=Lit(const=IntC(value=3), pos=(1, 5)), pos=(1, 1))")
+
+
+def test_link_and_bindings_on_the_empty_environment():
+    assert link(()) == () and link([]) == ()
+    assert tuple(bindings(())) == ()
+    assert link([("x", 1), ("y", 2)]) == ("x", 1, ("y", 2, ()))
+
+
+@given(st.lists(st.tuples(st.sampled_from("xyz"), st.integers()), max_size=8))
+def test_link_and_bindings_round_trip(pairs):
+    env = link(pairs)
+    assert tuple(bindings(env)) == tuple(pairs)
+    assert link(bindings(env)) == env
+    for name in "xyz":
+        found = [value for key, value in pairs if key == name]
+        if found:
+            assert lookup(name, env) == found[0]
+        else:
+            with pytest.raises(Stuck):
+                lookup(name, env)

@@ -34,6 +34,8 @@ from monoref.lang import (
     VPair,
     VRef,
     Var,
+    link,
+    lookup,
 )
 from monoref.machine import (
     State,
@@ -43,7 +45,6 @@ from monoref.machine import (
     final,
     fun_cast,
     initial_state,
-    lookup,
     mk_vcast,
     observe,
     run,
@@ -62,16 +63,17 @@ def run_to_value(stmt, env=(), heap=None):
     state = State(stmt, env, (), heap if heap is not None else {}, ())
     for _ in range(10_000):
         if final(state):
-            return eval_expr(state.stmt.expr, state.env, state.heap), state.heap
+            return (eval_expr(state.stmt.expr, link(state.env), state.heap),
+                    state.heap)
         state = step(state)
     raise AssertionError("no final state within 10000 steps")
 
 
 def test_lookup():
-    assert lookup("x", [("x", 1), ("x", 2)]) == 1
-    assert lookup("y", [("x", 1), ("y", 2)]) == 2
+    assert lookup("x", ("x", 1, ("x", 2, ()))) == 1
+    assert lookup("y", ("x", 1, ("y", 2, ()))) == 2
     with pytest.raises(Stuck):
-        lookup("y", [])
+        lookup("y", ())
 
 
 def test_delta():
@@ -111,12 +113,14 @@ def test_to_val():
 
 
 def test_eval_expr():
-    assert eval_expr(Var("x"), (("x", 9),), {}) == 9
+    assert eval_expr(Var("x"), ("x", 9, ()), {}) == 9
+    with pytest.raises(Stuck, match="unbound name 'y'"):
+        eval_expr(Var("y"), ("x", 9, ()), {})
     heap = {0: (7, INT)}
-    assert eval_expr(Deref(Var("r")), (("r", VRef(0)),), heap) == 7
+    assert eval_expr(Deref(Var("r")), ("r", VRef(0), ()), heap) == 7
     pending_heap = {0: (Pending(7, INT, INT), INT)}
     with pytest.raises(Stuck):
-        eval_expr(Deref(Var("r")), (("r", VRef(0)),), pending_heap)
+        eval_expr(Deref(Var("r")), ("r", VRef(0), ()), pending_heap)
     pair = eval_expr(MkPair(EConst(IntC(1)), EConst(BoolC(True))), (), {})
     assert pair == VPair(1, TRUE)
     assert type(pair.fst) is int and type(pair.snd) is bool

@@ -30,6 +30,7 @@ from monoref.lang import (
     Var,
     is_static,
     lesseq,
+    link,
 )
 from monoref.machine import eval_expr, final, fun_cast, initial_state, step
 from monoref.surface import elaborate, parse_surface, typecheck_surface
@@ -248,7 +249,7 @@ def test_wt_heap_rejects_tag_mismatch():
 def test_environment_typing_canonical():
     sigma = {0: INT}
     env = (("r", VRef(0)), ("n", INT4), ("d", Inject(INT4, INT)))
-    assert environment_typing(sigma, env) == \
+    assert environment_typing(sigma, link(env)) == \
         (("r", RefT(INT)), ("n", INT), ("d", DYN))
 
 
@@ -302,13 +303,13 @@ def test_evaluation_safety_on_generated_expressions():
             env.append((f"x{i}", hg.value_of(vty, exact=True)))
         heap = hg.heap()
         sigma = derive_store_typing(heap)
-        gamma = environment_typing(sigma, env)
+        gamma = environment_typing(sigma, link(env))
         target = random_ty(rng, 2)
         expr = _random_pure_expr(rng, gamma, target, 2)
         if expr is None:
             continue
         ty = check_expr(gamma, expr)
-        value = eval_expr(expr, tuple(env), heap)
+        value = eval_expr(expr, link(env), heap)
         assert wt_val(sigma, value, ty)
         checked += 1
     assert checked >= 100
