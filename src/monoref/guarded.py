@@ -5,13 +5,13 @@ cast on a reference never touches the heap: it wraps the reference in a
 proxy carrying the two cell types it mediates between. Reads apply each
 layer's cast on the way out (innermost first); writes apply the casts in
 reverse on the way in (outermost first) and store the result at the
-underlying address. A heap cell `(value, tag)` holds its value itself
-and keeps its allocation tag, which is never consulted; no cell is ever
-`Pending` and there is no worklist. The driver in `machine`
-runs `GUARDED`: `run_g` owns a private, mutable heap and stack, while
-`step_g` and `gwrite` copy the heap they are given. The driver reads and
-writes a plain reference itself, so `gread` and `write_in_place` serve a
-static access only when it goes through a proxy.
+underlying address. Every heap cell stays settled, `(value, tag)`, under
+its allocation tag, which is never consulted, and there is no worklist.
+The driver in `machine` runs `GUARDED`: `run_g` owns a private, mutable
+heap and stack, while `step_g` and `gwrite` copy the heap they are
+given. The driver reads and writes a plain reference itself, so `gread`
+and `write_in_place` serve a static access only when it goes through a
+proxy.
 
 The proxies' cost is kept naive on purpose: every reference cast makes
 one more proxy, even between equal types, and every read or write visits

@@ -4,10 +4,10 @@ The type language has integers, Booleans, pairs, functions, references,
 and the unknown type `dyn`; a type prints, and the parser reads it, by
 the keywords of `TYPE_KEYWORDS`. The IR separates pure expressions from
 effectful statements; every control path through a statement ends in a
-return or a tail call. Runtime values, heap cell contents, and the
-observables produced by a finished run live here too, together with the
-type algebra: the less-or-equally-dynamic order, its meet, consistency,
-staticness and ground types, each one rule over a type's fields. An
+return or a tail call. Runtime values and the observables produced by
+a finished run live here too, together with the type algebra: the
+less-or-equally-dynamic order, its meet, consistency, staticness and
+ground types, each one rule over a type's fields. An
 observable is a pair, a literal, or an `OAtom` whose text is its
 rendering: an opaque value, or the end of a run that gave none.
 
@@ -17,8 +17,9 @@ nodes `IntC` and `BoolC` are literal syntax and observables only. The
 other values are pairs (`VPair`), closures (`Closure`), functions cast
 between two arrow types (`FunCast`), references (`VRef`), references
 seen through a guarded cast (`GProxy`) and injections into dyn
-(`Inject`). A heap cell is the pair `(value, tag)`, or
-`(Pending(value, src, tgt), tag)` while a cast on it is pending.
+(`Inject`). A heap cell is a plain tuple whose index 1 is its runtime
+type tag: `(value, tag)` when settled, and `(value, tag, src)` while its
+value awaits a cast from `src` to the tag.
 Identifiers starting with `$` are reserved: the elaborator's
 temporaries use them, and so do the five names of a `FunCast`'s body.
 
@@ -380,14 +381,6 @@ class FunCast(Val):
 class Inject(Val):
     payload: Val
     src_ty: Ty  # never DYN; injections box a value of known non-dyn type
-
-
-class Pending(Node):
-    """The content of a heap cell whose `value` awaits a cast from `src`
-    to `tgt`; a settled cell holds its value itself."""
-    value: Val
-    src: Ty
-    tgt: Ty
 
 
 # ---------------------------------------------------------------------------

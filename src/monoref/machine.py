@@ -5,19 +5,20 @@ a tagged heap, and a worklist of active addresses. An environment is a
 linked cell `(name, value, rest)`, `()` when empty (Dybvig, "Three
 Implementation Models for Scheme", 1987): a binding builds one 3-tuple
 and copies nothing, and a closure or a stack frame shares its scope's
-tail. Each runtime value is
-one object whose class is its runtime tag: an integer or Boolean is the
-host `int` or `bool`, so a base-type result builds no node, a heap cell
-is `(value, tag)` or `(Pending(value, src, tgt), tag)`, and a stack
-frame is the tuple `(name, cont, env)` of a call's result name,
+tail. Each runtime value is one object whose class is its runtime tag:
+an integer or Boolean is the host `int` or `bool`, so a base-type result
+builds no node. A heap cell is a tuple whose index 1 is its tag:
+`(value, tag)` when settled, `(value, tag, src)` while the value awaits
+a cast from `src` to the tag, so a pending cast builds no node either.
+A stack frame is the tuple `(name, cont, env)` of a call's result name,
 continuation and saved environment cell. Casting a function between two
 arrow types makes a `FunCast`, whose body, built once per cast, the call
-rule runs just as it runs a closure's. Casting a reference rewrites the
-pointed-to heap cell toward the meet of its current tag and the target
-cell type, leaving a pending cast behind; statement execution resumes
-only once the worklist has drained. Heap tags only ever become less
-dynamic, and a cell whose tag is already low enough is left alone, which
-is what keeps casts over heap cycles from diverging.
+rule runs just as it runs a closure's. Casting a reference lowers the
+pointed-to heap cell's tag to the meet of the tag and the target cell
+type, leaving the value pending a cast from the old tag; statement
+execution resumes only once the worklist has drained. Heap tags only
+ever become less dynamic, and a cell whose tag is already low enough is
+left alone, which is what keeps casts over heap cycles from diverging.
 
 `run` owns a private, mutable heap dict and stack, updated in place;
 fresh addresses are allocated at the heap's size and never reclaimed.
@@ -66,7 +67,6 @@ from .lang import (
     O_TIMEOUT,
     Opr,
     PairT,
-    Pending,
     Prev,
     PrimApp,
     RefT,
@@ -97,7 +97,7 @@ from .lang import (
 DEFAULT_FUEL = 1_000_000
 
 Env = tuple  # linked cell (name, Val, rest), newest binding first; () is empty
-Heap = dict  # address -> (Val or Pending, Ty)
+Heap = dict  # address -> (Val, tag), or (Val, tag, src) with a cast pending
 Active = tuple  # worklist of addresses, head processed first
 
 
@@ -158,17 +158,16 @@ def to_addr(v: Val) -> int:
     raise Stuck(f"not a reference: {v!r}")
 
 
-def to_val(content) -> Val:
+def to_val(cell: tuple) -> Val:
     """A heap cell's value; Stuck while a cast on the cell is pending."""
-    if type(content) is Pending:
+    if len(cell) != 2:
         raise Stuck("read of a heap cell with a pending cast")
-    return content
+    return cell[0]
 
 
 def read_cell(ref: Val, heap: Heap) -> Val:
     """The monotonic read: the value of a cell with no pending cast."""
-    content, _ = heap_cell(heap, to_addr(ref))
-    return to_val(content)
+    return to_val(heap_cell(heap, to_addr(ref)))
 
 
 def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
@@ -192,10 +191,8 @@ def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
         ref = evaluate(e.ref, env, heap, read)
         if type(ref) is VRef:
             cell = heap.get(ref.addr)
-            if cell is not None:
-                v = cell[0]
-                if type(v) is not Pending:
-                    return v
+            if cell is not None and len(cell) == 2:
+                return cell[0]
         return read(ref, heap)
     if t is MkPair:
         return VPair(evaluate(e.fst, env, heap, read),
@@ -224,13 +221,6 @@ def fun_cast(fn: Val, src: ArrowT, tgt: ArrowT) -> FunCast:
         SCall("$w2", _W_FN, _W_CAST_ARG,
               SCast("$w4", _W_RESULT, src.cod, tgt.cod, _W_RETURN)))
     return FunCast(fn, src, tgt, body)
-
-
-def mk_vcast(content, src: Ty, tgt: Ty) -> Pending:
-    """Retarget a heap cell's cast; pending casts never stack."""
-    if type(content) is Pending:
-        return Pending(content.value, content.src, tgt)
-    return Pending(content, src, tgt)
 
 
 def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
@@ -267,14 +257,16 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
 
 def retag(v: Val, src: RefT, tgt: RefT, heap: Heap, work: list) -> Val:
     """The monotonic reference cast: if the meet of the target cell type
-    and the cell's tag lies below the tag, retag the cell with a pending
-    cast and make its address the worklist's head."""
+    and the cell's tag lies below the tag, lower the tag and make the
+    address the worklist's head. The value then awaits a cast from the
+    type it has, a cell's last field: the old tag, or on a cell already
+    pending, its source, so pending casts never stack."""
     if type(v) is not VRef:
         raise CastError("no cast from {} to {}", src, tgt)
-    content, tag = heap_cell(heap, v.addr)
-    lowered = meet(tgt.cell, tag)
-    if not lesseq(tag, lowered):
-        heap[v.addr] = (mk_vcast(content, tag, lowered), lowered)
+    cell = heap_cell(heap, v.addr)
+    lowered = meet(tgt.cell, cell[1])
+    if not lesseq(cell[1], lowered):
+        heap[v.addr] = (cell[0], lowered, cell[-1])
         work.append(v.addr)
     return v
 
@@ -290,31 +282,29 @@ def cast(v: Val, src: Ty, tgt: Ty, heap: Heap, active: Active):
 def update_cell(ref: Val, v: Val, heap: Heap) -> None:
     """Store `v` in the cell `ref` names, keeping the cell's tag."""
     addr = to_addr(ref)
-    _, tag = heap_cell(heap, addr)
-    heap[addr] = (v, tag)
+    heap[addr] = (v, heap_cell(heap, addr)[1])
 
 
 def _dyn_update(ref: Val, v: Val, ann: Ty, heap: Heap, work: list) -> None:
     addr = to_addr(ref)
-    _, tag = heap_cell(heap, addr)
-    heap[addr] = (Pending(v, ann, tag), tag)
+    heap[addr] = (v, heap_cell(heap, addr)[1], ann)
     work.append(addr)
 
 
 def _dyn_deref(ref: Val, ann: Ty, heap: Heap, work: list) -> Val:
-    content, tag = heap_cell(heap, to_addr(ref))
-    return cast_value(to_val(content), tag, ann, heap, work, retag)
+    cell = heap_cell(heap, to_addr(ref))
+    return cast_value(to_val(cell), cell[1], ann, heap, work, retag)
 
 
 def _active_step(heap: Heap, work: list) -> str:
     """Process the worklist's head; returns the rule's name."""
     addr = work[-1]
-    content, tag = heap_cell(heap, addr)
-    if type(content) is not Pending:
+    cell = heap_cell(heap, addr)
+    if len(cell) == 2:
         work.pop()
         return "active-discard"
-    new_val = cast_value(content.value, content.src, content.tgt, heap, work,
-                         retag)
+    value, tag, src = cell
+    new_val = cast_value(value, src, tag, heap, work, retag)
     if lesseq(tag, heap[addr][1]):
         heap[addr] = (new_val, tag)
         work[:] = [a for a in work if a != addr]

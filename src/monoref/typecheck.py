@@ -23,7 +23,6 @@ from .lang import (
     Lam,
     MkPair,
     PairT,
-    Pending,
     PrimApp,
     RefT,
     SAlloc,
@@ -216,7 +215,7 @@ def _stmt(gamma, s: Stmt, path) -> Ty:
 
 def derive_store_typing(heap) -> StoreTy:
     """Read off the store typing from the heap's type tags."""
-    return {addr: tag for addr, (_, tag) in heap.items()}
+    return {addr: cell[1] for addr, cell in heap.items()}
 
 
 def environment_typing(sigma: StoreTy, env) -> TyEnv:
@@ -230,38 +229,59 @@ def environment_typing(sigma: StoreTy, env) -> TyEnv:
     synthesizes under the canonical typing of the captured environment,
     and function casts (`FunCast`) at their target arrow.
     """
-    return tuple((name, value_type(sigma, v)) for name, v in bindings(env))
+    memo = {}
+    return tuple((name, _value_type(sigma, v, memo))
+                 for name, v in bindings(env))
 
 
 def value_type(sigma: StoreTy, v: Val) -> Ty:
     """Canonical runtime type of a value; raises on untypable values."""
+    return _value_type(sigma, v, {})
+
+
+def wt_val(sigma: StoreTy, v: Val, ty: Ty) -> bool:
+    """Decide the value typing judgment against the store typing `sigma`."""
+    return _wt_val(sigma, v, ty, {})
+
+
+# `memo` maps each function value typed in one top-level call, by
+# identity, to its type: closures made in one scope share the ones it
+# captured, and typing each once keeps a chain of them from costing 2^n.
+
+def _value_type(sigma: StoreTy, v: Val, memo: dict) -> Ty:
     t = type(v)
     if t is int:
         return INT
     if t is bool:
         return BOOL
     if isinstance(v, VPair):
-        return PairT(value_type(sigma, v.fst), value_type(sigma, v.snd))
+        return PairT(_value_type(sigma, v.fst, memo),
+                     _value_type(sigma, v.snd, memo))
     if isinstance(v, VRef):
         if v.addr not in sigma:
             raise TypeCheckError(f"dangling reference to address {v.addr}")
         return RefT(sigma[v.addr])
     if isinstance(v, Inject):
         return DYN
+    if id(v) in memo:
+        return memo[id(v)]
     if isinstance(v, FunCast):
         # `src` and `tgt` may agree only in their heads: a projection out
         # of dyn casts a payload from the type it was injected at.
-        if not wt_val(sigma, v.fn, v.src):
+        if not _wt_val(sigma, v.fn, v.src, memo):
             raise TypeCheckError(f"cast of a function not of type {v.src}")
-        return v.tgt
-    if isinstance(v, Closure):
-        gamma = ((v.param, v.param_ty),) + environment_typing(sigma, v.env)
-        return ArrowT(v.param_ty, check_stmt(gamma, v.body))
-    raise TypeCheckError(f"not a value: {v!r}")
+        ty = v.tgt
+    elif isinstance(v, Closure):
+        gamma = ((v.param, v.param_ty),) + tuple(
+            (name, _value_type(sigma, x, memo)) for name, x in bindings(v.env))
+        ty = ArrowT(v.param_ty, check_stmt(gamma, v.body))
+    else:
+        raise TypeCheckError(f"not a value: {v!r}")
+    memo[id(v)] = ty
+    return ty
 
 
-def wt_val(sigma: StoreTy, v: Val, ty: Ty) -> bool:
-    """Decide the value typing judgment against the store typing `sigma`."""
+def _wt_val(sigma: StoreTy, v: Val, ty: Ty, memo: dict) -> bool:
     t = type(v)
     if t is int:
         return ty == INT
@@ -269,52 +289,46 @@ def wt_val(sigma: StoreTy, v: Val, ty: Ty) -> bool:
         return ty == BOOL
     if isinstance(v, VPair):
         return (isinstance(ty, PairT)
-                and wt_val(sigma, v.fst, ty.left)
-                and wt_val(sigma, v.snd, ty.right))
+                and _wt_val(sigma, v.fst, ty.left, memo)
+                and _wt_val(sigma, v.snd, ty.right, memo))
     if isinstance(v, VRef):
         return (isinstance(ty, RefT)
                 and v.addr in sigma
                 and lesseq(sigma[v.addr], ty.cell))
     if isinstance(v, Inject):
-        return ty == DYN and wt_val(sigma, v.payload, v.src_ty)
+        return ty == DYN and _wt_val(sigma, v.payload, v.src_ty, memo)
     if isinstance(v, (Closure, FunCast)):
         try:
-            return value_type(sigma, v) == ty
+            return _value_type(sigma, v, memo) == ty
         except TypeCheckError:
             return False
     return False
 
 
-def wt_casted(sigma: StoreTy, content, ty: Ty) -> bool:
-    """Decide the typing judgment of a heap cell's content at `ty`.
+def wt_cell(sigma: StoreTy, cell) -> bool:
+    """Decide the typing judgment of a heap cell.
 
-    A settled cell holds its value, which types at `ty`. A `Pending`
-    cast types at its target, which must be less or equally dynamic
-    than the source the payload types at.
+    A cell's value types at its last field: the tag of a settled cell
+    `(value, tag)`, the source of a cell `(value, tag, src)` with a
+    pending cast, whose tag must be less or equally dynamic than `src`.
     """
-    if isinstance(content, Pending):
-        return (wt_val(sigma, content.value, content.src)
-                and lesseq(content.tgt, content.src)
-                and ty == content.tgt)
-    return wt_val(sigma, content, ty)
+    return wt_val(sigma, cell[0], cell[-1]) and lesseq(cell[1], cell[-1])
 
 
 def wt_heap(sigma: StoreTy, heap, active) -> bool:
     """Decide heap well-formedness against `sigma` and an active set.
 
-    Every typed address must hold a cell tagged with exactly the store
-    type whose content typechecks there; cells outside the active set
-    must be settled values; all addresses sit below the allocation
-    counter; and the active set only names typed addresses.
+    Every typed address must hold a well-typed cell (`wt_cell`) whose
+    tag, `cell[1]`, is exactly the store type; cells outside the active
+    set must be settled, `(value, tag)`; all addresses sit below the
+    allocation counter; and the active set only names typed addresses.
     """
     active = set(active)
     for addr, ty in sigma.items():
-        if addr not in heap:
+        cell = heap.get(addr)
+        if cell is None or not wt_cell(sigma, cell) or cell[1] != ty:
             return False
-        content, tag = heap[addr]
-        if tag != ty or not wt_casted(sigma, content, ty):
-            return False
-        if addr not in active and isinstance(content, Pending):
+        if addr not in active and len(cell) != 2:
             return False
     if any(addr >= len(heap) for addr in heap):
         return False

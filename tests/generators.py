@@ -25,7 +25,6 @@ from monoref.lang import (
     Inject,
     IntC,
     PairT,
-    Pending,
     RefT,
     SRet,
     Ty,
@@ -387,7 +386,7 @@ class HeapGen:
             tag = self.tags[addr]
             if rng.random() < 0.3:
                 src = dynamize(rng, tag, 0.6)
-                self.cells[addr] = (Pending(self.value_of(src), src, tag), tag)
+                self.cells[addr] = (self.value_of(src), tag, src)
                 self.pending_addrs.append(addr)
             else:
                 self.cells[addr] = (self.value_of(tag), tag)

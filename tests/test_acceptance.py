@@ -167,7 +167,8 @@ def monotonic_runs():
         histories = {}
         observable = None
         for _step in range(10_000):
-            for addr, (_, tag) in state.heap.items():
+            for addr, cell in state.heap.items():
+                tag = cell[1]
                 history = histories.setdefault(addr, [])
                 if not history or history[-1] != tag:
                     history.append(tag)

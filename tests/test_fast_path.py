@@ -37,7 +37,6 @@ from monoref.lang import (
     IntC,
     IsZero,
     Node,
-    Pending,
     Prev,
     SCall,
     SLet,
@@ -83,10 +82,10 @@ def probing(sem, calls):
             return type(ref).__name__
         if ref.addr not in heap:
             return "unallocated"
-        cv, tag = heap[ref.addr]
-        if type(cv) is Pending:
+        cell = heap[ref.addr]
+        if len(cell) == 3:
             return "pending"
-        return "static" if is_static(tag) else "dyn tag"
+        return "static" if is_static(cell[1]) else "dyn tag"
 
     def read(ref, heap):
         calls.append(meets(ref, heap))
@@ -162,7 +161,7 @@ def test_malformed_static_access_is_stuck(sem, stmt, env, heap, message):
 
 @SEMANTICS
 def test_static_read_of_a_pending_cell_is_stuck(sem):
-    heap = {0: (Pending(SEVEN, INT, INT), INT)}
+    heap = {0: (SEVEN, INT, INT)}
     with pytest.raises(Stuck) as err:
         step_with(sem, State(READ, (("r", VRef(0)),), (), heap, ()))
     assert str(err.value) == "read of a heap cell with a pending cast"
@@ -170,11 +169,11 @@ def test_static_read_of_a_pending_cell_is_stuck(sem):
 
 @SEMANTICS
 def test_static_write_replaces_a_pending_cell(sem):
-    heap = {0: (Pending(SEVEN, INT, INT), INT)}
+    heap = {0: (SEVEN, INT, INT)}
     after = step_with(sem, State(WRITE, (("r", VRef(0)),), (), heap, ()))
     assert after.heap == {0: (1, INT)}
     assert type(after.heap[0][0]) is int
-    assert heap == {0: (Pending(SEVEN, INT, INT), INT)}
+    assert heap == {0: (SEVEN, INT, INT)}
 
 
 def test_primitive_shape_errors_name_operator_and_value():
@@ -246,6 +245,20 @@ def test_a_call_pushes_no_node(sem, built):
     steps_with(sem, 3_000, initial_state(stmt),
                lambda record: rules.update((record.rule,)))
     assert rules["call"] > 400
+
+
+@pytest.mark.parametrize("name", ["lattice-010", "lattice-110"])
+def test_a_pending_cast_builds_no_node(name, built):
+    # Each iteration's annotated write leaves the cell pending a cast,
+    # which the cell's own third field records: the nodes built are the
+    # loop function's casts and the injections alone.
+    stmt = dict(lattice_kernels())[name]
+    rules = Counter()
+    steps_with(MONOTONIC, 3_000, initial_state(stmt),
+               lambda record: rules.update((record.rule,)))
+    assert rules["dyn-update"] > 0
+    nodes = built_per_window(MONOTONIC, stmt, built)
+    assert nodes and set(nodes) <= {"FunCast", "SCast", "SCall", "Inject"}
 
 
 def calls_of_function_casts(sem, stmt, window=3_000):

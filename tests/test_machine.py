@@ -23,7 +23,6 @@ from monoref.lang import (
     O_TIMEOUT,
     OPair,
     PairT,
-    Pending,
     PrimApp,
     RefT,
     SCast,
@@ -45,7 +44,6 @@ from monoref.machine import (
     final,
     fun_cast,
     initial_state,
-    mk_vcast,
     observe,
     run,
     step,
@@ -106,10 +104,10 @@ def test_to_addr():
 
 
 def test_to_val():
-    assert to_val(7) == 7
-    assert to_val(VRef(0)) == VRef(0)
+    assert to_val((7, INT)) == 7
+    assert to_val((VRef(0), RefT(INT))) == VRef(0)
     with pytest.raises(Stuck):
-        to_val(Pending(7, INT, INT))
+        to_val((7, INT, INT))
 
 
 def test_eval_expr():
@@ -118,7 +116,7 @@ def test_eval_expr():
         eval_expr(Var("y"), ("x", 9, ()), {})
     heap = {0: (7, INT)}
     assert eval_expr(Deref(Var("r")), ("r", VRef(0), ()), heap) == 7
-    pending_heap = {0: (Pending(7, INT, INT), INT)}
+    pending_heap = {0: (7, INT, INT)}
     with pytest.raises(Stuck):
         eval_expr(Deref(Var("r")), ("r", VRef(0), ()), pending_heap)
     pair = eval_expr(MkPair(EConst(IntC(1)), EConst(BoolC(True))), (), {})
@@ -159,13 +157,21 @@ def test_wrap_bad_argument_cast_errors():
     assert steps(1_000, State(stmt, env, (), {}, ())) == O_CASTERROR
 
 
-def test_mk_vcast():
-    assert mk_vcast(INT4, INT, INT) == Pending(INT4, INT, INT)
-    retargeted = mk_vcast(
-        Pending(INT4, DYN, PairT(DYN, DYN)), PairT(DYN, DYN), PairT(INT, DYN))
-    assert retargeted == Pending(INT4, DYN, PairT(INT, DYN))
+def test_cast_retargets_a_pending_cell():
+    # A cell already pending a cast keeps its value and source, and only
+    # its tag is lowered: pending casts never stack.
+    pair = Inject(VPair(Inject(INT4, INT), Inject(TRUE, BOOL)),
+                  PairT(DYN, DYN))
+    heap = {0: (pair, PairT(DYN, DYN), DYN)}
+    v, new_heap, active = cast(VRef(0), RefT(PairT(DYN, DYN)),
+                               RefT(PairT(INT, DYN)), heap, ())
+    assert v == VRef(0) and active == (0,)
+    assert new_heap == {0: (pair, PairT(INT, DYN), DYN)}
+    assert heap == {0: (pair, PairT(DYN, DYN), DYN)}  # input unchanged
+    # A settled cell's value awaits a cast from its old tag.
     inj = Inject(INT4, INT)
-    assert mk_vcast(inj, DYN, INT) == Pending(inj, DYN, INT)
+    _, new_heap, _ = cast(VRef(0), RefT(DYN), RefT(INT), {0: (inj, DYN)}, ())
+    assert new_heap == {0: (inj, INT, DYN)}
 
 
 def test_cast_identity_and_injection():
@@ -183,7 +189,7 @@ def test_cast_reference_strong_update():
     heap = {0: (Inject(INT4, INT), DYN)}
     v, new_heap, active = cast(VRef(0), RefT(DYN), RefT(INT), heap, ())
     assert v == VRef(0)
-    assert new_heap == {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}
+    assert new_heap == {0: (Inject(INT4, INT), INT, DYN)}
     assert active == (0,)
     assert heap == {0: (Inject(INT4, INT), DYN)}  # input unchanged
 
@@ -208,7 +214,7 @@ def test_step_active_discard():
 
 
 def test_step_active_commit():
-    heap = {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}
+    heap = {0: (Inject(INT4, INT), INT, DYN)}
     state = State(SRet(EConst(IntC(1))), (), (), heap, (0,))
     after = step(state)
     assert after.heap == {0: (INT4, INT)}
@@ -273,7 +279,7 @@ def test_run():
 
 
 def test_step_deterministic():
-    heap = {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}
+    heap = {0: (Inject(INT4, INT), INT, DYN)}
     state = State(SRet(EConst(IntC(1))), (), (), heap, (0,))
     assert step(state) == step(state)
 
@@ -329,12 +335,12 @@ def test_step_supersede_then_commit_with_duplicate_worklist_entries():
     inner = PairT(RefT(DYN), INT)
     tag0 = PairT(RefT(inner), DYN)
     content = VPair(Inject(VRef(0), RefT(DYN)), Inject(INT4, INT))
-    heap = {0: (Pending(content, PairT(DYN, DYN), tag0), tag0)}
+    heap = {0: (content, tag0, PairT(DYN, DYN))}
     state = State(SRet(EConst(IntC(0))), (), (), heap, (0,))
 
     lowered = PairT(RefT(inner), INT)
     mid = step(state)
-    assert mid.heap[0] == (Pending(content, PairT(DYN, DYN), lowered), lowered)
+    assert mid.heap[0] == (content, lowered, PairT(DYN, DYN))
     assert mid.active == (0, 0)
 
     done = step(mid)

@@ -19,7 +19,6 @@ from monoref.lang import (
     IntC,
     MkPair,
     PairT,
-    Pending,
     PrimApp,
     RefT,
     SRet,
@@ -41,7 +40,7 @@ from monoref.typecheck import (
     derive_store_typing,
     environment_typing,
     store_typing_lesseq,
-    wt_casted,
+    wt_cell,
     wt_heap,
     wt_val,
 )
@@ -145,7 +144,7 @@ def test_check_stmt_error_paths():
 def test_derive_store_typing():
     assert derive_store_typing({}) == {}
     assert derive_store_typing({0: (INT4, INT)}) == {0: INT}
-    heap = {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}
+    heap = {0: (Inject(INT4, INT), INT, DYN)}
     assert derive_store_typing(heap) == {0: INT}
 
 
@@ -175,12 +174,12 @@ def test_wt_val_closure():
     assert not wt_val({}, identity, ArrowT(BOOL, INT))
 
 
-def test_wt_casted():
-    assert wt_casted({}, INT4, INT)
-    assert wt_casted({}, Pending(Inject(INT4, INT), DYN, INT), INT)
-    assert not wt_casted({}, Pending(INT4, INT, DYN), DYN)
-    assert not wt_casted({}, INT4, BOOL)
-    assert not wt_casted({}, INT, INT)  # not a heap cell content
+def test_wt_cell():
+    assert wt_cell({}, (INT4, INT))
+    assert wt_cell({}, (Inject(INT4, INT), INT, DYN))
+    assert not wt_cell({}, (INT4, DYN, INT))  # the tag lies above the source
+    assert not wt_cell({}, (INT4, BOOL))
+    assert not wt_cell({}, (INT, INT))  # a type is not a value
 
 
 def test_value_type_failures():
@@ -237,7 +236,7 @@ def test_wt_heap_missing_address():
 def test_wt_heap():
     assert wt_heap({}, {}, set())
     assert wt_heap({0: INT}, {0: (INT4, INT)}, set())
-    pending = {0: (Pending(Inject(INT4, INT), DYN, INT), INT)}
+    pending = {0: (Inject(INT4, INT), INT, DYN)}
     assert not wt_heap({0: INT}, pending, set())
     assert wt_heap({0: INT}, pending, {0})
 
@@ -251,6 +250,37 @@ def test_environment_typing_canonical():
     env = (("r", VRef(0)), ("n", INT4), ("d", Inject(INT4, INT)))
     assert environment_typing(sigma, link(env)) == \
         (("r", RefT(INT)), ("n", INT), ("d", DYN))
+
+
+def test_a_chain_of_closures_types_each_closure_once(monkeypatch):
+    # Each closure is made in the scope of the earlier ones, so typing
+    # the last reaches closure i through every later one: without a memo
+    # that is 2^40 typings of bodies.
+    import monoref.typecheck as typecheck
+    from monoref.typecheck import value_type
+
+    env, n = (), 40
+    for i in range(n):
+        last = Closure("x", INT, SRet(Var("x")), env)
+        env = (f"f{i}", last, env)
+    calls = []
+
+    def counting(gamma, s, path=()):
+        calls.append(s)
+        if len(calls) > 10 * n:
+            raise AssertionError("a closure's body was typed again")
+        return check_stmt(gamma, s, path)
+
+    monkeypatch.setattr(typecheck, "check_stmt", counting)
+    assert value_type({}, last) == ArrowT(INT, INT)
+    assert len(calls) <= n
+    calls.clear()
+    assert wt_val({}, last, ArrowT(INT, INT))
+    assert len(calls) <= n
+    calls.clear()
+    typing = environment_typing({}, env)
+    assert [ty for _, ty in typing] == [ArrowT(INT, INT)] * n
+    assert len(calls) <= n
 
 
 def test_store_typing_lesseq():
