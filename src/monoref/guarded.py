@@ -9,9 +9,10 @@ underlying address. Every heap cell stays settled, `(value, tag)`, under
 its allocation tag, which is never consulted, and there is no worklist.
 The driver in `machine` runs `GUARDED`: `run_g` owns a private, mutable
 heap and stack, while `step_g` and `gwrite` copy the heap they are
-given. The driver reads and writes a plain reference itself, so `gread`
-and `write_in_place` serve a static access only when it goes through a
-proxy.
+given. `gread` and `write_in_place` are its read and write hooks. They
+ignore an access's annotation, since the proxies carry the casts, and
+the driver reads and writes a plain reference itself, so they serve a
+static access only when it goes through a proxy.
 
 The proxies' cost is kept naive on purpose: every reference cast makes
 one more proxy, even between equal types, and every read or write visits
@@ -67,7 +68,7 @@ def cast_g(v, src: Ty, tgt: Ty):
     return cast_value(v, src, tgt, None, None, proxy)
 
 
-def gread(v, heap: Heap):
+def gread(v, heap: Heap, ann=None, work=None):
     """Read through a proxy chain, casting each layer innermost first.
 
     The chain is walked in a loop, so its depth costs no Python frames.
@@ -87,7 +88,7 @@ def gread(v, heap: Heap):
     return w
 
 
-def write_in_place(v, w, heap: Heap) -> None:
+def write_in_place(v, w, heap: Heap, ann=None, work=None) -> None:
     """Write through a proxy chain, casting each layer outermost first
     while descending to the underlying reference; identity layers are
     stepped over.
@@ -110,15 +111,7 @@ def gwrite(v, w, heap: Heap) -> Heap:
     return heap
 
 
-# The dynamic forms' annotations are ignored: proxies carry the casts.
-GUARDED = Semantics(
-    read=gread,
-    update=write_in_place,
-    dyn_update=lambda ref, v, ann, heap, work: write_in_place(ref, v, heap),
-    cast_ref=proxy,
-    dyn_deref=lambda ref, ann, heap, work: gread(ref, heap),
-    active_step=None,
-)
+GUARDED = Semantics(gread, write_in_place, proxy, None)
 
 
 def step_g(state: State) -> State:

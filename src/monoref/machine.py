@@ -26,11 +26,11 @@ fresh addresses are allocated at the heap's size and never reclaimed.
 return new heaps and never mutate a `State` or a heap handed to them.
 `State.env` alone lists its bindings as (name, value) pairs, newest
 first: the driver links it on entry and `step` lists it again.
-A `Semantics` supplies what the guarded semantics does differently.
-The driver reads and writes a plain reference itself, which is all that
-statically typed code does with the heap: it calls a semantics' `read`
-and `update` only for a proxy, a cell with a pending cast or a
-malformed state.
+A `Semantics` is how a reference is read, written and cast, plus the
+worklist rule. The driver reads and writes a plain reference itself,
+which is all that statically typed code does with the heap: a static
+access calls a semantics' `read` or `write` only through a proxy, on a
+cell with a pending cast or in a malformed state.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def to_val(cell: tuple) -> Val:
 
 
 def read_cell(ref: Val, heap: Heap) -> Val:
-    """The monotonic read: the value of a cell with no pending cast."""
+    """A static read: the value of a cell with no pending cast."""
     return to_val(heap_cell(heap, to_addr(ref)))
 
 
@@ -285,15 +285,21 @@ def update_cell(ref: Val, v: Val, heap: Heap) -> None:
     heap[addr] = (v, heap_cell(heap, addr)[1])
 
 
-def _dyn_update(ref: Val, v: Val, ann: Ty, heap: Heap, work: list) -> None:
+def _dyn_deref(ref: Val, heap: Heap, ann=None, work=None) -> Val:
+    """The monotonic read: the cell's value, cast from its tag to `ann`."""
+    cell = heap_cell(heap, to_addr(ref))
+    v = to_val(cell)
+    return v if ann is None else cast_value(v, cell[1], ann, heap, work, retag)
+
+
+def _dyn_update(ref: Val, v: Val, heap: Heap, ann=None, work=None) -> None:
+    """The monotonic write: with an annotation, `v` awaits a cast from
+    `ann` to the cell's tag, and the address heads the worklist."""
+    if ann is None:
+        return update_cell(ref, v, heap)
     addr = to_addr(ref)
     heap[addr] = (v, heap_cell(heap, addr)[1], ann)
     work.append(addr)
-
-
-def _dyn_deref(ref: Val, ann: Ty, heap: Heap, work: list) -> Val:
-    cell = heap_cell(heap, to_addr(ref))
-    return cast_value(to_val(cell), cell[1], ann, heap, work, retag)
 
 
 def _active_step(heap: Heap, work: list) -> str:
@@ -335,24 +341,21 @@ def observe(v: Val) -> Observable:
 class Semantics(Node):
     """What differs between the reference semantics the driver runs.
 
-    `read` serves a `Deref` and `update` an `SUpdate` that the driver
-    does not do itself: one through anything but a `VRef` to an
-    allocated cell, or a read of a cell with a pending cast.
-    `dyn_update`, `dyn_deref` and
-    `cast_ref` (the reference case of `cast_value`) serve their
-    statements, updating the heap and the worklist (head last) in place;
-    `active_step` is the worklist rule, None without a worklist.
+    `read(ref, heap, ann, work)` serves an `SDynDeref` and `write(ref,
+    v, heap, ann, work)` an `SDynUpdate`. Without `ann` and `work` they
+    serve a `Deref` or `SUpdate` the driver does not do itself: through
+    anything but a `VRef` to an allocated cell, or a read of a pending
+    cell. `cast_ref` is the reference case of `cast_value`. All three
+    update the heap and the worklist (head last) in place; `active_step`
+    is the worklist rule, None without a worklist.
     """
     read: Callable
-    update: Callable
-    dyn_update: Callable
+    write: Callable
     cast_ref: Callable
-    dyn_deref: Callable
     active_step: Callable | None
 
 
-MONOTONIC = Semantics(read_cell, update_cell, _dyn_update, retag,
-                      _dyn_deref, _active_step)
+MONOTONIC = Semantics(_dyn_deref, _dyn_update, retag, _active_step)
 
 
 def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
@@ -362,8 +365,8 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
     env, fuel left). Stops early at a final state. Stuck and CastError
     propagate to the caller.
     """
-    read, update, dyn_update = sem.read, sem.update, sem.dyn_update
-    cast_ref, dyn_deref, active_step = sem.cast_ref, sem.dyn_deref, sem.active_step
+    read, write, cast_ref, active_step = (
+        sem.read, sem.write, sem.cast_ref, sem.active_step)
     start = fuel
     while fuel > 0:
         if work:
@@ -411,7 +414,7 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 if cell is not None:
                     heap[ref.addr] = (v, cell[1])
                 else:
-                    update(ref, v, heap)
+                    write(ref, v, heap)
                 stmt = stmt.body
                 rule = "update"
             elif t is SCast:
@@ -422,14 +425,14 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 rule = "cast"
             elif t is SDynDeref:
                 ref = evaluate(stmt.ref, env, heap, read)
-                v = dyn_deref(ref, stmt.ann, heap, work)
+                v = read(ref, heap, stmt.ann, work)
                 env = (stmt.name, v, env)
                 stmt = stmt.body
                 rule = "dyn-deref"
             elif t is SDynUpdate:
                 ref = evaluate(stmt.ref, env, heap, read)
                 v = evaluate(stmt.rhs, env, heap, read)
-                dyn_update(ref, v, stmt.ann, heap, work)
+                write(ref, v, heap, stmt.ann, work)
                 stmt = stmt.body
                 rule = "dyn-update"
             else:

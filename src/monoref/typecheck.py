@@ -1,10 +1,10 @@
 """Static typechecking of the IR and runtime typing predicates.
 
 `check_expr` and `check_stmt` synthesize the unique type of a term or
-report a structured diagnostic (`TypeCheckError` with a path into the
-AST). The `wt_*` predicates decide whether runtime structures (values,
-heap cells, whole heaps) are well typed against a store typing; they are
-used as oracles by the test suite.
+raise a `TypeCheckError` naming the failed premise. The `wt_*`
+predicates decide whether runtime structures (values, heap cells, whole
+heaps) are well typed against a store typing; they are used as oracles
+by the test suite.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ StoreTy = dict  # address -> Ty
 
 
 class TypeCheckError(Exception):
-    """A failed typing premise, with the path to the offending node."""
+    """A failed typing premise. The surface checker's `path` holds the
+    source position of the offending node."""
 
     def __init__(self, message: str, path: tuple = ()):
         super().__init__(message)
@@ -69,145 +70,127 @@ class TypeCheckError(Exception):
         return self.message
 
 
-def check_expr(gamma, e: Expr, path: tuple = ()) -> Ty:
+def check_expr(gamma, e: Expr) -> Ty:
     """Synthesize the type of a pure expression under `gamma`, a sequence
-    of (name, type) pairs, newest first, at `path` into the AST."""
-    return _expr(link(gamma), e, _link_path(path))
+    of (name, type) pairs, newest first."""
+    return _expr(link(gamma), e)
 
 
-def check_stmt(gamma, s: Stmt, path: tuple = ()) -> Ty:
+def check_stmt(gamma, s: Stmt) -> Ty:
     """Synthesize the type of a statement under `gamma`, a sequence of
-    (name, type) pairs, newest first, at `path` into the AST."""
-    return _stmt(link(gamma), s, _link_path(path))
+    (name, type) pairs, newest first."""
+    return _stmt(link(gamma), s)
 
 
-# The checker's own scope is a linked environment, and its path a linked
-# cell `(segment, rest)`, innermost segment first: a statement extends
-# both without copying, and a path is listed only for an error.
+# The checker's own scope is a linked environment: a statement extends
+# it without copying.
 
-def _link_path(path: tuple):
-    cell = ()
-    for segment in path:
-        cell = (segment, cell)
-    return cell
-
-
-def _error(message: str, path) -> TypeCheckError:
-    segments = []
-    while path:
-        segment, path = path
-        segments.append(segment)
-    return TypeCheckError(message, tuple(reversed(segments)))
-
-
-def _expr(gamma, e: Expr, path) -> Ty:
+def _expr(gamma, e: Expr) -> Ty:
     if isinstance(e, Var):
         try:
             return lookup(e.name, gamma)
         except Stuck:
-            raise _error(f"unbound variable {e.name!r}", path) from None
+            raise TypeCheckError(f"unbound variable {e.name!r}") from None
     if isinstance(e, EConst):
         return typeof_const(e.const)
     if isinstance(e, PrimApp):
         arrow = typeof_opr(e.op)
-        arg_ty = _expr(gamma, e.arg, ("arg", path))
+        arg_ty = _expr(gamma, e.arg)
         if arg_ty != arrow.dom:
-            raise _error(
-                f"operator expects {arrow.dom}, argument has type {arg_ty}", path)
+            raise TypeCheckError(
+                f"operator expects {arrow.dom}, argument has type {arg_ty}")
         return arrow.cod
     if isinstance(e, MkPair):
-        return PairT(_expr(gamma, e.fst, ("fst", path)),
-                     _expr(gamma, e.snd, ("snd", path)))
+        return PairT(_expr(gamma, e.fst), _expr(gamma, e.snd))
     if isinstance(e, Lam):
-        body_ty = _stmt((e.param, e.param_ty, gamma), e.body, ("body", path))
+        body_ty = _stmt((e.param, e.param_ty, gamma), e.body)
         return ArrowT(e.param_ty, body_ty)
     if isinstance(e, Deref):
-        ref_ty = _expr(gamma, e.ref, ("ref", path))
+        ref_ty = _expr(gamma, e.ref)
         if not isinstance(ref_ty, RefT):
-            raise _error(f"dereference of non-reference type {ref_ty}", path)
+            raise TypeCheckError(f"dereference of non-reference type {ref_ty}")
         if not is_static(ref_ty.cell):
-            raise _error(
-                f"dereference of non-static reference type {ref_ty}", path)
+            raise TypeCheckError(
+                f"dereference of non-static reference type {ref_ty}")
         return ref_ty.cell
-    raise _error(f"unknown expression form {e!r}", path)
+    raise TypeCheckError(f"unknown expression form {e!r}")
 
 
-def _stmt(gamma, s: Stmt, path) -> Ty:
+def _stmt(gamma, s: Stmt) -> Ty:
     """Follows each statement's body in a loop; only a `Lam` body nested
     in an expression costs a Python frame."""
     while True:
         if isinstance(s, SLet):
-            rhs_ty = _expr(gamma, s.rhs, ("let-rhs", path))
+            rhs_ty = _expr(gamma, s.rhs)
             gamma = (s.name, rhs_ty, gamma)
-            s, path = s.body, ("let-body", path)
+            s = s.body
         elif isinstance(s, SRet):
-            return _expr(gamma, s.expr, ("return", path))
+            return _expr(gamma, s.expr)
         elif isinstance(s, (SCall, STailCall)):
-            fn_ty = _expr(gamma, s.fn, ("fn", path))
+            fn_ty = _expr(gamma, s.fn)
             if not isinstance(fn_ty, ArrowT):
-                raise _error(f"call of non-function type {fn_ty}", path)
-            arg_ty = _expr(gamma, s.arg, ("call-arg", path))
+                raise TypeCheckError(f"call of non-function type {fn_ty}")
+            arg_ty = _expr(gamma, s.arg)
             if arg_ty != fn_ty.dom:
-                raise _error(
-                    f"call expects {fn_ty.dom}, argument has type {arg_ty}", path)
+                raise TypeCheckError(
+                    f"call expects {fn_ty.dom}, argument has type {arg_ty}")
             if isinstance(s, STailCall):
                 return fn_ty.cod
             gamma = (s.name, fn_ty.cod, gamma)
-            s, path = s.body, ("call-body", path)
+            s = s.body
         elif isinstance(s, SAlloc):
-            init_ty = _expr(gamma, s.init, ("alloc-init", path))
+            init_ty = _expr(gamma, s.init)
             if init_ty != s.cell_ty:
-                raise _error(
-                    f"allocation at {s.cell_ty} initialized with {init_ty}", path)
+                raise TypeCheckError(
+                    f"allocation at {s.cell_ty} initialized with {init_ty}")
             gamma = (s.name, RefT(s.cell_ty), gamma)
-            s, path = s.body, ("alloc-body", path)
+            s = s.body
         elif isinstance(s, SUpdate):
-            ref_ty = _expr(gamma, s.ref, ("update-ref", path))
+            ref_ty = _expr(gamma, s.ref)
             if not isinstance(ref_ty, RefT):
-                raise _error(
-                    f"update through non-reference type {ref_ty}", path)
+                raise TypeCheckError(
+                    f"update through non-reference type {ref_ty}")
             if not is_static(ref_ty.cell):
-                raise _error(
-                    f"update through non-static reference type {ref_ty}", path)
-            rhs_ty = _expr(gamma, s.rhs, ("update-rhs", path))
+                raise TypeCheckError(
+                    f"update through non-static reference type {ref_ty}")
+            rhs_ty = _expr(gamma, s.rhs)
             if rhs_ty != ref_ty.cell:
-                raise _error(
-                    f"update expects {ref_ty.cell}, value has type {rhs_ty}",
-                    path)
-            s, path = s.body, ("update-body", path)
+                raise TypeCheckError(
+                    f"update expects {ref_ty.cell}, value has type {rhs_ty}")
+            s = s.body
         elif isinstance(s, SDynUpdate):
-            ref_ty = _expr(gamma, s.ref, ("dyn-update-ref", path))
+            ref_ty = _expr(gamma, s.ref)
             if ref_ty != RefT(s.ann):
-                raise _error(
+                raise TypeCheckError(
                     f"annotated update at {s.ann} through reference of type "
-                    f"{ref_ty}", path)
-            rhs_ty = _expr(gamma, s.rhs, ("dyn-update-rhs", path))
+                    f"{ref_ty}")
+            rhs_ty = _expr(gamma, s.rhs)
             if rhs_ty != s.ann:
-                raise _error(
-                    f"annotated update expects {s.ann}, value has type {rhs_ty}",
-                    path)
-            s, path = s.body, ("dyn-update-body", path)
+                raise TypeCheckError(
+                    f"annotated update expects {s.ann}, value has type "
+                    f"{rhs_ty}")
+            s = s.body
         elif isinstance(s, SCast):
-            src_ty = _expr(gamma, s.expr, ("cast-expr", path))
+            src_ty = _expr(gamma, s.expr)
             if src_ty != s.src:
-                raise _error(
+                raise TypeCheckError(
                     f"cast source annotated {s.src}, expression has type "
-                    f"{src_ty}", path)
+                    f"{src_ty}")
             if not consistent(s.src, s.tgt):
-                raise _error(
-                    f"cast from {s.src} to inconsistent {s.tgt}", path)
+                raise TypeCheckError(
+                    f"cast from {s.src} to inconsistent {s.tgt}")
             gamma = (s.name, s.tgt, gamma)
-            s, path = s.body, ("cast-body", path)
+            s = s.body
         elif isinstance(s, SDynDeref):
-            ref_ty = _expr(gamma, s.ref, ("dyn-deref-ref", path))
+            ref_ty = _expr(gamma, s.ref)
             if ref_ty != RefT(s.ann):
-                raise _error(
+                raise TypeCheckError(
                     f"annotated dereference at {s.ann} through reference of "
-                    f"type {ref_ty}", path)
+                    f"type {ref_ty}")
             gamma = (s.name, s.ann, gamma)
-            s, path = s.body, ("dyn-deref-body", path)
+            s = s.body
         else:
-            raise _error(f"unknown statement form {s!r}", path)
+            raise TypeCheckError(f"unknown statement form {s!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +212,7 @@ def environment_typing(sigma: StoreTy, env) -> TyEnv:
     synthesizes under the canonical typing of the captured environment,
     and function casts (`FunCast`) at their target arrow.
     """
-    memo = {}
-    return tuple((name, _value_type(sigma, v, memo))
-                 for name, v in bindings(env))
+    return tuple(bindings(_scope_type(sigma, env, {})))
 
 
 def value_type(sigma: StoreTy, v: Val) -> Ty:
@@ -244,9 +225,26 @@ def wt_val(sigma: StoreTy, v: Val, ty: Ty) -> bool:
     return _wt_val(sigma, v, ty, {})
 
 
-# `memo` maps each function value typed in one top-level call, by
-# identity, to its type: closures made in one scope share the ones it
-# captured, and typing each once keeps a chain of them from costing 2^n.
+# `memo` maps each function value and each environment cell typed in one
+# top-level call, by identity, to its type or its typed cell: closures
+# made in one scope share the cells it captured, and typing each once
+# keeps a chain of k closures linear in k.
+
+def _scope_type(sigma: StoreTy, env, memo: dict):
+    """The linked type scope of a linked environment: each binding at its
+    value's canonical type. Cells are typed oldest first, so the scope a
+    closure captured in `env` is typed before the closure, and typing it
+    recurses no deeper."""
+    fresh = []
+    while env and id(env) not in memo:
+        fresh.append(env)
+        env = env[2]
+    scope = memo[id(env)] if env else ()
+    for cell in reversed(fresh):
+        scope = (cell[0], _value_type(sigma, cell[1], memo), scope)
+        memo[id(cell)] = scope
+    return scope
+
 
 def _value_type(sigma: StoreTy, v: Val, memo: dict) -> Ty:
     t = type(v)
@@ -272,9 +270,8 @@ def _value_type(sigma: StoreTy, v: Val, memo: dict) -> Ty:
             raise TypeCheckError(f"cast of a function not of type {v.src}")
         ty = v.tgt
     elif isinstance(v, Closure):
-        gamma = ((v.param, v.param_ty),) + tuple(
-            (name, _value_type(sigma, x, memo)) for name, x in bindings(v.env))
-        ty = ArrowT(v.param_ty, check_stmt(gamma, v.body))
+        scope = (v.param, v.param_ty, _scope_type(sigma, v.env, memo))
+        ty = ArrowT(v.param_ty, _stmt(scope, v.body))
     else:
         raise TypeCheckError(f"not a value: {v!r}")
     memo[id(v)] = ty

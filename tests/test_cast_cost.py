@@ -43,7 +43,7 @@ from monoref.surface import elaborate, parse_surface, typecheck_surface
 FUEL = 2_500
 
 
-def slow_read(v, heap):
+def slow_read(v, heap, ann=None, work=None):
     layers = []
     while isinstance(v, GProxy):
         layers.append(v)
@@ -54,20 +54,14 @@ def slow_read(v, heap):
     return w
 
 
-def slow_write(v, w, heap):
+def slow_write(v, w, heap, ann=None, work=None):
     while isinstance(v, GProxy):
         w = cast_g(w, v.tgt_cell, v.src_cell)
         v = v.inner
     update_cell(v, w, heap)
 
 
-SLOW = Semantics(**{
-    **vars(GUARDED),
-    "read": slow_read,
-    "update": slow_write,
-    "dyn_update": lambda ref, v, ann, heap, work: slow_write(ref, v, heap),
-    "dyn_deref": lambda ref, ann, heap, work: slow_read(ref, heap),
-})
+SLOW = Semantics(**{**vars(GUARDED), "read": slow_read, "write": slow_write})
 
 
 def observe_and_trace(sem, stmt, fuel):
@@ -191,24 +185,15 @@ def reaches_a_proxy(stmt):
         if type(ref) is GProxy:
             seen.append(ref)
 
-    def read(ref, heap):
+    def read(ref, heap, ann=None, work=None):
         note(ref)
         return gread(ref, heap)
 
-    def update(ref, v, heap):
+    def write(ref, v, heap, ann=None, work=None):
         note(ref)
-        return GUARDED.update(ref, v, heap)
+        return GUARDED.write(ref, v, heap)
 
-    def dyn_update(ref, v, ann, heap, work):
-        note(ref)
-        return GUARDED.dyn_update(ref, v, ann, heap, work)
-
-    def dyn_deref(ref, ann, heap, work):
-        note(ref)
-        return GUARDED.dyn_deref(ref, ann, heap, work)
-
-    probe = Semantics(**{**vars(GUARDED), "read": read, "update": update,
-                         "dyn_update": dyn_update, "dyn_deref": dyn_deref})
+    probe = Semantics(**{**vars(GUARDED), "read": read, "write": write})
     steps_with(probe, 20_000, initial_state(stmt), None)
     return bool(seen)
 

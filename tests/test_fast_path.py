@@ -6,10 +6,11 @@ Under the monotonic semantics such an access always meets a `VRef` to
 a cell with no pending cast whose tag is fully static: the tag lies
 below the static cell type, and pending casts exist only while the
 worklist is non-empty, when no statement runs. Probing records count
-the calls that reach the `read` and `update` hooks over the corpus,
-every benchmark kernel configuration and generated programs. The
-driver reads and writes such a cell without calling either semantics,
-and only proxies and malformed states reach the hooks.
+the static accesses, calls without an annotation, that reach the
+`read` and `write` hooks over the corpus, every benchmark kernel
+configuration and generated programs. The driver reads and writes such
+a cell without calling either semantics, and only proxies and malformed
+states reach the hooks.
 
 An integer or Boolean is the host `int` or `bool`, and every other
 runtime value is one object, so a static loop builds only the
@@ -76,7 +77,8 @@ TRUE = True
 
 
 def probing(sem, calls):
-    """`sem` with `read` and `update` that record what each call meets."""
+    """`sem` with `read` and `write` that record what each call without
+    an annotation meets."""
     def meets(ref, heap):
         if type(ref) is not VRef:
             return type(ref).__name__
@@ -87,15 +89,17 @@ def probing(sem, calls):
             return "pending"
         return "static" if is_static(cell[1]) else "dyn tag"
 
-    def read(ref, heap):
-        calls.append(meets(ref, heap))
-        return sem.read(ref, heap)
+    def read(ref, heap, ann=None, work=None):
+        if ann is None:
+            calls.append(meets(ref, heap))
+        return sem.read(ref, heap, ann, work)
 
-    def update(ref, v, heap):
-        calls.append(meets(ref, heap))
-        return sem.update(ref, v, heap)
+    def write(ref, v, heap, ann=None, work=None):
+        if ann is None:
+            calls.append(meets(ref, heap))
+        return sem.write(ref, v, heap, ann, work)
 
-    return Semantics(**{**vars(sem), "read": read, "update": update})
+    return Semantics(**{**vars(sem), "read": read, "write": write})
 
 
 def programs():

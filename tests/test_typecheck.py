@@ -255,32 +255,36 @@ def test_environment_typing_canonical():
 def test_a_chain_of_closures_types_each_closure_once(monkeypatch):
     # Each closure is made in the scope of the earlier ones, so typing
     # the last reaches closure i through every later one: without a memo
-    # that is 2^40 typings of bodies.
+    # that is 2^n typings of bodies, and typing a captured scope newest
+    # first nests a Python frame per closure.
     import monoref.typecheck as typecheck
     from monoref.typecheck import value_type
 
-    env, n = (), 40
-    for i in range(n):
-        last = Closure("x", INT, SRet(Var("x")), env)
-        env = (f"f{i}", last, env)
     calls = []
+    stmt = typecheck._stmt
 
-    def counting(gamma, s, path=()):
+    def counting(gamma, s):
         calls.append(s)
         if len(calls) > 10 * n:
             raise AssertionError("a closure's body was typed again")
-        return check_stmt(gamma, s, path)
+        return stmt(gamma, s)
 
-    monkeypatch.setattr(typecheck, "check_stmt", counting)
-    assert value_type({}, last) == ArrowT(INT, INT)
-    assert len(calls) <= n
-    calls.clear()
-    assert wt_val({}, last, ArrowT(INT, INT))
-    assert len(calls) <= n
-    calls.clear()
-    typing = environment_typing({}, env)
-    assert [ty for _, ty in typing] == [ArrowT(INT, INT)] * n
-    assert len(calls) <= n
+    monkeypatch.setattr(typecheck, "_stmt", counting)
+    for n in (40, 2_000):
+        env = ()
+        for i in range(n):
+            last = Closure("x", INT, SRet(Var("x")), env)
+            env = (f"f{i}", last, env)
+        calls.clear()
+        assert value_type({}, last) == ArrowT(INT, INT)
+        assert len(calls) == n
+        calls.clear()
+        assert wt_val({}, last, ArrowT(INT, INT))
+        assert len(calls) == n
+        calls.clear()
+        typing = environment_typing({}, env)
+        assert [ty for _, ty in typing] == [ArrowT(INT, INT)] * n
+        assert len(calls) == n
 
 
 def test_store_typing_lesseq():
