@@ -19,7 +19,10 @@ one more proxy, even between equal types, and every read or write visits
 every layer. A walk steps over an identity layer, one whose two cell
 types are the same base type or both dyn, without a call, since
 `cast_value` would return the value unchanged; every other layer casts
-through `cast_value` directly.
+through `cast_value` directly. `cast_value` is shared, so a function
+cast between equal arrows returns the function here too, and a layer
+between equal arrow cell types casts each value it passes through to
+itself; only a reference cast always makes a proxy.
 
 Values are the ordinary runtime values, host `int` and `bool` for the
 base types, plus `lang.GProxy`, which `machine.observe` sees as an

@@ -11,14 +11,21 @@ builds no node. A heap cell is a tuple whose index 1 is its tag:
 `(value, tag)` when settled, `(value, tag, src)` while the value awaits
 a cast from `src` to the tag, so a pending cast builds no node either.
 A stack frame is the tuple `(name, cont, env)` of a call's result name,
-continuation and saved environment cell. Casting a function between two
-arrow types makes a `FunCast`, whose body, built once per cast, the call
-rule runs just as it runs a closure's. Casting a reference lowers the
-pointed-to heap cell's tag to the meet of the tag and the target cell
-type, leaving the value pending a cast from the old tag; statement
-execution resumes only once the worklist has drained. Heap tags only
-ever become less dynamic, and a cell whose tag is already low enough is
-left alone, which is what keeps casts over heap cycles from diverging.
+continuation and saved environment cell. A cast between equal base,
+dyn or arrow types returns its value, ⟨T⇐T⟩v → v (the `id` coercion of
+Herman, Tomb and Flanagan, "Space-Efficient Gradual Typing", TFP 2007),
+and so does the monotonic cast between equal reference types. Casting a
+function between two unequal arrow types makes a `FunCast`, whose body,
+built once per cast, the call rule runs just as it runs a closure's.
+Casting a reference lowers the pointed-to heap cell's tag to the meet of
+the tag and the target cell type, leaving the value pending a cast from
+the old tag; statement execution resumes only once the worklist has
+drained. An annotated write leaves its value pending a cast from the
+annotation to the tag in the same way, unless both are base types or
+dyn: such a cast touches no cell, so the write makes it at once. Heap
+tags only ever become less dynamic, and a cell whose tag is already low
+enough is left alone, which is what keeps casts over heap cycles from
+diverging.
 
 `run` owns a private, mutable heap dict and stack, updated in place;
 fresh addresses are allocated at the heap's size and never reclaimed.
@@ -226,11 +233,12 @@ def fun_cast(fn: Val, src: ArrowT, tgt: ArrowT) -> FunCast:
 def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     """Cast `v` from `src` to `tgt`, as both semantics do.
 
-    Identity on matching base types and dyn (`IDENTITY_HEADS`); arrows
-    make a `FunCast`; pairs go componentwise; a projection out of dyn
-    requires the injected type and the target to have the same head
-    constructor, which is equality of their ground types, since neither
-    is dyn. A cast between reference types is `cast_ref(v, src, tgt,
+    Identity on matching base types and dyn (`IDENTITY_HEADS`) and on
+    equal arrows, ⟨T⇐T⟩v → v; unequal arrows make a `FunCast`; pairs go
+    componentwise; a projection out of dyn requires the injected type
+    and the target to have the same head constructor, which is equality
+    of their ground types, since neither is dyn. A cast between
+    reference types, equal ones included, is `cast_ref(v, src, tgt,
     heap, work)`, which may update `heap` and the worklist `work` (head
     last) in place.
     """
@@ -238,7 +246,7 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     if ts is tt and ts in IDENTITY_HEADS:
         return v
     if ts is ArrowT and tt is ArrowT:
-        return fun_cast(v, src, tgt)
+        return v if src is tgt or src == tgt else fun_cast(v, src, tgt)
     tv = type(v)
     if tv is VPair and ts is PairT and tt is PairT:
         fst = cast_value(v.fst, src.left, tgt.left, heap, work, cast_ref)
@@ -293,13 +301,22 @@ def _dyn_deref(ref: Val, heap: Heap, ann=None, work=None) -> Val:
 
 
 def _dyn_update(ref: Val, v: Val, heap: Heap, ann=None, work=None) -> None:
-    """The monotonic write: with an annotation, `v` awaits a cast from
-    `ann` to the cell's tag, and the address heads the worklist."""
+    """The monotonic write: with an annotation, `v` is cast from `ann`
+    to the cell's tag. When both are base types or dyn (`IDENTITY_HEADS`)
+    the cast is an identity, an injection or a projection, which touches
+    no cell, so it is made at once and a failed projection raises here.
+    Otherwise `v` awaits the cast in the cell and the address heads the
+    worklist; the driver runs a statement only on an empty worklist, so
+    no other cast is pending then."""
     if ann is None:
         return update_cell(ref, v, heap)
     addr = to_addr(ref)
-    heap[addr] = (v, heap_cell(heap, addr)[1], ann)
-    work.append(addr)
+    tag = heap_cell(heap, addr)[1]
+    if type(ann) in IDENTITY_HEADS and type(tag) in IDENTITY_HEADS:
+        heap[addr] = (cast_value(v, ann, tag, heap, work, retag), tag)
+    else:
+        heap[addr] = (v, tag, ann)
+        work.append(addr)
 
 
 def _active_step(heap: Heap, work: list) -> str:

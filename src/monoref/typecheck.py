@@ -264,11 +264,7 @@ def _value_type(sigma: StoreTy, v: Val, memo: dict) -> Ty:
     if id(v) in memo:
         return memo[id(v)]
     if isinstance(v, FunCast):
-        # `src` and `tgt` may agree only in their heads: a projection out
-        # of dyn casts a payload from the type it was injected at.
-        if not _wt_val(sigma, v.fn, v.src, memo):
-            raise TypeCheckError(f"cast of a function not of type {v.src}")
-        ty = v.tgt
+        ty = _fun_cast_type(sigma, v, memo)
     elif isinstance(v, Closure):
         scope = (v.param, v.param_ty, _scope_type(sigma, v.env, memo))
         ty = ArrowT(v.param_ty, _stmt(scope, v.body))
@@ -276,6 +272,30 @@ def _value_type(sigma: StoreTy, v: Val, memo: dict) -> Ty:
         raise TypeCheckError(f"not a value: {v!r}")
     memo[id(v)] = ty
     return ty
+
+
+def _fun_cast_type(sigma: StoreTy, cast: FunCast, memo: dict) -> Ty:
+    """A function cast's target, once the function it casts types at its
+    source. A cast of a cast is walked in a loop down to the first
+    function not yet typed, which is typed once; each layer's `src` is
+    then checked against the `tgt` of the layer below on the way back up,
+    so the chain's depth costs no Python frames."""
+    layers, v = [], cast
+    while isinstance(v, FunCast) and id(v) not in memo:
+        layers.append(v)
+        v = v.fn
+    # `src` and `tgt` may agree only in their heads: a projection out of
+    # dyn casts a payload from the type it was injected at.
+    below = layers.pop()
+    typed = _wt_val(sigma, v, below.src, memo)
+    while typed and layers:
+        memo[id(below)] = below.tgt
+        above = layers.pop()
+        typed = below.tgt == above.src
+        below = above
+    if not typed:
+        raise TypeCheckError(f"cast of a function not of type {cast.src}")
+    return cast.tgt
 
 
 def _wt_val(sigma: StoreTy, v: Val, ty: Ty, memo: dict) -> bool:

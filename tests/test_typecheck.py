@@ -227,6 +227,29 @@ def test_a_cast_of_a_cast_function_types_at_its_target():
     assert not wt_val({}, misread, dyn_dyn)
 
 
+def test_a_chain_of_function_casts_types_without_recursion():
+    # A loop that passes a function through dyn on every iteration casts
+    # it back and forth between two arrows: typing the chain walks it in a
+    # loop, so its depth costs no Python frames.
+    from monoref.typecheck import value_type
+
+    int_int, dyn_dyn = ArrowT(INT, INT), ArrowT(DYN, DYN)
+    chain = Closure("x", INT, SRet(Var("x")), ())
+    for i in range(2_000):
+        src, tgt = (int_int, dyn_dyn) if i % 2 == 0 else (dyn_dyn, int_int)
+        chain = fun_cast(chain, src, tgt)
+    assert value_type({}, chain) == int_int
+    assert wt_val({}, chain, int_int)
+    assert not wt_val({}, chain, dyn_dyn)
+    # One layer that misreads the layer below breaks the whole chain.
+    broken = fun_cast(chain, dyn_dyn, int_int)
+    for _ in range(2_000):
+        broken = fun_cast(broken, int_int, int_int)
+    with pytest.raises(TypeCheckError):
+        value_type({}, broken)
+    assert not wt_val({}, broken, int_int)
+
+
 def test_wt_heap_missing_address():
     assert not wt_heap({0: INT}, {}, set())
     # allocation counter bound: addresses must sit below the heap size
