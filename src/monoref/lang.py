@@ -27,7 +27,11 @@ Every node, value and record class of the package derives from `Node`,
 an immutable record: its fields are its annotations, inherited ones
 first, and a class-level value is a field's default. Nodes compare and
 hash by class and fields, print as `SVar(name='x', pos=(1, 2))`, and
-refuse assignment.
+refuse assignment; each of the three walks nested nodes with an
+explicit stack, so a program compares, hashes and prints however deeply
+it nests. Types are interned instead: a constructor returns the one type
+with its class and fields, so two types are equal exactly when they are
+the same object, and a type test is a pointer test.
 """
 
 from __future__ import annotations
@@ -58,7 +62,10 @@ class Node:
     `__dict__` builds nodes faster, but CPython 3.11 then drops inline
     attribute values and every later field load slows. Equality needs the
     same class and equal fields, `hash` hashes those fields, and fields
-    named in `_uncompared` take part in neither.
+    named in `_uncompared` take part in neither. Equality, `hash` and
+    `repr` walk nested nodes and tuples with an explicit stack; a field
+    whose class has its own equality, a type's identity, is compared
+    whole.
     """
 
     _uncompared = ()
@@ -81,17 +88,36 @@ class Node:
         cls._key = namespace["_key"]
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
+        if not isinstance(other, Node):
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(_preorder(self)))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
+        text, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            t = type(x)
+            if t is _Text:
+                text.append(x)
+            elif t is tuple and x:
+                items = [_Text("(")]
+                for item in x:
+                    items += (item, _Text(", "))
+                items[-1] = _Text(",)" if len(x) == 1 else ")")
+                todo += reversed(items)
+            elif isinstance(x, Node) and t.__repr__ is Node.__repr__:
+                items, sep = [_Text(t.__qualname__ + "(")], ""
+                for name in x._fields:
+                    items += (_Text(f"{sep}{name}="), getattr(x, name))
+                    sep = ", "
+                items.append(_Text(")"))
+                todo += reversed(items)
+            else:
+                text.append(repr(x))
+        return "".join(text)
 
     def __setattr__(self, name, value=None):
         raise FrozenNodeError(f"cannot assign or delete field {name!r}")
@@ -99,11 +125,72 @@ class Node:
     __delattr__ = __setattr__
 
 
+class _Text(str):
+    """A piece of `Node.__repr__`'s output, as opposed to a field value."""
+
+
+def _preorder(x):
+    """The nodes and tuples nested in `x`, walked with an explicit stack,
+    each as its class and length followed by its parts: what `Node`'s
+    equality compares and its hash hashes. A node's parts are its compared
+    fields. A value with an equality of its own, a type among them, is
+    one item, compared whole."""
+    out, todo = [], [x]
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is tuple:
+            parts = x
+        elif isinstance(x, Node) and t.__eq__ is Node.__eq__:
+            parts = x._key()
+        else:
+            out.append(x)
+            continue
+        out.append((t, len(parts)))
+        todo += parts
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Types
 
+_TYPES = {}  # (class, *fields) -> the one type with that class and fields
+
+
 class Ty(Node):
-    """Base class of the type language."""
+    """Base class of the type language.
+
+    Types are interned (hash-consed): each constructor's generated
+    `__new__` returns the one object with its class and fields, made the
+    first time and kept in `_TYPES`. Its fields are types built the same
+    way, so the table's key hashes each by identity, and two types are
+    equal exactly when they are the same object: `==` and `hash` are
+    `object`'s. Copying and pickling rebuild a type through its
+    constructor, which returns the interned object.
+    """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        args = "".join(f", {name}" for name in cls._fields)
+        stores = "".join(f"\n  _set(ty, {name!r}, {name})"
+                         for name in cls._fields)
+        namespace = {"_set": object.__setattr__, "_new": object.__new__,
+                     "_types": _TYPES}
+        exec(f"def __new__(_cls{args}):\n"
+             f" key = (_cls{args},)\n"
+             f" ty = _types.get(key)\n"
+             f" if ty is None:\n"
+             f"  ty = _types[key] = _new(_cls){stores}\n"
+             f" return ty", namespace)
+        namespace["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
+        cls.__new__ = staticmethod(namespace["__new__"])
+        cls.__init__ = object.__init__
+
+    def __reduce__(self):
+        return type(self), self._key()
 
     def __str__(self) -> str:
         """`kw` or `(kw field ...)`, `kw` from `TYPE_KEYWORDS`; a loop."""

@@ -14,9 +14,11 @@ A stack frame is the tuple `(name, cont, env)` of a call's result name,
 continuation and saved environment cell. A cast between equal base,
 dyn or arrow types returns its value, ⟨T⇐T⟩v → v (the `id` coercion of
 Herman, Tomb and Flanagan, "Space-Efficient Gradual Typing", TFP 2007),
-and so does the monotonic cast between equal reference types. Casting a
-function between two unequal arrow types makes a `FunCast`, whose body,
-built once per cast, the call rule runs just as it runs a closure's.
+and so does the monotonic cast between equal reference types. Types are
+interned, so "equal" is a pointer test. Casting a function between two
+unequal arrow types makes a `FunCast`, whose body the call rule runs
+just as it runs a closure's; the body depends only on the two arrows, so
+it is built the first time that pair is cast and shared after that.
 Casting a reference lowers the pointed-to heap cell's tag to the meet of
 the tag and the target cell type, leaving the value pending a cast from
 the old tag; statement execution resumes only once the worklist has
@@ -219,14 +221,22 @@ _W_ARG, _W_FN, _W_RESULT, _W_CAST_ARG = (
     Var("$w0"), Var("$w1"), Var("$w2"), Var("$w3"))
 _W_RETURN = SRet(Var("$w4"))
 
+# The body of each function cast made so far, by its pair of arrows.
+# Types are interned, so the key hashes two pointers, and a body is
+# built once per pair of arrows; the pairs a run meets come from its
+# program's types and their meets, so the table stays small.
+_BODIES = {}
+
 
 def fun_cast(fn: Val, src: ArrowT, tgt: ArrowT) -> FunCast:
     """`fn` cast from `src` to `tgt`: the body casts the argument `$w0`
     back, calls `$w1` and casts the result out."""
-    body = SCast(
-        "$w3", _W_ARG, tgt.dom, src.dom,
-        SCall("$w2", _W_FN, _W_CAST_ARG,
-              SCast("$w4", _W_RESULT, src.cod, tgt.cod, _W_RETURN)))
+    body = _BODIES.get((src, tgt))
+    if body is None:
+        body = _BODIES[src, tgt] = SCast(
+            "$w3", _W_ARG, tgt.dom, src.dom,
+            SCall("$w2", _W_FN, _W_CAST_ARG,
+                  SCast("$w4", _W_RESULT, src.cod, tgt.cod, _W_RETURN)))
     return FunCast(fn, src, tgt, body)
 
 
@@ -234,7 +244,8 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     """Cast `v` from `src` to `tgt`, as both semantics do.
 
     Identity on matching base types and dyn (`IDENTITY_HEADS`) and on
-    equal arrows, ⟨T⇐T⟩v → v; unequal arrows make a `FunCast`; pairs go
+    equal arrows, ⟨T⇐T⟩v → v, which interned types tell by identity;
+    unequal arrows make a `FunCast`; pairs go
     componentwise; a projection out of dyn requires the injected type
     and the target to have the same head constructor, which is equality
     of their ground types, since neither is dyn. A cast between
@@ -246,7 +257,7 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     if ts is tt and ts in IDENTITY_HEADS:
         return v
     if ts is ArrowT and tt is ArrowT:
-        return v if src is tgt or src == tgt else fun_cast(v, src, tgt)
+        return v if src is tgt else fun_cast(v, src, tgt)
     tv = type(v)
     if tv is VPair and ts is PairT and tt is PairT:
         fst = cast_value(v.fst, src.left, tgt.left, heap, work, cast_ref)

@@ -36,7 +36,8 @@ a function, pair or reference is seen as that constructor over dyn
 (`_view`). Typechecking and elaboration are one pass, which lowers to
 the statement IR, inserting a cast at every boundary accepted by
 consistency rather than equality, and picking the plain dereference and
-update forms exactly when the reference's cell type is static. Like the
+update forms exactly when the reference's cell type is static. Types are
+interned (`lang.Ty`), so that equality is a pointer test. Like the
 cast-insertion translation of Siek and Taha (Scheme Workshop 2006), it
 is type-directed: each subterm's type is computed together with its IR,
 a lambda's from the type at its body's return or tail call. It is
@@ -411,7 +412,7 @@ def _view(ty: Ty, e: SurfExpr) -> Ty:
     cls, what = _VIEWS[type(e)]
     if isinstance(ty, cls):
         return ty
-    if ty == DYN:
+    if ty is DYN:
         return cls(*[DYN] * len(cls._fields))
     raise TypeCheckError(f"{what} {ty}", _pos_path(e))
 
@@ -468,9 +469,9 @@ class _Elaborator:
     def coerce(self, e: SurfExpr, atom: Expr, have: Ty, want: Ty,
                heads: list) -> Expr:
         """`atom`, the value of an operand of `e`, cast from `have` to
-        `want` unless they are equal; an inconsistent pair is `e`'s type
-        error from `_MISMATCHES`."""
-        if have is want or have == want:
+        `want` unless they are equal, that is the same interned type; an
+        inconsistent pair is `e`'s type error from `_MISMATCHES`."""
+        if have is want:
             return atom
         if not consistent(have, want):
             raise TypeCheckError(

@@ -13,6 +13,8 @@ from monoref.lang import (
     BoolC,
     BoolT,
     CastError,
+    Closure,
+    EConst,
     Fst,
     IntC,
     IntT,
@@ -25,6 +27,7 @@ from monoref.lang import (
     SRet,
     SUCC,
     Stuck,
+    VPair,
     Var,
     bindings,
     consistent,
@@ -213,6 +216,31 @@ def test_equal_nodes_hash_equal():
     assert a is not b and a == b and hash(a) == hash(b)
     assert hash(PairT(INT, DYN)) == hash(PairT(INT, DYN))
     assert len({INT, INT, DYN, RefT(INT), RefT(INT)}) == 3
+
+
+def test_nodes_of_another_class_are_unequal_without_reflection():
+    # A node of another class is unequal outright; anything but a node
+    # is left to its own equality.
+    assert IntC(1).__eq__(OCon(IntC(1))) is False
+    assert Var("x").__eq__("x") is NotImplemented
+    assert VPair(1, 2) != (1, 2)
+    assert SRet(Var("x")) != SRet(EConst(IntC(1)))
+
+
+def test_deep_values_compare_hash_and_print_without_recursion():
+    # A closure's linked environment nests as a chain of tuples, and a
+    # statement as a chain of bodies; both are walked with a stack.
+    env, body = (), SRet(Var("x"))
+    for i in range(5_000):
+        env = ("x", VPair(i, i), env)
+        body = SLet("x", Var("x"), body)
+    a, b = (Closure("x", INT, body, env) for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert Closure("x", INT, body, ("y", 0, env)) != a
+    assert repr(a) == repr(b)
+    assert repr(Closure("x", INT, SRet(Var("x")), ("y", (1,), ()))) == (
+        "Closure(param='x', param_ty=IntT(), body=SRet(expr=Var(name='x')),"
+        " env=('y', (1,), ()))")
 
 
 def test_surface_positions_take_no_part_in_equality():

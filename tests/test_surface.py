@@ -537,6 +537,12 @@ def test_long_programs_pass_every_layer(name):
     assert check_stmt((), program) == typecheck_surface((), ast) == INT
     assert render_observable(run(program)) == expected
     assert render_observable(run_g(program)) == expected
+    # Equality, hash and repr walk the nested statements with a stack.
+    again = elaborate(parse_surface(source))
+    assert again is not program and again == program
+    assert hash(again) == hash(program) and repr(again) == repr(program)
+    other = elaborate(parse_surface(source.replace("succ", "prev", 1)))
+    assert other != program
 
 
 def test_generated_static_programs_elaborate_without_casts():
