@@ -65,7 +65,10 @@ class Node:
     named in `_uncompared` take part in neither. Equality, `hash` and
     `repr` walk nested nodes and tuples with an explicit stack; a field
     whose class has its own equality, a type's identity, is compared
-    whole.
+    whole. Equality walks both operands in lockstep, skips a part shared
+    by both and stops at the first difference; any other leaf compares
+    by class and value, so a field holding `1` differs from one holding
+    `True`.
     """
 
     _uncompared = ()
@@ -90,7 +93,26 @@ class Node:
     def __eq__(self, other):
         if not isinstance(other, Node):
             return NotImplemented
-        return _preorder(self) == _preorder(other)
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            t = type(a)
+            if t is not type(b):
+                return False
+            if t is tuple:
+                pa, pb = a, b
+            elif isinstance(a, Node) and t.__eq__ is Node.__eq__:
+                pa, pb = a._key(), b._key()
+            elif a != b:
+                return False
+            else:
+                continue
+            if len(pa) != len(pb):
+                return False
+            todo += zip(reversed(pa), reversed(pb))  # first part on top
+        return True
 
     def __hash__(self):
         return hash(tuple(_preorder(self)))
@@ -132,9 +154,8 @@ class _Text(str):
 def _preorder(x):
     """The nodes and tuples nested in `x`, walked with an explicit stack,
     each as its class and length followed by its parts: what `Node`'s
-    equality compares and its hash hashes. A node's parts are its compared
-    fields. A value with an equality of its own, a type among them, is
-    one item, compared whole."""
+    hash hashes. A node's parts are its compared fields. Any other value,
+    a type among them, is one leaf, hashed with its class."""
     out, todo = [], [x]
     while todo:
         x = todo.pop()
@@ -144,7 +165,7 @@ def _preorder(x):
         elif isinstance(x, Node) and t.__eq__ is Node.__eq__:
             parts = x._key()
         else:
-            out.append(x)
+            out += (t, x)
             continue
         out.append((t, len(parts)))
         todo += parts
@@ -166,15 +187,19 @@ class Ty(Node):
     way, so the table's key hashes each by identity, and two types are
     equal exactly when they are the same object: `==` and `hash` are
     `object`'s. Copying and pickling rebuild a type through its
-    constructor, which returns the interned object.
+    constructor, which returns the interned object. A type is made after
+    its fields, so `__new__` also stores whether it is static, `_static`:
+    its class's `_static` and its fields'.
     """
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    _static = True
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         args = "".join(f", {name}" for name in cls._fields)
+        static = "".join(f" and {name}._static" for name in cls._fields)
         stores = "".join(f"\n  _set(ty, {name!r}, {name})"
                          for name in cls._fields)
         namespace = {"_set": object.__setattr__, "_new": object.__new__,
@@ -183,7 +208,9 @@ class Ty(Node):
              f" key = (_cls{args},)\n"
              f" ty = _types.get(key)\n"
              f" if ty is None:\n"
+             f"  static = _cls._static{static}\n"
              f"  ty = _types[key] = _new(_cls){stores}\n"
+             f"  _set(ty, '_static', static)\n"
              f" return ty", namespace)
         namespace["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
         cls.__new__ = staticmethod(namespace["__new__"])
@@ -230,7 +257,7 @@ class RefT(Ty):
 
 
 class DynT(Ty):
-    pass
+    _static = False
 
 
 # The keyword each type constructor prints as, and the parser reads.
@@ -543,12 +570,10 @@ def consistent(a: Ty, b: Ty) -> bool:
 
 
 def is_static(a: Ty) -> bool:
-    """True when `dyn` occurs nowhere in the type."""
-    if type(a) is DynT:
-        return False
+    """True when `dyn` occurs nowhere in the type; read, not computed."""
     if not isinstance(a, Ty):
         raise TypeError(f"not a type: {a!r}")
-    return not a._fields or all(map(is_static, a._key()))
+    return a._static
 
 
 def ground(a: Ty) -> Ty:

@@ -39,7 +39,9 @@ A `Semantics` is how a reference is read, written and cast, plus the
 worklist rule. The driver reads and writes a plain reference itself,
 which is all that statically typed code does with the heap: a static
 access calls a semantics' `read` or `write` only through a proxy, on a
-cell with a pending cast or in a malformed state.
+cell with a pending cast or in a malformed state. The IR is in A-normal
+form: a static transition looks a name operand up in place, and calls
+`evaluate` only for an `SLet`'s compound right-hand side.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ from .lang import (
     bindings,
     lesseq,
     link,
+    lookup,
     meet,
 )
 
@@ -112,9 +115,7 @@ Active = tuple  # worklist of addresses, head processed first
 
 class State(Node):
     """A machine configuration. `env` lists the bindings as (name, value)
-    pairs, newest first. `stack` holds one `(name, cont, env)` tuple per
-    pending call, innermost first: the name the call's result binds, the
-    statement that resumes, and the caller's linked environment cell."""
+    pairs, newest first; `stack` holds one frame per call, innermost first."""
     stmt: Stmt
     env: tuple
     stack: tuple
@@ -182,27 +183,38 @@ def read_cell(ref: Val, heap: Heap) -> Val:
 def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
     """Evaluate a pure expression. A `Deref` of a `VRef` whose cell has no
     pending cast returns the cell's value; any other reference, and a
-    missing cell, goes to `read(ref, heap)`."""
+    missing cell, goes to `read(ref, heap)`. A name operand is walked
+    inline, as in the driver: a call per name costs more than the walk."""
     t = type(e)
-    if t is Var:
-        # Walked inline: a call per variable cost 3-5% of static-loop steps/s.
-        name = e.name
-        while env:
-            key, v, env = env
-            if key == name:
-                return v
-        raise Stuck(f"unbound name {name!r}")
-    if t is EConst:
-        return e.const.value
-    if t is PrimApp:
-        return delta(e.op, evaluate(e.arg, env, heap, read))
     if t is Deref:
-        ref = evaluate(e.ref, env, heap, read)
+        if type(ref := e.ref) is Var:
+            name, scope = ref.name, env
+            while scope and scope[0] != name:
+                scope = scope[2]
+            ref = scope[1] if scope else lookup(name, scope)
+        else:
+            ref = evaluate(ref, env, heap, read)
         if type(ref) is VRef:
             cell = heap.get(ref.addr)
             if cell is not None and len(cell) == 2:
                 return cell[0]
         return read(ref, heap)
+    if t is PrimApp:
+        if type(v := e.arg) is Var:
+            name, scope = v.name, env
+            while scope and scope[0] != name:
+                scope = scope[2]
+            v = scope[1] if scope else lookup(name, scope)
+        else:
+            v = evaluate(v, env, heap, read)
+        return delta(e.op, v)
+    if t is Var:
+        name, scope = e.name, env
+        while scope and scope[0] != name:
+            scope = scope[2]
+        return scope[1] if scope else lookup(name, scope)
+    if t is EConst:
+        return e.const.value
     if t is MkPair:
         return VPair(evaluate(e.fst, env, heap, read),
                      evaluate(e.snd, env, heap, read))
@@ -402,13 +414,31 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
         else:
             t = type(stmt)
             if t is SLet:
-                v = evaluate(stmt.rhs, env, heap, read)
+                if type(v := stmt.rhs) is Var:
+                    name, scope = v.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    v = scope[1] if scope else lookup(name, scope)
+                else:
+                    v = evaluate(v, env, heap, read)
                 env = (stmt.name, v, env)
                 stmt = stmt.body
                 rule = "let"
             elif t is STailCall or t is SCall:
-                fn = evaluate(stmt.fn, env, heap, read)
-                arg = evaluate(stmt.arg, env, heap, read)
+                if type(fn := stmt.fn) is Var:
+                    name, scope = fn.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    fn = scope[1] if scope else lookup(name, scope)
+                else:
+                    fn = evaluate(fn, env, heap, read)
+                if type(arg := stmt.arg) is Var:
+                    name, scope = arg.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    arg = scope[1] if scope else lookup(name, scope)
+                else:
+                    arg = evaluate(arg, env, heap, read)
                 if t is SCall:
                     stack.append((stmt.name, stmt.body, env))
                     rule = "call"
@@ -424,20 +454,44 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
             elif t is SRet:
                 if not stack:
                     break
-                v = evaluate(stmt.expr, env, heap, read)
+                if type(v := stmt.expr) is Var:
+                    name, scope = v.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    v = scope[1] if scope else lookup(name, scope)
+                else:
+                    v = evaluate(v, env, heap, read)
                 name, stmt, env = stack.pop()
                 env = (name, v, env)
                 rule = "return"
             elif t is SAlloc:
-                v = evaluate(stmt.init, env, heap, read)
+                if type(v := stmt.init) is Var:
+                    name, scope = v.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    v = scope[1] if scope else lookup(name, scope)
+                else:
+                    v = evaluate(v, env, heap, read)
                 addr = len(heap)
                 heap[addr] = (v, stmt.cell_ty)
                 env = (stmt.name, VRef(addr), env)
                 stmt = stmt.body
                 rule = "alloc"
             elif t is SUpdate:
-                ref = evaluate(stmt.ref, env, heap, read)
-                v = evaluate(stmt.rhs, env, heap, read)
+                if type(ref := stmt.ref) is Var:
+                    name, scope = ref.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    ref = scope[1] if scope else lookup(name, scope)
+                else:
+                    ref = evaluate(ref, env, heap, read)
+                if type(v := stmt.rhs) is Var:
+                    name, scope = v.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    v = scope[1] if scope else lookup(name, scope)
+                else:
+                    v = evaluate(v, env, heap, read)
                 cell = heap.get(ref.addr) if type(ref) is VRef else None
                 if cell is not None:
                     heap[ref.addr] = (v, cell[1])
@@ -446,7 +500,13 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 stmt = stmt.body
                 rule = "update"
             elif t is SCast:
-                v = evaluate(stmt.expr, env, heap, read)
+                if type(v := stmt.expr) is Var:
+                    name, scope = v.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    v = scope[1] if scope else lookup(name, scope)
+                else:
+                    v = evaluate(v, env, heap, read)
                 v = cast_value(v, stmt.src, stmt.tgt, heap, work, cast_ref)
                 env = (stmt.name, v, env)
                 stmt = stmt.body

@@ -17,6 +17,12 @@ runtime value is one object, so a static loop builds only the
 references it allocates: counting node constructions over a window of
 steps shows no node per arithmetic result, none around a cell's value,
 and none per stack frame.
+
+The IR is in A-normal form, so an operand is a name or a literal. A
+static transition looks a name operand up where it is used, and calls
+`evaluate` only for a `let`'s compound right-hand side: counting the
+calls over a window of steps shows no call on a bare name and fewer
+calls than transitions.
 """
 
 import random
@@ -27,6 +33,7 @@ import pytest
 
 from generators import ProgramGen
 from kernels import all_kernels, kernel, lattice_kernels
+from monoref import machine
 from monoref.guarded import GUARDED
 from monoref.lang import (
     BOOL,
@@ -328,3 +335,36 @@ def test_a_function_cast_builds_its_body_once(sem, built):
     nodes = built_per_window(sem, stmt, built)
     assert not {"FunCast", "SCast", "SCall"} & set(nodes)
     assert calls_of_function_casts(sem, stmt) > 300
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The expressions `machine.evaluate` is called on while the test
+    runs, its calls of itself included, in call order."""
+    exprs = []
+
+    def counting(e, env, heap, read, _evaluate=machine.evaluate):
+        exprs.append(e)
+        return _evaluate(e, env, heap, read)
+    monkeypatch.setattr(machine, "evaluate", counting)
+    return exprs
+
+
+@SEMANTICS
+@pytest.mark.parametrize("name", ["pure", "counter", "alloc"])
+def test_a_static_transition_looks_its_names_up_in_place(sem, name,
+                                                         evaluated):
+    # Steps `window` to `2 * window` of a run: a run is deterministic, so
+    # the longer run's calls start with the shorter run's, and set-up
+    # cancels. Every kernel loops until its fuel is out.
+    stmt, window, runs = kernel(name), 3_000, []
+    for fuel in (window, 2 * window):
+        evaluated.clear()
+        records = []
+        steps_with(sem, fuel, initial_state(stmt), records.append)
+        runs.append((len(records), list(evaluated)))
+    (steps, calls), (more_steps, more_calls) = runs
+    assert more_steps - steps == window
+    in_window = more_calls[len(calls):]
+    assert [e for e in in_window if type(e) is Var] == []
+    assert 0 < len(in_window) <= window

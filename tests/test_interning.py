@@ -107,6 +107,10 @@ def test_a_constructor_checks_its_arguments():
         ArrowT(INT, dom=INT)
     with pytest.raises(AttributeError):
         RefT(INT).cell = BOOL
+    # A field that is no type fails before anything enters the table.
+    for _ in range(2):
+        with pytest.raises(AttributeError):
+            RefT(3)
 
 
 @given(TYPES, TYPES)

@@ -74,6 +74,19 @@ def test_is_static_table():
     assert is_static(ArrowT(INT, BOOL))
     assert not is_static(RefT(DYN))
     assert not is_static(PairT(INT, PairT(BOOL, DYN)))
+    with pytest.raises(TypeError):
+        is_static(IntC(1))
+
+
+def test_is_static_reads_a_fact_stored_when_the_type_was_made():
+    # A 10,000-deep arrow: staticness takes no recursion, whichever side
+    # the depth is on and wherever the one dyn sits.
+    for leaf, static in ((BOOL, True), (DYN, False)):
+        right = left = leaf
+        for _ in range(10_000):
+            right, left = ArrowT(INT, right), ArrowT(left, INT)
+        assert is_static(right) is static and is_static(left) is static
+        assert is_static(RefT(PairT(INT, right))) is static
 
 
 def test_ground_table():
@@ -241,6 +254,44 @@ def test_deep_values_compare_hash_and_print_without_recursion():
     assert repr(Closure("x", INT, SRet(Var("x")), ("y", (1,), ()))) == (
         "Closure(param='x', param_ty=IntT(), body=SRet(expr=Var(name='x')),"
         " env=('y', (1,), ()))")
+
+
+class Uncomparable:
+    """A leaf that fails the test if equality ever compares it."""
+
+    def __eq__(self, other):
+        raise AssertionError("compared a leaf past the first difference")
+
+    __ne__ = __eq__
+    __hash__ = object.__hash__
+
+
+def test_equality_stops_at_the_first_difference_and_skips_shared_parts():
+    a = SLet("x", Var("y"), SRet(Var(Uncomparable())))
+    b = SLet("z", Var("y"), SRet(Var(Uncomparable())))
+    assert a != b and not a == b
+    assert SLet("x", Var("y"), SRet(Var("x"))) != SLet("x", EConst(IntC(1)),
+                                                       a)
+    shared = SRet(Var(Uncomparable()))
+    assert SLet("x", Var("y"), shared) == SLet("x", Var("y"), shared)
+
+
+def test_equality_tells_an_int_leaf_from_a_boolean_one():
+    # bool subclasses int and 1 == True in Python, but a value node
+    # compares its leaves by class as well.
+    assert VPair(1, 0) != VPair(True, False)
+    assert VPair(1, 0) == VPair(1, 0)
+    assert VPair(True, False) == VPair(True, False)
+    body = SRet(Var("x"))
+    one = Closure("y", INT, body, ("x", 1, ()))
+    true = Closure("y", INT, body, ("x", True, ()))
+    assert one != true
+    assert one == Closure("y", INT, body, ("x", 1, ()))
+    for a, b in ((VPair(1, 0), VPair(1, 0)), (one, Closure(
+            "y", INT, SRet(Var("x")), ("x", 1, ())))):
+        assert hash(a) == hash(b)
+    # A heap is a dict of plain tuples, so it keeps Python's comparison.
+    assert {0: (1, INT)} == {0: (True, INT)}
 
 
 def test_surface_positions_take_no_part_in_equality():
