@@ -178,6 +178,13 @@ def _preorder(x):
 _TYPES = {}  # (class, *fields) -> the one type with that class and fields
 
 
+def is_static(a: Ty) -> bool:
+    """True when `dyn` occurs nowhere in the type; read, not computed."""
+    if not isinstance(a, Ty):
+        raise TypeError(f"not a type: {a!r}")
+    return a._static
+
+
 class Ty(Node):
     """Base class of the type language.
 
@@ -189,7 +196,8 @@ class Ty(Node):
     `object`'s. Copying and pickling rebuild a type through its
     constructor, which returns the interned object. A type is made after
     its fields, so `__new__` also stores whether it is static, `_static`:
-    its class's `_static` and its fields'.
+    its class's `_static` and its fields'. A field that is no type raises
+    `TypeError` before anything enters the table.
     """
 
     __eq__ = object.__eq__
@@ -199,11 +207,11 @@ class Ty(Node):
     def __init_subclass__(cls):
         super().__init_subclass__()
         args = "".join(f", {name}" for name in cls._fields)
-        static = "".join(f" and {name}._static" for name in cls._fields)
+        static = "".join(f" & _is_static({name})" for name in cls._fields)
         stores = "".join(f"\n  _set(ty, {name!r}, {name})"
                          for name in cls._fields)
         namespace = {"_set": object.__setattr__, "_new": object.__new__,
-                     "_types": _TYPES}
+                     "_types": _TYPES, "_is_static": is_static}
         exec(f"def __new__(_cls{args}):\n"
              f" key = (_cls{args},)\n"
              f" ty = _types.get(key)\n"
@@ -567,13 +575,6 @@ def consistent(a: Ty, b: Ty) -> bool:
     if type(a) is not type(b) or not isinstance(a, Ty):
         return False
     return not a._fields or all(map(consistent, a._key(), b._key()))
-
-
-def is_static(a: Ty) -> bool:
-    """True when `dyn` occurs nowhere in the type; read, not computed."""
-    if not isinstance(a, Ty):
-        raise TypeError(f"not a type: {a!r}")
-    return a._static
 
 
 def ground(a: Ty) -> Ty:

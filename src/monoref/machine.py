@@ -41,7 +41,8 @@ which is all that statically typed code does with the heap: a static
 access calls a semantics' `read` or `write` only through a proxy, on a
 cell with a pending cast or in a malformed state. The IR is in A-normal
 form: a static transition looks a name operand up in place, and calls
-`evaluate` only for an `SLet`'s compound right-hand side.
+`evaluate` only for an `SLet`'s compound right-hand side and for the
+operand of a return to a caller's frame, which no static loop makes.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ Active = tuple  # worklist of addresses, head processed first
 
 class State(Node):
     """A machine configuration. `env` lists the bindings as (name, value)
-    pairs, newest first; `stack` holds one frame per call, innermost first."""
+    pairs, newest first. `stack` holds one `(name, cont, env)` tuple per
+    pending call, innermost first: the name the call's result binds, the
+    statement that resumes, and the caller's linked environment cell."""
     stmt: Stmt
     env: tuple
     stack: tuple
@@ -454,13 +457,7 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
             elif t is SRet:
                 if not stack:
                     break
-                if type(v := stmt.expr) is Var:
-                    name, scope = v.name, env
-                    while scope and scope[0] != name:
-                        scope = scope[2]
-                    v = scope[1] if scope else lookup(name, scope)
-                else:
-                    v = evaluate(v, env, heap, read)
+                v = evaluate(stmt.expr, env, heap, read)
                 name, stmt, env = stack.pop()
                 env = (name, v, env)
                 rule = "return"

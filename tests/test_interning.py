@@ -27,6 +27,7 @@ from monoref.lang import (
     Node,
     PairT,
     RefT,
+    _TYPES,
     consistent,
     lesseq,
     meet,
@@ -107,10 +108,15 @@ def test_a_constructor_checks_its_arguments():
         ArrowT(INT, dom=INT)
     with pytest.raises(AttributeError):
         RefT(INT).cell = BOOL
-    # A field that is no type fails before anything enters the table.
-    for _ in range(2):
-        with pytest.raises(AttributeError):
-            RefT(3)
+    # A field that is no type fails, wherever it stands, before anything
+    # enters the table.
+    known = len(_TYPES)
+    for make in (lambda: RefT(3), lambda: ArrowT(DYN, 3),
+                 lambda: ArrowT(3, INT), lambda: PairT(DYN, 3)):
+        for _ in range(2):
+            with pytest.raises(TypeError, match="not a type: 3"):
+                make()
+    assert len(_TYPES) == known
 
 
 @given(TYPES, TYPES)
