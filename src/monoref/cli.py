@@ -63,7 +63,8 @@ def observable_exit_code(obs: Observable) -> int:
 def _load(path: str):
     """Parse and typecheck a source file; returns (surface AST, type)."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        # Some editors start a file with a byte-order mark: skip it.
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)

@@ -39,10 +39,15 @@ A `Semantics` is how a reference is read, written and cast, plus the
 worklist rule. The driver reads and writes a plain reference itself,
 which is all that statically typed code does with the heap: a static
 access calls a semantics' `read` or `write` only through a proxy, on a
-cell with a pending cast or in a malformed state. The IR is in A-normal
-form: a static transition looks a name operand up in place, and calls
-`evaluate` only for an `SLet`'s compound right-hand side and for the
-operand of a return to a caller's frame, which no static loop makes.
+cell with a pending cast or in a malformed state. It also makes an
+annotated access whose cast is an identity under both semantics: a read
+or write through a `VRef` to a cell with no pending cast whose tag is
+the annotation itself, when that tag is a base type or dyn, or, for a
+read, an arrow. A monotonic arrow write still goes through the worklist.
+The IR is in A-normal form: a transition looks a name operand up in
+place, and calls `evaluate` only for an `SLet`'s compound right-hand
+side and for the operand of a return to a caller's frame, which no loop
+kernel makes.
 """
 
 from __future__ import annotations
@@ -108,6 +113,12 @@ from .lang import (
 )
 
 DEFAULT_FUEL = 1_000_000
+
+# The type classes whose cast from a type to itself returns the value
+# untouched, under both semantics: base types, dyn and arrows. Such a
+# cast on a pair rebuilds the pair, and on a reference it is `cast_ref`,
+# which may retype a cell.
+_SELF_IDENTITY_HEADS = IDENTITY_HEADS | {ArrowT}
 
 Env = tuple  # linked cell (name, Val, rest), newest binding first; () is empty
 Heap = dict  # address -> (Val, tag), or (Val, tag, src) with a cast pending
@@ -258,34 +269,44 @@ def fun_cast(fn: Val, src: ArrowT, tgt: ArrowT) -> FunCast:
 def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     """Cast `v` from `src` to `tgt`, as both semantics do.
 
-    Identity on matching base types and dyn (`IDENTITY_HEADS`) and on
-    equal arrows, ⟨T⇐T⟩v → v, which interned types tell by identity;
-    unequal arrows make a `FunCast`; pairs go
-    componentwise; a projection out of dyn requires the injected type
-    and the target to have the same head constructor, which is equality
-    of their ground types, since neither is dyn. A cast between
-    reference types, equal ones included, is `cast_ref(v, src, tgt,
-    heap, work)`, which may update `heap` and the worklist `work` (head
-    last) in place.
+    The cast's shape decides, as in Grift (Kuhlenschmidt, Almahallawi
+    and Siek, "An Efficient Compiler for the Gradually Typed Lambda
+    Calculus", PLDI 2019). Between two types with the same head: the
+    identity on base types and dyn (`IDENTITY_HEADS`), ⟨T⇐T⟩v → v;
+    `cast_ref(v, src, tgt, heap, work)` between reference types, equal
+    ones included, which may update `heap` and the worklist `work` (head
+    last) in place; the identity between equal arrows, which interned
+    types tell by identity, and a `FunCast` between unequal ones; pairs
+    componentwise. Between two heads, the shapes dynamic code casts
+    most: injection into dyn, then projection out of it, which requires
+    the injected type and the target to have the same head, which is
+    equality of their ground types, since neither is dyn. A projection
+    whose injected type is the target itself, a base type or an arrow,
+    returns the payload at once: the cast it would recurse into is an
+    identity.
     """
     ts, tt = type(src), type(tgt)
-    if ts is tt and ts in IDENTITY_HEADS:
-        return v
-    if ts is ArrowT and tt is ArrowT:
-        return v if src is tgt else fun_cast(v, src, tgt)
-    tv = type(v)
-    if tv is VPair and ts is PairT and tt is PairT:
-        fst = cast_value(v.fst, src.left, tgt.left, heap, work, cast_ref)
-        return VPair(fst, cast_value(v.snd, src.right, tgt.right, heap, work,
-                                     cast_ref))
-    if ts is RefT and tt is RefT:
-        return cast_ref(v, src, tgt, heap, work)
-    if tv is Inject and ts is DynT:
-        if type(v.src_ty) is tt:
-            return cast_value(v.payload, v.src_ty, tgt, heap, work, cast_ref)
-        raise CastError("projection of {} payload to {}", v.src_ty, tgt)
-    if tt is DynT:
+    if ts is tt:
+        if ts in IDENTITY_HEADS:
+            return v
+        if ts is RefT:
+            return cast_ref(v, src, tgt, heap, work)
+        if ts is ArrowT:
+            return v if src is tgt else fun_cast(v, src, tgt)
+        if type(v) is VPair:
+            fst = cast_value(v.fst, src.left, tgt.left, heap, work, cast_ref)
+            return VPair(fst, cast_value(v.snd, src.right, tgt.right, heap,
+                                         work, cast_ref))
+    elif tt is DynT:
         return Inject(v, src)
+    elif ts is DynT:
+        if type(v) is not Inject:
+            raise CastError("no cast from {} to {}", src, tgt)
+        if type(inner := v.src_ty) is not tt:
+            raise CastError("projection of {} payload to {}", inner, tgt)
+        if inner is tgt and tt in _SELF_IDENTITY_HEADS:
+            return v.payload
+        return cast_value(v.payload, inner, tgt, heap, work, cast_ref)
     raise CastError("no cast from {} to {}", src, tgt)
 
 
@@ -385,12 +406,13 @@ class Semantics(Node):
     """What differs between the reference semantics the driver runs.
 
     `read(ref, heap, ann, work)` serves an `SDynDeref` and `write(ref,
-    v, heap, ann, work)` an `SDynUpdate`. Without `ann` and `work` they
-    serve a `Deref` or `SUpdate` the driver does not do itself: through
-    anything but a `VRef` to an allocated cell, or a read of a pending
-    cell. `cast_ref` is the reference case of `cast_value`. All three
-    update the heap and the worklist (head last) in place; `active_step`
-    is the worklist rule, None without a worklist.
+    v, heap, ann, work)` an `SDynUpdate`, each but an identity at the
+    cell's tag, which the driver makes itself. Without `ann` and `work`
+    they serve a `Deref` or `SUpdate` the driver does not do itself:
+    through anything but a `VRef` to an allocated cell, or a read of a
+    pending cell. `cast_ref` is the reference case of `cast_value`. All
+    three update the heap and the worklist (head last) in place;
+    `active_step` is the worklist rule, None without a worklist.
     """
     read: Callable
     write: Callable
@@ -407,6 +429,12 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
     `stack`, `heap` and `work` (each top last) in place; returns (stmt,
     env, fuel left). Stops early at a final state. Stuck and CastError
     propagate to the caller.
+
+    Each operand that is a name is looked up where it is used. A static
+    access through a `VRef` and an annotated one whose cast is an
+    identity under both semantics (see the module docstring) are made
+    here; every other access calls `sem.read` or `sem.write`, so each
+    transition is the one the semantics' own rules would make.
     """
     read, write, cast_ref, active_step = (
         sem.read, sem.write, sem.cast_ref, sem.active_step)
@@ -509,15 +537,45 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 stmt = stmt.body
                 rule = "cast"
             elif t is SDynDeref:
-                ref = evaluate(stmt.ref, env, heap, read)
-                v = read(ref, heap, stmt.ann, work)
+                if type(ref := stmt.ref) is Var:
+                    name, scope = ref.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    ref = scope[1] if scope else lookup(name, scope)
+                else:
+                    ref = evaluate(ref, env, heap, read)
+                cell = heap.get(ref.addr) if type(ref) is VRef else None
+                if (cell is not None and len(cell) == 2
+                        and cell[1] is stmt.ann
+                        and type(cell[1]) in _SELF_IDENTITY_HEADS):
+                    v = cell[0]
+                else:
+                    v = read(ref, heap, stmt.ann, work)
                 env = (stmt.name, v, env)
                 stmt = stmt.body
                 rule = "dyn-deref"
             elif t is SDynUpdate:
-                ref = evaluate(stmt.ref, env, heap, read)
-                v = evaluate(stmt.rhs, env, heap, read)
-                write(ref, v, heap, stmt.ann, work)
+                if type(ref := stmt.ref) is Var:
+                    name, scope = ref.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    ref = scope[1] if scope else lookup(name, scope)
+                else:
+                    ref = evaluate(ref, env, heap, read)
+                if type(v := stmt.rhs) is Var:
+                    name, scope = v.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    v = scope[1] if scope else lookup(name, scope)
+                else:
+                    v = evaluate(v, env, heap, read)
+                cell = heap.get(ref.addr) if type(ref) is VRef else None
+                if (cell is not None and len(cell) == 2
+                        and cell[1] is stmt.ann
+                        and type(cell[1]) in IDENTITY_HEADS):
+                    heap[ref.addr] = (v, cell[1])
+                else:
+                    write(ref, v, heap, stmt.ann, work)
                 stmt = stmt.body
                 rule = "dyn-update"
             else:

@@ -5,6 +5,12 @@ every layer, identity layers included, the plainest statement of the
 guarded semantics. `GUARDED` must agree with it on every observable and
 every trace record. The ref-cast loop must still pile up two proxies per
 iteration: the guarded baseline stays naive.
+
+`cast_value` dispatches on the cast's shape, and returns a projection's
+payload without a further cast when its injected type is the target.
+`ordered_cast` is the same cast with one test per rule, identity first,
+then arrows, pairs and references, then projection and injection, and no
+shortcut; the two must agree on every value, pair of types and heap.
 """
 
 import random
@@ -20,12 +26,19 @@ from generators import (
 )
 from kernels import kernel, lattice_kernels
 from monoref.guarded import GUARDED, GProxy, cast_g, gread, gwrite, step_g
+from monoref.guarded import proxy
 from monoref.lang import (
     DYN,
+    IDENTITY_HEADS,
+    ArrowT,
     CastError,
+    DynT,
     Inject,
+    PairT,
+    RefT,
     STailCall,
     Stuck,
+    VPair,
     VRef,
     ground,
     link,
@@ -33,8 +46,11 @@ from monoref.lang import (
 )
 from monoref.machine import (
     Semantics,
+    cast_value,
+    fun_cast,
     initial_state,
     read_cell,
+    retag,
     steps_with,
     update_cell,
 )
@@ -208,3 +224,71 @@ def test_generated_programs_read_and_write_through_proxies():
         typecheck_surface((), ast)
         reached += reaches_a_proxy(elaborate(ast))
     assert reached >= 25
+
+
+def ordered_cast(v, src, tgt, heap, work, cast_ref):
+    """`cast_value` as one test per rule, dyn last, with a projection
+    that always casts its payload."""
+    ts, tt = type(src), type(tgt)
+    if ts is tt and ts in IDENTITY_HEADS:
+        return v
+    if ts is ArrowT and tt is ArrowT:
+        return v if src is tgt else fun_cast(v, src, tgt)
+    tv = type(v)
+    if tv is VPair and ts is PairT and tt is PairT:
+        fst = ordered_cast(v.fst, src.left, tgt.left, heap, work, cast_ref)
+        return VPair(fst, ordered_cast(v.snd, src.right, tgt.right, heap,
+                                       work, cast_ref))
+    if ts is RefT and tt is RefT:
+        return cast_ref(v, src, tgt, heap, work)
+    if tv is Inject and ts is DynT:
+        if type(v.src_ty) is tt:
+            return ordered_cast(v.payload, v.src_ty, tgt, heap, work,
+                                cast_ref)
+        raise CastError("projection of {} payload to {}", v.src_ty, tgt)
+    if tt is DynT:
+        return Inject(v, src)
+    raise CastError("no cast from {} to {}", src, tgt)
+
+
+def cast_outcome(cast, v, src, tgt, heap, active, cast_ref):
+    """The result with its class, or the error's class and text, then
+    the heap and the worklist a cast on copies of them leaves."""
+    heap = None if heap is None else dict(heap)
+    work = None if active is None else list(reversed(active))
+    try:
+        result = cast(v, src, tgt, heap, work, cast_ref)
+        result = type(result), result
+    except (CastError, Stuck) as err:
+        result = type(err), str(err)
+    return result, heap, work
+
+
+def test_cast_value_agrees_with_the_cast_in_rule_order():
+    # Every type of depth 2 as source and target, a value of the source
+    # (an injection of a random payload for dyn) and, as dyn values, an
+    # injection of a value of each of those types and a bare integer,
+    # over heaps with cells pending, under the monotonic and the guarded
+    # reference cast.
+    types = all_types(2)
+    rng = random.Random(6060)
+    compared = 0
+    for _ in range(12):
+        gen = HeapGen(rng)
+        _, active = gen.config(n_cells=3)
+        values = [(gen.value_of(t), t) for t in types]
+        values += [(Inject(gen.value_of(t), t), DYN)
+                   for t in types if t is not DYN]
+        values.append((7, DYN))
+        heap = gen.heap()
+        for v, src in values:
+            for tgt in types:
+                for cells, pending, cast_ref in ((heap, active, retag),
+                                                 (None, None, proxy)):
+                    new = cast_outcome(cast_value, v, src, tgt, cells,
+                                       pending, cast_ref)
+                    assert new == cast_outcome(ordered_cast, v, src, tgt,
+                                               cells, pending, cast_ref), \
+                        (v, src, tgt)
+                    compared += 1
+    assert compared > 20_000

@@ -183,6 +183,13 @@ def test_non_utf8_file_is_unreadable(tmp_path, capsys):
     assert f"error: cannot read {path}:" in capsys.readouterr().err
 
 
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    path = tmp_path / "bom.gtlc"
+    path.write_bytes(b"\xef\xbb\xbf(succ 1)\n")
+    assert main(["run", str(path)]) == EXIT_OK
+    assert capsys.readouterr() == ("2\n", "")
+
+
 # Python caps the digits of an int read from or printed to a string
 # (from 3.10.7 on); the child interpreter is pinned to the default cap.
 DIGIT_CAP = 4300

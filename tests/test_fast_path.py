@@ -23,7 +23,16 @@ static transition looks a name operand up where it is used, and calls
 `evaluate` only for a `let`'s compound right-hand side (and a return to
 a caller's frame, which no loop kernel makes): counting the calls over a
 window of steps, casts on names included, shows no call on a bare name
-and fewer calls than transitions.
+and fewer calls than transitions. An annotated read or write looks its
+names up in place too.
+
+The driver also makes an annotated access itself when its reference is
+a `VRef` to a cell with no pending cast whose tag is the annotation, and
+a cast from that tag to itself returns the value untouched: a read at a
+base, dyn or arrow tag, a write at a base or dyn tag. Counting the
+semantics' `read` and `write` calls shows none for such an access, and
+one for every other, among them a monotonic arrow write, which still
+commits from the worklist.
 """
 
 import random
@@ -38,17 +47,25 @@ from monoref import machine
 from monoref.guarded import GUARDED
 from monoref.lang import (
     BOOL,
+    DYN,
     INT,
+    ArrowT,
+    Closure,
     Deref,
     EConst,
     Fst,
     FunCast,
+    Inject,
     IntC,
     IsZero,
     Node,
     PairT,
     Prev,
+    PrimApp,
+    RefT,
     SCall,
+    SDynDeref,
+    SDynUpdate,
     SLet,
     SRet,
     STailCall,
@@ -351,15 +368,12 @@ def evaluated(monkeypatch):
     return exprs
 
 
-@SEMANTICS
-@pytest.mark.parametrize("name", ["pure", "counter", "alloc", "ref-cast"])
-def test_a_static_transition_looks_its_names_up_in_place(sem, name,
-                                                         evaluated):
-    # Steps `window` to `2 * window` of a run: a run is deterministic, so
-    # the longer run's calls start with the shorter run's, and set-up
-    # cancels. Every kernel loops until its fuel is out; `ref-cast` also
-    # fires a cast transition on a name every few steps.
-    stmt, window, runs = kernel(name), 3_000, []
+def calls_in_window(sem, stmt, evaluated, window=3_000):
+    """The trace records of steps `window` to `2 * window` of a run, and
+    the expressions `evaluate` was called on meanwhile. A run is
+    deterministic, so the longer run's calls start with the shorter
+    run's, and set-up cancels."""
+    runs = []
     for fuel in (window, 2 * window):
         evaluated.clear()
         records = []
@@ -367,8 +381,134 @@ def test_a_static_transition_looks_its_names_up_in_place(sem, name,
         runs.append((records, list(evaluated)))
     (steps, calls), (more_steps, more_calls) = runs
     assert len(more_steps) - len(steps) == window
+    return more_steps[len(steps):], more_calls[len(calls):]
+
+
+@SEMANTICS
+@pytest.mark.parametrize("name", ["pure", "counter", "alloc", "ref-cast"])
+def test_a_static_transition_looks_its_names_up_in_place(sem, name,
+                                                         evaluated):
+    # Every kernel loops until its fuel is out; `ref-cast` also fires a
+    # cast transition on a name every few steps.
+    records, calls = calls_in_window(sem, kernel(name), evaluated)
     if name == "ref-cast":
-        assert sum(r.rule == "cast" for r in more_steps[len(steps):]) > 300
-    in_window = more_calls[len(calls):]
-    assert [e for e in in_window if type(e) is Var] == []
-    assert 0 < len(in_window) <= window
+        assert sum(r.rule == "cast" for r in records) > 300
+    assert [e for e in calls if type(e) is Var] == []
+    assert 0 < len(calls) <= 3_000
+
+
+@SEMANTICS
+@pytest.mark.parametrize("name", ["lattice-012", "lattice-122", "dyn-call"])
+def test_a_dyn_transition_looks_its_names_up_in_place(sem, name, evaluated):
+    # Annotated reads and writes of names fill these loops: an
+    # `SDynDeref`'s reference and an `SDynUpdate`'s reference and value
+    # are looked up where they are used, like a static transition's.
+    records, calls = calls_in_window(sem, dict(lattice_kernels())[name],
+                                     evaluated)
+    assert sum(r.rule in ("dyn-deref", "dyn-update") for r in records) > 300
+    assert [e for e in calls if type(e) is Var] == []
+
+
+def counting_hooks(sem, calls):
+    """`sem` with `read` and `write` that count their calls in the
+    Counter `calls`, by hook, annotation and the tag of the cell met."""
+    def tag(ref, heap):
+        return heap[ref.addr][1] if type(ref) is VRef else None
+
+    def read(ref, heap, ann=None, work=None):
+        calls["read", ann, tag(ref, heap)] += 1
+        return sem.read(ref, heap, ann, work)
+
+    def write(ref, v, heap, ann=None, work=None):
+        calls["write", ann, tag(ref, heap)] += 1
+        return sem.write(ref, v, heap, ann, work)
+
+    return Semantics(**{**vars(sem), "read": read, "write": write})
+
+
+ARROW = ArrowT(INT, INT)
+IDENTITY = Closure("x", INT, SRet(Var("x")), ())
+SUCC = Closure("x", INT, SLet("y", PrimApp(Succ(), Var("x")),
+                               SRet(Var("y"))), ())
+# A cell's tag, its value and another value of that type, by cell type.
+TAGGED = {"int": (INT, SEVEN, 8), "bool": (BOOL, TRUE, False),
+          "dyn": (DYN, Inject(SEVEN, INT), Inject(TRUE, BOOL)),
+          "arrow": (ARROW, IDENTITY, SUCC)}
+
+
+def dyn_read(ann):
+    """Read the cell `r` names at `ann` into `x`, and return `x`."""
+    return SDynDeref("x", Var("r"), ann, SRet(Var("x")))
+
+
+def dyn_write(ann):
+    """Write `v` at `ann` into the cell `r` names, and return `r`."""
+    return SDynUpdate(Var("r"), Var("v"), ann, SRet(Var("r")))
+
+
+@SEMANTICS
+@pytest.mark.parametrize("cell", ["int", "bool", "dyn", "arrow"])
+def test_a_read_at_its_cell_tag_calls_no_hook(sem, cell):
+    # The driver reads the cell itself and gets what the hook would.
+    ann, value, _ = TAGGED[cell]
+    heap, calls = {0: (value, ann)}, Counter()
+    state = State(dyn_read(ann), (("r", VRef(0)),), (), heap, ())
+    after = step_with(counting_hooks(sem, calls), state)
+    assert calls == Counter()
+    assert after.env[0] == ("x", value) and after.env[0][1] is value
+    assert sem.read(VRef(0), dict(heap), ann, []) is value
+    assert after.heap == heap and after.active == ()
+
+
+@SEMANTICS
+@pytest.mark.parametrize("cell", ["int", "bool", "dyn"])
+def test_a_write_at_its_base_or_dyn_cell_tag_calls_no_hook(sem, cell):
+    ann, old, new = TAGGED[cell]
+    heap, calls = {0: (old, ann)}, Counter()
+    state = State(dyn_write(ann), (("v", new), ("r", VRef(0))),
+                  (), heap, ())
+    after = step_with(counting_hooks(sem, calls), state)
+    assert calls == Counter()
+    by_hook, work = dict(heap), []
+    sem.write(VRef(0), new, by_hook, ann, work)
+    assert after.heap == by_hook == {0: (new, ann)}
+    assert after.heap[0][0] is new
+    assert after.active == () and work == []
+
+
+def test_a_monotonic_dyn_read_of_an_int_cell_calls_its_hook():
+    # lattice-012 reads its int cell through a (ref-ty dyn) parameter:
+    # the read injects, so the semantics makes it.
+    calls = Counter()
+    steps_with(counting_hooks(MONOTONIC, calls), 3_000,
+               initial_state(dict(lattice_kernels())["lattice-012"]), None)
+    assert calls["read", DYN, INT] > 200
+
+
+@SEMANTICS
+def test_an_arrow_write_at_its_cell_tag_calls_its_hook(sem):
+    # A monotonic arrow write leaves its value pending and commits it
+    # from the worklist, even when the cast is an identity.
+    calls, rules = Counter(), []
+    state = State(dyn_write(ARROW),
+                  (("v", SUCC), ("r", VRef(0))), (), {0: (IDENTITY, ARROW)},
+                  ())
+    steps_with(counting_hooks(sem, calls), 10, state,
+               lambda record: rules.append(record.rule))
+    assert calls == Counter({("write", ARROW, ARROW): 1})
+    assert rules == (["dyn-update", "active-commit"] if sem is MONOTONIC
+                     else ["dyn-update"])
+
+
+@SEMANTICS
+@pytest.mark.parametrize("ann, heap", [
+    (PairT(INT, INT), {0: (VPair(SEVEN, 8), PairT(INT, INT))}),
+    (RefT(INT), {0: (VRef(1), RefT(INT)), 1: (SEVEN, INT)}),
+], ids=["pair", "ref"])
+def test_a_pair_or_reference_read_calls_its_hook(sem, ann, heap):
+    # A pair's cast rebuilds the pair and a reference's may retype a
+    # cell, so such reads stay with the semantics.
+    calls = Counter()
+    state = State(dyn_read(ann), (("r", VRef(0)),), (), heap, ())
+    step_with(counting_hooks(sem, calls), state)
+    assert calls == Counter({("read", ann, ann): 1})
