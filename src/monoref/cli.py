@@ -8,7 +8,8 @@ Exit codes: 0 success or a value; 1 cast error; 2 stuck; 3 timeout;
 4 type error; 5 parse error, unreadable input or a usage error;
 6 resource failure: the input nests too deeply for the parser, the
 elaborator (which is also the typechecker) or the IR printer of
-`compile`.
+`compile`, or a reader closed standard output or error early (a broken
+pipe, as from `| head`), which ends the command with no traceback.
 `--trace` streams one tab-separated record per machine transition to
 standard error. The default fuel is 1000000 and can be set with
 MONOREF_FUEL or --fuel, either at least 1.
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "fuel", None) is None and hasattr(args, "fuel"):
@@ -191,6 +192,31 @@ def main(argv=None) -> int:
     except RecursionError:
         print(f"error: {args.file}: nesting too deep (RecursionError)",
               file=sys.stderr)
+        return EXIT_RESOURCE
+
+
+def _silence_output() -> None:
+    """Point standard output and error at the null device, so that the
+    interpreter's final flush of either cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            os.dup2(devnull, stream.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # not a file descriptor: nothing the exit flushes to it
+    os.close(devnull)
+
+
+def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        # Flush here rather than at exit, so that a closed pipe is
+        # caught below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # A reader closed standard output or error early, as `head` does.
+        _silence_output()
         return EXIT_RESOURCE
 
 

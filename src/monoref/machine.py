@@ -45,9 +45,11 @@ or write through a `VRef` to a cell with no pending cast whose tag is
 the annotation itself, when that tag is a base type or dyn, or, for a
 read, an arrow. A monotonic arrow write still goes through the worklist.
 The IR is in A-normal form: a transition looks a name operand up in
-place, and calls `evaluate` only for an `SLet`'s compound right-hand
-side and for the operand of a return to a caller's frame, which no loop
-kernel makes.
+place, a `let` also reads a cell (`Deref`) and takes a successor or
+predecessor of an integer (`PrimApp`) in place, and a return to a
+caller's frame looks its name up in place too. `evaluate` serves only a
+`let` that binds a lambda, a pair or a literal, an operand that is not a
+name, and the final state's result: static loop code calls nothing.
 """
 
 from __future__ import annotations
@@ -197,31 +199,10 @@ def read_cell(ref: Val, heap: Heap) -> Val:
 def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
     """Evaluate a pure expression. A `Deref` of a `VRef` whose cell has no
     pending cast returns the cell's value; any other reference, and a
-    missing cell, goes to `read(ref, heap)`. A name operand is walked
-    inline, as in the driver: a call per name costs more than the walk."""
+    missing cell, goes to `read(ref, heap)`. The driver makes the common
+    forms itself (see `_transitions`), so this serves a lambda, a pair,
+    a literal, an operand that is not a name and the final result."""
     t = type(e)
-    if t is Deref:
-        if type(ref := e.ref) is Var:
-            name, scope = ref.name, env
-            while scope and scope[0] != name:
-                scope = scope[2]
-            ref = scope[1] if scope else lookup(name, scope)
-        else:
-            ref = evaluate(ref, env, heap, read)
-        if type(ref) is VRef:
-            cell = heap.get(ref.addr)
-            if cell is not None and len(cell) == 2:
-                return cell[0]
-        return read(ref, heap)
-    if t is PrimApp:
-        if type(v := e.arg) is Var:
-            name, scope = v.name, env
-            while scope and scope[0] != name:
-                scope = scope[2]
-            v = scope[1] if scope else lookup(name, scope)
-        else:
-            v = evaluate(v, env, heap, read)
-        return delta(e.op, v)
     if t is Var:
         name, scope = e.name, env
         while scope and scope[0] != name:
@@ -229,11 +210,20 @@ def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
         return scope[1] if scope else lookup(name, scope)
     if t is EConst:
         return e.const.value
+    if t is Lam:
+        return Closure(e.param, e.param_ty, e.body, env)
     if t is MkPair:
         return VPair(evaluate(e.fst, env, heap, read),
                      evaluate(e.snd, env, heap, read))
-    if t is Lam:
-        return Closure(e.param, e.param_ty, e.body, env)
+    if t is Deref:
+        ref = evaluate(e.ref, env, heap, read)
+        if type(ref) is VRef:
+            cell = heap.get(ref.addr)
+            if cell is not None and len(cell) == 2:
+                return cell[0]
+        return read(ref, heap)
+    if t is PrimApp:
+        return delta(e.op, evaluate(e.arg, env, heap, read))
     raise Stuck(f"unknown expression form {e!r}")
 
 
@@ -427,11 +417,15 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                  stack: list, heap: Heap, work: list, trace):
     """Run at most `fuel` transitions (none when `fuel` <= 0), updating
     `stack`, `heap` and `work` (each top last) in place; returns (stmt,
-    env, fuel left). Stops early at a final state. Stuck and CastError
-    propagate to the caller.
+    env, fuel left), the fuel left 0 once it runs out. Stops early at a
+    final state. Stuck and CastError propagate to the caller.
 
-    Each operand that is a name is looked up where it is used. A static
-    access through a `VRef` and an annotated one whose cast is an
+    Each operand that is a name is looked up where it is used, a return
+    to a caller's frame included. A `let` of a `Deref` reads a settled
+    cell of a `VRef` here, and a `let` of `succ` or `prev` on a host
+    `int` computes it here; any other reference goes to `sem.read` and
+    any other primitive to `delta`, as `evaluate` would send them. A
+    static access through a `VRef` and an annotated one whose cast is an
     identity under both semantics (see the module docstring) are made
     here; every other access calls `sem.read` or `sem.write`, so each
     transition is the one the semantics' own rules would make.
@@ -439,13 +433,41 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
     read, write, cast_ref, active_step = (
         sem.read, sem.write, sem.cast_ref, sem.active_step)
     start = fuel
-    while fuel > 0:
+    for fuel in range(fuel, 0, -1):
         if work:
             rule = active_step(heap, work)
         else:
             t = type(stmt)
             if t is SLet:
-                if type(v := stmt.rhs) is Var:
+                if (tr := type(v := stmt.rhs)) is Deref:
+                    if type(ref := v.ref) is Var:
+                        name, scope = ref.name, env
+                        while scope and scope[0] != name:
+                            scope = scope[2]
+                        ref = scope[1] if scope else lookup(name, scope)
+                    else:
+                        ref = evaluate(ref, env, heap, read)
+                    cell = heap.get(ref.addr) if type(ref) is VRef else None
+                    if cell is not None and len(cell) == 2:
+                        v = cell[0]
+                    else:
+                        v = read(ref, heap)
+                elif tr is PrimApp:
+                    op, v = v.op, v.arg
+                    if type(v) is Var:
+                        name, scope = v.name, env
+                        while scope and scope[0] != name:
+                            scope = scope[2]
+                        v = scope[1] if scope else lookup(name, scope)
+                    else:
+                        v = evaluate(v, env, heap, read)
+                    if type(v) is int and type(op) is Succ:
+                        v = v + 1
+                    elif type(v) is int and type(op) is Prev:
+                        v = v - 1
+                    else:
+                        v = delta(op, v)
+                elif tr is Var:
                     name, scope = v.name, env
                     while scope and scope[0] != name:
                         scope = scope[2]
@@ -485,7 +507,13 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
             elif t is SRet:
                 if not stack:
                     break
-                v = evaluate(stmt.expr, env, heap, read)
+                if type(v := stmt.expr) is Var:
+                    name, scope = v.name, env
+                    while scope and scope[0] != name:
+                        scope = scope[2]
+                    v = scope[1] if scope else lookup(name, scope)
+                else:
+                    v = evaluate(v, env, heap, read)
                 name, stmt, env = stack.pop()
                 env = (name, v, env)
                 rule = "return"
@@ -582,7 +610,8 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 raise Stuck(f"no transition from {stmt!r}")
         if trace is not None:
             trace(TraceRecord(start - fuel, rule, len(work), len(heap)))
-        fuel -= 1
+    else:
+        fuel = 0
     return stmt, env, fuel
 
 

@@ -372,6 +372,42 @@ def test_console_script_entry():
     assert result.stdout.strip() == "4"
 
 
+@pytest.mark.parametrize("closed", ["stdout", "stderr", "stdout-at-exit"])
+def test_a_closed_pipe_is_a_resource_failure(closed, tmp_path):
+    # `monoref run --trace loop.gtlc 2>&1 | head -1` closes the pipe on
+    # standard output after one record, and `2>&1 >out | head -1` the
+    # one on standard error. Untraced, the only write is the result,
+    # which a pipe buffers until the command flushes it.
+    path = tmp_path / "loop.gtlc"
+    path.write_text(LOOPING_PROGRAM)
+    other = tmp_path / "other"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-m", "monoref.cli", "run", str(path)]
+    with open(other, "wb") as sink:
+        if closed == "stdout":
+            proc = subprocess.Popen(command + ["--trace"], env=env,
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.STDOUT)
+            pipe = proc.stdout
+        elif closed == "stderr":
+            proc = subprocess.Popen(command + ["--trace"], env=env,
+                                    stdout=sink, stderr=subprocess.PIPE)
+            pipe = proc.stderr
+        else:
+            proc = subprocess.Popen(command + ["--fuel", "100"], env=env,
+                                    stdout=subprocess.PIPE, stderr=sink)
+            pipe = proc.stdout
+        record = b"0\tlet\t0\t0\n" if closed != "stdout-at-exit" else b""
+        try:
+            if record:
+                assert pipe.readline() == record
+        finally:
+            pipe.close()
+            code = proc.wait(timeout=120)
+    assert code == EXIT_RESOURCE
+    assert other.read_bytes() == b""
+
+
 def test_cli_import_skips_dataclasses_inspect_and_typing():
     # Every command pays for what importing the CLI loads.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -19,11 +19,11 @@ steps shows no node per arithmetic result, none around a cell's value,
 and none per stack frame.
 
 The IR is in A-normal form, so an operand is a name or a literal. A
-static transition looks a name operand up where it is used, and calls
-`evaluate` only for a `let`'s compound right-hand side (and a return to
-a caller's frame, which no loop kernel makes): counting the calls over a
-window of steps, casts on names included, shows no call on a bare name
-and fewer calls than transitions. An annotated read or write looks its
+static transition looks a name operand up where it is used, a return
+to a caller's frame included, and a `let` reads a cell or takes a
+successor in place: counting the calls of `evaluate` over a window of
+static loop steps, casts on names included, shows none at all, while a
+`let` of a lambda still makes one. An annotated read or write looks its
 names up in place too.
 
 The driver also makes an annotated access itself when its reference is
@@ -58,7 +58,9 @@ from monoref.lang import (
     Inject,
     IntC,
     IsZero,
+    Lam,
     Node,
+    OCon,
     PairT,
     Prev,
     PrimApp,
@@ -86,6 +88,7 @@ from monoref.machine import (
     State,
     delta,
     evaluate,
+    final,
     initial_state,
     step_with,
     steps_with,
@@ -384,6 +387,9 @@ def calls_in_window(sem, stmt, evaluated, window=3_000):
     return more_steps[len(steps):], more_calls[len(calls):]
 
 
+IDENTITY_LAM = Lam("x", INT, SRet(Var("x")))
+
+
 @SEMANTICS
 @pytest.mark.parametrize("name", ["pure", "counter", "alloc", "ref-cast"])
 def test_a_static_transition_looks_its_names_up_in_place(sem, name,
@@ -393,8 +399,39 @@ def test_a_static_transition_looks_its_names_up_in_place(sem, name,
     records, calls = calls_in_window(sem, kernel(name), evaluated)
     if name == "ref-cast":
         assert sum(r.rule == "cast" for r in records) > 300
-    assert [e for e in calls if type(e) is Var] == []
-    assert 0 < len(calls) <= 3_000
+    assert calls == []
+    # The fixture does see a call: a `let` of a lambda makes one.
+    evaluated.clear()
+    step_with(sem, State(SLet("f", IDENTITY_LAM, SRet(Var("f"))), (), (),
+                         {}, ()))
+    assert evaluated == [IDENTITY_LAM]
+
+
+# A non-tail call whose result returns through a frame: `(f 1)` pushes
+# one, and the return of `(succ x)` pops it.
+RETURN_SITE = ("((lambda (f : (-> int int)) (succ (f 1)))"
+               " (lambda (x : int) (succ x)))")
+
+
+def test_a_return_to_a_frame_looks_its_name_up_in_place(evaluated):
+    ast = parse_surface(RETURN_SITE)
+    typecheck_surface((), ast)
+    stmt = elaborate(ast)
+    traces = []
+    for sem in (MONOTONIC, GUARDED):
+        records = []
+        assert steps_with(sem, 100, initial_state(stmt),
+                          records.append) == OCon(IntC(3))
+        traces.append(records)
+        # One transition at a time, so the final state's result, which
+        # `steps_with` evaluates, is left out.
+        evaluated.clear()
+        state = initial_state(stmt)
+        while not final(state):
+            state = step_with(sem, state)
+        assert evaluated and [e for e in evaluated if type(e) is Var] == []
+    assert traces[0] == traces[1]
+    assert [r.rule for r in traces[0]].count("return") == 1
 
 
 @SEMANTICS
