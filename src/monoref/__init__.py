@@ -5,11 +5,9 @@ from .lang import (
     DYN,
     INT,
     ArrowT,
-    BoolC,
     BoolT,
     CastError,
     DynT,
-    IntC,
     IntT,
     PairT,
     RefT,
@@ -28,8 +26,8 @@ from .surface import elaborate, parse_surface, typecheck_surface
 from .typecheck import check_expr, check_stmt
 
 __all__ = [
-    "ArrowT", "BOOL", "BoolC", "BoolT", "CastError", "DYN", "DynT", "INT",
-    "IntC", "IntT", "PairT", "RefT", "Stuck",
+    "ArrowT", "BOOL", "BoolT", "CastError", "DYN", "DynT", "INT", "IntT",
+    "PairT", "RefT", "Stuck",
     "check_expr", "check_stmt", "consistent", "elaborate", "ground",
     "is_static", "lesseq", "meet", "parse_surface", "run", "run_g", "steps",
     "steps_g", "typecheck_surface", "typeof_const", "typeof_opr",

@@ -10,9 +10,9 @@ Exit codes: 0 success or a value; 1 cast error; 2 stuck; 3 timeout;
 elaborator (which is also the typechecker) or the IR printer of
 `compile`, or a reader closed standard output or error early (a broken
 pipe, as from `| head`), which ends the command with no traceback.
-`--trace` streams one tab-separated record per machine transition to
-standard error. The default fuel is 1000000 and can be set with
-MONOREF_FUEL or --fuel, either at least 1.
+`--trace` writes one tab-separated record per machine transition to
+standard error, in chunks, all before the result. The default fuel is
+1000000 and can be set with MONOREF_FUEL or --fuel, either at least 1.
 """
 
 from __future__ import annotations
@@ -49,12 +49,21 @@ _ERROR_EXITS = {O_CASTERROR: EXIT_CAST_ERROR, O_STUCK: EXIT_STUCK,
 
 
 def render_observable(obs: Observable) -> str:
-    """Canonical rendering; injective up to address/function/injection opacity."""
-    if isinstance(obs, OCon):
-        return const_to_sexpr(obs.const)
-    if isinstance(obs, OPair):
-        return f"(pair {render_observable(obs.fst)} {render_observable(obs.snd)})"
-    return obs.text
+    """Canonical rendering; injective up to address/function/injection
+    opacity. A pair is walked with an explicit stack of observables and
+    text, so its depth costs no Python frames."""
+    text, todo = [], [obs]
+    while todo:
+        obs = todo.pop()
+        if type(obs) is str:
+            text.append(obs)
+        elif isinstance(obs, OPair):
+            todo += (")", obs.snd, " ", obs.fst, "(pair ")
+        elif isinstance(obs, OCon):
+            text.append(const_to_sexpr(obs.const))
+        else:
+            text.append(obs.text)
+    return "".join(text)
 
 
 def observable_exit_code(obs: Observable) -> int:
@@ -107,18 +116,29 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _trace_to_stderr(record) -> None:
-    print(format_trace(record), file=sys.stderr)
+# `--trace` writes its records this many at a time: standard error
+# flushes every line, and unbuffered it writes a `print` in two calls.
+_TRACE_CHUNK = 4096
 
 
 def cmd_run(args) -> int:
     ast, _ = _load(args.file)
-    program = elaborate(ast)
-    trace = _trace_to_stderr if args.trace else None
-    if args.semantics == "guarded":
-        obs = run_g(program, fuel=args.fuel, trace=trace)
-    else:
-        obs = run(program, fuel=args.fuel, trace=trace)
+    runner = run_g if args.semantics == "guarded" else run
+    lines = []
+
+    def trace(record) -> None:
+        lines.append(f"{format_trace(record)}\n")
+        if len(lines) == _TRACE_CHUNK:
+            sys.stderr.write("".join(lines))
+            lines.clear()
+
+    # A failed run still writes its trace, all of it before the result.
+    try:
+        obs = runner(elaborate(ast), fuel=args.fuel,
+                     trace=trace if args.trace else None)
+    finally:
+        sys.stderr.write("".join(lines))
+        sys.stderr.flush()
     print(render_observable(obs))
     return observable_exit_code(obs)
 

@@ -12,14 +12,13 @@ observable is a pair, a literal, or an `OAtom` whose text is its
 rendering: an opaque value, or the end of a run that gave none.
 
 Every runtime value is one object whose class is its runtime tag. An
-integer or Boolean is the host `int` or `bool` itself; the constant
-nodes `IntC` and `BoolC` are literal syntax and observables only. The
-other values are pairs (`VPair`), closures (`Closure`), functions cast
-between two arrow types (`FunCast`), references (`VRef`), references
-seen through a guarded cast (`GProxy`) and injections into dyn
-(`Inject`). A heap cell is a plain tuple whose index 1 is its runtime
-type tag: `(value, tag)` when settled, and `(value, tag, src)` while its
-value awaits a cast from `src` to the tag.
+integer or Boolean is the host `int` or `bool` itself, in a literal and
+an observable too. The other values are pairs (`VPair`), closures
+(`Closure`), functions cast between two arrow types (`FunCast`),
+references (`VRef`), references seen through a guarded cast (`GProxy`)
+and injections into dyn (`Inject`). A heap cell is a plain tuple whose
+index 1 is its runtime type tag: `(value, tag)` when settled, and
+`(value, tag, src)` while its value awaits a cast from `src` to the tag.
 Identifiers starting with `$` are reserved: the elaborator's
 temporaries use them, and so do the five names of a `FunCast`'s body.
 
@@ -283,23 +282,11 @@ IDENTITY_HEADS = frozenset((IntT, BoolT, DynT))
 
 
 # ---------------------------------------------------------------------------
-# Constants and primitive operators
+# Values and primitive operators
 
 class Val(Node):
     """Base class of the runtime values that are nodes; integers and
     Booleans are the host `int` and `bool`."""
-
-
-class Const(Node):
-    """A literal; its runtime value is the host `value` it holds."""
-
-
-class IntC(Const):
-    value: int
-
-
-class BoolC(Const):
-    value: bool
 
 
 class Opr(Node):
@@ -349,7 +336,7 @@ class Var(Expr):
 
 
 class EConst(Expr):
-    const: Const
+    const: int  # or bool
 
 
 class PrimApp(Expr):
@@ -518,7 +505,7 @@ class OPair(Observable):
 
 
 class OCon(Observable):
-    const: Const
+    const: int  # or bool
 
 
 class OAtom(Observable):
@@ -584,11 +571,12 @@ def ground(a: Ty) -> Ty:
     return type(a)(*[DYN] * len(a._fields)) if a._fields else a
 
 
-def typeof_const(c: Const) -> Ty:
-    if isinstance(c, IntC):
-        return INT
-    if isinstance(c, BoolC):
+def typeof_const(c) -> Ty:
+    """The type of a literal, an exact host `bool` or `int`."""
+    if type(c) is bool:
         return BOOL
+    if type(c) is int:
+        return INT
     raise TypeError(f"not a constant: {c!r}")
 
 

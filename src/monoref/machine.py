@@ -58,7 +58,6 @@ from collections.abc import Callable
 
 from .lang import (
     ArrowT,
-    BoolC,
     CastError,
     Closure,
     Deref,
@@ -70,7 +69,6 @@ from .lang import (
     GProxy,
     IDENTITY_HEADS,
     Inject,
-    IntC,
     IsZero,
     Lam,
     MkPair,
@@ -85,7 +83,6 @@ from .lang import (
     O_STUCK,
     O_TIMEOUT,
     Opr,
-    PairT,
     Prev,
     PrimApp,
     RefT,
@@ -197,11 +194,10 @@ def read_cell(ref: Val, heap: Heap) -> Val:
 
 
 def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
-    """Evaluate a pure expression. A `Deref` of a `VRef` whose cell has no
-    pending cast returns the cell's value; any other reference, and a
-    missing cell, goes to `read(ref, heap)`. The driver makes the common
-    forms itself (see `_transitions`), so this serves a lambda, a pair,
-    a literal, an operand that is not a name and the final result."""
+    """Evaluate a pure expression; a `Deref` reads through `read(ref,
+    heap)`. The driver makes the common forms itself (see
+    `_transitions`), so this serves a lambda, a pair, a literal, an
+    operand that is not a name and the final result."""
     t = type(e)
     if t is Var:
         name, scope = e.name, env
@@ -209,19 +205,14 @@ def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
             scope = scope[2]
         return scope[1] if scope else lookup(name, scope)
     if t is EConst:
-        return e.const.value
+        return e.const
     if t is Lam:
         return Closure(e.param, e.param_ty, e.body, env)
     if t is MkPair:
         return VPair(evaluate(e.fst, env, heap, read),
                      evaluate(e.snd, env, heap, read))
     if t is Deref:
-        ref = evaluate(e.ref, env, heap, read)
-        if type(ref) is VRef:
-            cell = heap.get(ref.addr)
-            if cell is not None and len(cell) == 2:
-                return cell[0]
-        return read(ref, heap)
+        return read(evaluate(e.ref, env, heap, read), heap)
     if t is PrimApp:
         return delta(e.op, evaluate(e.arg, env, heap, read))
     raise Stuck(f"unknown expression form {e!r}")
@@ -374,22 +365,31 @@ def _active_step(heap: Heap, work: list) -> str:
     return "active-supersede"
 
 
+# Each value class that observes as an atom, and its atom.
+_ATOMS = {Closure: O_FUN, FunCast: O_FUN, VRef: O_ADDR, GProxy: O_ADDR,
+          Inject: O_INJ}
+_PAIR_UP = object()  # on `observe`'s stack: pair the last two observables
+
+
 def observe(v: Val) -> Observable:
-    """Externally visible summary of a value; pairs keep their structure."""
-    t = type(v)
-    if t is int:
-        return OCon(IntC(v))
-    if t is bool:
-        return OCon(BoolC(v))
-    if isinstance(v, VPair):
-        return OPair(observe(v.fst), observe(v.snd))
-    if isinstance(v, (Closure, FunCast)):
-        return O_FUN
-    if isinstance(v, (VRef, GProxy)):
-        return O_ADDR
-    if isinstance(v, Inject):
-        return O_INJ
-    raise Stuck(f"not a value: {v!r}")
+    """Externally visible summary of a value; pairs keep their structure.
+    A pair is walked with an explicit stack, so its depth costs no Python
+    frames."""
+    done, todo = [], [v]
+    while todo:
+        v = todo.pop()
+        t = type(v)
+        if v is _PAIR_UP:
+            done[-2:] = [OPair(*done[-2:])]
+        elif t is VPair:
+            todo += (_PAIR_UP, v.snd, v.fst)
+        elif t is int or t is bool:
+            done.append(OCon(v))
+        elif t in _ATOMS:
+            done.append(_ATOMS[t])
+        else:
+            raise Stuck(f"not a value: {v!r}")
+    return done[0]
 
 
 class Semantics(Node):

@@ -64,13 +64,10 @@ from .lang import (
     SUCC,
     TYPE_KEYWORDS,
     ArrowT,
-    BoolC,
-    Const,
     Deref,
     EConst,
     Expr,
     Fst,
-    IntC,
     IsZero,
     Lam,
     MkPair,
@@ -122,7 +119,7 @@ class SurfExpr(Node):
 
 
 class Lit(SurfExpr):
-    const: Const
+    const: int  # or bool
     pos: Pos = (0, 0)
 
 
@@ -310,11 +307,11 @@ def _expr(sx) -> SurfExpr:
             if limit and digits >= limit:
                 _fail(sx, f"integer literal of {digits} digits; at most "
                           f"{limit - 1} are allowed")
-            return Lit(IntC(int(form)), pos)
+            return Lit(int(form), pos)
         if form in ("#t", "true"):
-            return Lit(BoolC(True), pos)
+            return Lit(True, pos)
         if form in ("#f", "false"):
-            return Lit(BoolC(False), pos)
+            return Lit(False, pos)
         return SVar(_name(sx), pos)
     items = form
     if not items:
@@ -391,10 +388,6 @@ def parse_surface(text: str) -> SurfExpr:
 # ---------------------------------------------------------------------------
 # The type errors
 
-def _pos_path(e: SurfExpr) -> tuple:
-    return (f"{e.pos[0]}:{e.pos[1]}",) if e.pos != (0, 0) else ()
-
-
 # The type constructor each eliminating form needs of its operand, and
 # the error when the operand's type has another constructor.
 _VIEWS = {
@@ -414,7 +407,7 @@ def _view(ty: Ty, e: SurfExpr) -> Ty:
         return ty
     if ty is DYN:
         return cls(*[DYN] * len(cls._fields))
-    raise TypeCheckError(f"{what} {ty}", _pos_path(e))
+    raise TypeCheckError(f"{what} {ty}", e.pos)
 
 
 # The error of each form whose operand's type `have` is not consistent
@@ -436,7 +429,7 @@ class _Elaborator:
     """Types a surface expression and lowers it to ANF statements.
 
     Direct-style A-normal form (Flanagan, Sabry, Duba and Felleisen, PLDI
-    1993): `atom` returns an expression's value as a Var/Const atom with
+    1993): `atom` returns an expression's value as a Var/EConst atom with
     its type and appends the statements that compute it to `heads`. A
     head is a statement class with every field but its body, which is
     always the last field; `tail` folds a list of heads around the leaf,
@@ -476,7 +469,7 @@ class _Elaborator:
         if not consistent(have, want):
             raise TypeCheckError(
                 _MISMATCHES[type(e)].format(e=e, have=have, want=want),
-                _pos_path(e))
+                e.pos)
         return self.bind(heads, SCast, atom, have, want)
 
     def view(self, e: SurfExpr, atom: Expr, ty: Ty, heads: list,
@@ -529,7 +522,7 @@ class _Elaborator:
                 return lookup(e.name, gamma)
             except Stuck:
                 raise TypeCheckError(f"unbound variable {e.name!r}",
-                                     _pos_path(e)) from None
+                                     e.pos) from None
         if isinstance(e, SLambda):
             self.bound.add(e.param)
             param = (e.param, (Var(e.param), e.ann), gamma)
@@ -635,11 +628,13 @@ def elaborate(e: SurfExpr) -> Stmt:
 # ---------------------------------------------------------------------------
 # Printers
 
-def const_to_sexpr(c: Const) -> str:
-    """A literal as the parser reads it."""
-    if isinstance(c, IntC):
-        return str(c.value)
-    return "#t" if c.value else "#f"
+def const_to_sexpr(c) -> str:
+    """A literal, a host `bool` or `int`, as the parser reads it."""
+    if type(c) is bool:
+        return "#t" if c else "#f"
+    if type(c) is int:
+        return str(c)
+    raise TypeError(f"not a constant: {c!r}")
 
 
 def _field_items(fields, indent: int) -> list:
@@ -695,10 +690,6 @@ def _to_sexpr(node, indent: int, kind) -> str:
                      ")")
         todo += reversed(items)
     return "".join(text)
-
-
-def expr_to_sexpr(e: Expr, indent: int = 0) -> str:
-    return _to_sexpr(e, indent, Expr)
 
 
 def stmt_to_sexpr(s: Stmt, indent: int = 0) -> str:

@@ -56,17 +56,18 @@ StoreTy = dict  # address -> Ty
 
 
 class TypeCheckError(Exception):
-    """A failed typing premise. The surface checker's `path` holds the
-    source position of the offending node."""
+    """A failed typing premise. `pos` is the `(line, col)` of the
+    offending surface node, or None: the IR checker has no positions,
+    and a surface node built without one sits at (0, 0)."""
 
-    def __init__(self, message: str, path: tuple = ()):
+    def __init__(self, message: str, pos: tuple | None = None):
         super().__init__(message)
         self.message = message
-        self.path = path
+        self.pos = None if pos == (0, 0) else pos
 
     def __str__(self) -> str:
-        if self.path:
-            return f"{'/'.join(self.path)}: {self.message}"
+        if self.pos:
+            return f"{self.pos[0]}:{self.pos[1]}: {self.message}"
         return self.message
 
 

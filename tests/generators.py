@@ -19,11 +19,9 @@ from monoref.lang import (
     DYN,
     INT,
     ArrowT,
-    BoolC,
     Closure,
     DynT,
     Inject,
-    IntC,
     PairT,
     RefT,
     SRet,
@@ -215,9 +213,9 @@ class ProgramGen:
         if candidates and rng.random() < 0.5:
             return SVar(rng.choice(candidates))
         if ty == INT:
-            return Lit(IntC(rng.randint(-3, 9)))
+            return Lit(rng.randint(-3, 9))
         if ty == BOOL:
-            return Lit(BoolC(rng.random() < 0.5))
+            return Lit(rng.random() < 0.5)
         if ty == DYN:
             payloads = [INT, BOOL, ArrowT(INT, INT)]
             if self.allow_ref_casts:

@@ -12,9 +12,7 @@ import pytest
 
 from generators import HeapGen, ProgramGen, all_types, dynamize, random_ty, staticize
 from monoref.lang import (
-    BoolC,
     CastError,
-    IntC,
     OCon,
     O_CASTERROR,
     O_STUCK,
@@ -57,7 +55,7 @@ def test_criterion_1_first_example_diverges_between_semantics():
     elapsed = time.time() - start
     report(1, "read-int-then-write-bool views: monotonic cast error, "
               "guarded value",
-           mono == O_CASTERROR and guard == OCon(BoolC(True))
+           mono == O_CASTERROR and guard == OCon(True)
            and elapsed < 1.0)
 
 
@@ -70,7 +68,7 @@ def test_criterion_2_reordered_example_fails_guarded():
 def test_criterion_3_integer_both_ways_terminates():
     program = corpus_program("ex2")
     report(3, "integer through both routes: monotonic yields 4",
-           run(program) == OCon(IntC(4)))
+           run(program) == OCon(4))
 
 
 def test_criterion_4_write_after_return_fails_monotonic():
@@ -86,7 +84,7 @@ def test_criterion_5_cycle_terminates_with_42():
     program = corpus_program("cycle")
     obs = steps(10_000, initial_state(program))
     report(5, "self-referential pair: 42 within 10000 steps",
-           obs == OCon(IntC(42)))
+           obs == OCon(42))
 
 
 def test_criterion_6_type_algebra_lemmas():

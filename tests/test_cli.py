@@ -20,9 +20,10 @@ from monoref.cli import (
     observable_exit_code,
     render_observable,
 )
+from monoref.guarded import run_g
 from monoref.lang import (
-    BoolC,
-    IntC,
+    EConst,
+    MkPair,
     OCon,
     O_ADDR,
     O_CASTERROR,
@@ -31,8 +32,12 @@ from monoref.lang import (
     O_STUCK,
     O_TIMEOUT,
     OPair,
+    SLet,
+    SRet,
+    Var,
 )
-from monoref.machine import observe
+from monoref.machine import format_trace, observe, run
+from monoref.surface import elaborate, parse_surface
 from test_driver import REF_CAST_LOOP
 from test_surface import LONG_PROGRAMS
 
@@ -52,11 +57,11 @@ def corpus(name):
 
 
 def test_render_observable():
-    assert render_observable(OCon(IntC(42))) == "42"
-    assert render_observable(OCon(IntC(-3))) == "-3"
-    assert render_observable(OCon(BoolC(True))) == "#t"
-    assert render_observable(OCon(BoolC(False))) == "#f"
-    assert render_observable(OPair(OCon(IntC(1)), O_FUN)) == "(pair 1 #fun)"
+    assert render_observable(OCon(42)) == "42"
+    assert render_observable(OCon(-3)) == "-3"
+    assert render_observable(OCon(True)) == "#t"
+    assert render_observable(OCon(False)) == "#f"
+    assert render_observable(OPair(OCon(1), O_FUN)) == "(pair 1 #fun)"
     assert render_observable(O_ADDR) == "#addr"
     assert render_observable(O_INJ) == "#inj"
     assert render_observable(O_STUCK) == "error: stuck"
@@ -65,11 +70,11 @@ def test_render_observable():
 
 
 def test_exit_code_mapping():
-    assert observable_exit_code(OCon(IntC(1))) == EXIT_OK
+    assert observable_exit_code(OCon(1)) == EXIT_OK
     assert observable_exit_code(O_FUN) == EXIT_OK
     assert observable_exit_code(O_ADDR) == EXIT_OK
     assert observable_exit_code(O_INJ) == EXIT_OK
-    assert observable_exit_code(OPair(O_INJ, OCon(BoolC(False)))) == EXIT_OK
+    assert observable_exit_code(OPair(O_INJ, OCon(False))) == EXIT_OK
     assert observable_exit_code(O_CASTERROR) == EXIT_CAST_ERROR
     assert observable_exit_code(O_STUCK) == EXIT_STUCK
     assert observable_exit_code(O_TIMEOUT) == EXIT_TIMEOUT
@@ -238,6 +243,34 @@ def test_one_and_true_observe_and_render_apart():
     assert render_observable(observe(False)) == "#f"
 
 
+def test_a_deep_pair_observes_and_renders_without_recursion():
+    # Each `let` pairs the last pair with a literal, on alternate sides:
+    # the result nests 10,000 deep, and `observe` and `render_observable`
+    # walk it with a stack.
+    n = 10_000
+    expected, prefixes, suffixes = OCon(0), [], []
+    for k in range(n):  # in the order the lets run
+        if k % 2:
+            expected = OPair(OCon(True), expected)
+            prefixes.append("(pair #t ")
+            suffixes.append(")")
+        else:
+            expected = OPair(expected, OCon(1))
+            prefixes.append("(pair ")
+            suffixes.append(" 1)")
+    program = SRet(Var("p"))
+    for k in reversed(range(n)):
+        pair = (MkPair(EConst(True), Var("p")) if k % 2
+                else MkPair(Var("p"), EConst(1)))
+        program = SLet("p", pair, program)
+    program = SLet("p", EConst(0), program)
+    text = "".join(reversed(prefixes)) + "0" + "".join(suffixes)
+    for runner in (run, run_g):
+        obs = runner(program)
+        assert obs == expected
+        assert render_observable(obs) == text
+
+
 def test_deep_nesting_is_a_resource_failure(tmp_path, capsys):
     path = tmp_path / "deep.gtlc"
     path.write_text("(succ " * 3000 + "1" + ")" * 3000)
@@ -310,6 +343,30 @@ def test_trace_works_under_guarded_semantics(capsys):
     lines = [line for line in err.splitlines() if line]
     assert lines
     assert all(len(line.split("\t")) == 4 for line in lines)
+
+
+@pytest.mark.parametrize("semantics", ["monotonic", "guarded"])
+def test_the_trace_is_the_records_of_the_run_byte_for_byte(semantics,
+                                                          tmp_path):
+    # 10,000 records fill several chunks and part of one more; merged
+    # into standard output, all of them come before the result.
+    path = tmp_path / "loop.gtlc"
+    path.write_text(LOOPING_PROGRAM)
+    records = []
+    runner = run_g if semantics == "guarded" else run
+    assert runner(elaborate(parse_surface(LOOPING_PROGRAM)), fuel=10_000,
+                  trace=records.append) == O_TIMEOUT
+    trace = "".join(format_trace(record) + "\n" for record in records)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-m", "monoref.cli", "run", str(path),
+               "--semantics", semantics, "--fuel", "10000", "--trace"]
+    result = subprocess.run(command, capture_output=True, env=env)
+    assert result.returncode == EXIT_TIMEOUT
+    assert result.stdout == b"timeout\n"
+    assert result.stderr == trace.encode()
+    merged = subprocess.run(command, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, env=env)
+    assert merged.stdout == trace.encode() + b"timeout\n"
 
 
 def test_diff_differ(capsys):

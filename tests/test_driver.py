@@ -17,7 +17,6 @@ from monoref.lang import (
     Closure,
     EConst,
     Inject,
-    IntC,
     Lam,
     OCon,
     O_CASTERROR,
@@ -125,12 +124,12 @@ def start_states():
         ast = gen.program(size=rng.randint(3, 10))
         typecheck_surface((), ast)
         yield f"generated {i}", initial_state(elaborate(ast))
-    yield "discard", State(SRet(EConst(IntC(1))), (), (), {0: cell(INT4)}, (0,))
+    yield "discard", State(SRet(EConst(1)), (), (), {0: cell(INT4)}, (0,))
     # A pending cast whose nested projection lowers the same cell's tag.
     inner = PairT(RefT(DYN), INT)
     tag = PairT(RefT(inner), DYN)
     content = VPair(Inject(VRef(0), RefT(DYN)), Inject(INT4, INT))
-    yield "supersede", State(SRet(EConst(IntC(0))), (), (),
+    yield "supersede", State(SRet(EConst(0)), (), (),
                              {0: (content, tag, PairT(DYN, DYN))},
                              (0,))
 
@@ -155,26 +154,26 @@ FRAME = ("k", SRet(Var("k")), ())
 
 
 @pytest.mark.parametrize("stepper, state", [
-    (step, State(SAlloc("x", INT, EConst(IntC(4)), SRet(Var("x"))),
+    (step, State(SAlloc("x", INT, EConst(4), SRet(Var("x"))),
                  (), (FRAME,), {0: cell(INT4)}, ())),
-    (step, State(SUpdate(Var("r"), EConst(IntC(5)), SRet(Var("r"))),
+    (step, State(SUpdate(Var("r"), EConst(5), SRet(Var("r"))),
                  (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
-    (step, State(SDynUpdate(Var("r"), EConst(IntC(5)), INT, SRet(Var("r"))),
+    (step, State(SDynUpdate(Var("r"), EConst(5), INT, SRet(Var("r"))),
                  (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
     (step, State(SCast("y", Var("r"), RefT(DYN), RefT(INT), SRet(Var("y"))),
                  (("r", VRef(0)),), (FRAME,),
                  {0: cell(Inject(INT4, INT), DYN)}, ())),
-    (step, State(SRet(EConst(IntC(1))), (), (FRAME,),
+    (step, State(SRet(EConst(1)), (), (FRAME,),
                  {0: (Inject(INT4, INT), INT, DYN)}, (0,))),
-    (step, State(SCall("k", Var("f"), EConst(IntC(1)), SRet(Var("k"))),
+    (step, State(SCall("k", Var("f"), EConst(1), SRet(Var("k"))),
                  (("f", Closure("x", INT, SRet(Var("x")), ())),), (FRAME,),
                  {}, ())),
-    (step_g, State(SAlloc("x", INT, EConst(IntC(4)), SRet(Var("x"))),
+    (step_g, State(SAlloc("x", INT, EConst(4), SRet(Var("x"))),
                    (), (FRAME,), {0: cell(INT4)}, ())),
-    (step_g, State(SUpdate(Var("r"), EConst(IntC(5)), SRet(Var("r"))),
+    (step_g, State(SUpdate(Var("r"), EConst(5), SRet(Var("r"))),
                    (("r", GProxy(VRef(0), INT, INT)),), (FRAME,),
                    {0: cell(INT4)}, ())),
-    (step_g, State(SDynUpdate(Var("r"), EConst(IntC(5)), INT, SRet(Var("r"))),
+    (step_g, State(SDynUpdate(Var("r"), EConst(5), INT, SRet(Var("r"))),
                    (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
     (step_g, State(SCast("y", Var("r"), RefT(DYN), RefT(INT), SRet(Var("y"))),
                    (("r", VRef(0)),), (FRAME,),
@@ -197,7 +196,7 @@ def test_step_leaves_its_input_unchanged(stepper, state):
 
 def test_step_return_pops_the_innermost_frame():
     outer = ("a", SRet(Var("a")), ())
-    state = State(SRet(EConst(IntC(3))), (), (FRAME, outer), {}, ())
+    state = State(SRet(EConst(3)), (), (FRAME, outer), {}, ())
     after = step_g(state)
     assert after.stack == (outer,) and after.stmt == FRAME[1]
     assert after.env == (("k", 3),)
@@ -209,7 +208,7 @@ def test_step_lists_the_environment_as_pairs(stepper):
     # `State.env` lists (name, value) pairs, newest first, although the
     # driver keeps a linked cell; a closure and a frame hold the cell.
     identity = Lam("y", INT, SRet(Var("y")))
-    stmt = SLet("x", EConst(IntC(1)), SLet("f", identity, SCall(
+    stmt = SLet("x", EConst(1), SLet("f", identity, SCall(
         "z", Var("f"), Var("x"),
         SAlloc("r", INT, Var("z"), SRet(Var("r"))))))
     closure = Closure("y", INT, identity.body, ("x", 1, ()))
@@ -239,14 +238,14 @@ def test_closures_share_their_scope(runner):
     # while a run is measured, so whether a collection falls inside it,
     # which depends on the tests run before, does not move the peak.
     def peak_bytes(n):
-        stmt = SRet(EConst(IntC(0)))
+        stmt = SRet(EConst(0))
         for i in range(n):
             stmt = SLet(f"f{i}", Lam("x", INT, SRet(Var("x"))), stmt)
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
-            assert runner(stmt) == OCon(IntC(0))
+            assert runner(stmt) == OCon(0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -293,7 +292,7 @@ def test_fuel_at_most_zero_runs_no_transition(fuel):
     loop = elaborate(parse_surface(REF_CAST_LOOP))
     assert run(loop, fuel=fuel, trace=no_transition) == O_TIMEOUT
     assert run_g(loop, fuel=fuel, trace=no_transition) == O_TIMEOUT
-    done = State(SRet(EConst(IntC(4))), (), (), {}, ())
+    done = State(SRet(EConst(4)), (), (), {}, ())
     for driver in (steps, steps_g):
         assert driver(fuel, initial_state(loop), no_transition) == O_TIMEOUT
         assert driver(fuel, done, no_transition) == O_TIMEOUT

@@ -56,7 +56,6 @@ from monoref.lang import (
     Fst,
     FunCast,
     Inject,
-    IntC,
     IsZero,
     Lam,
     Node,
@@ -176,7 +175,7 @@ def test_static_access_stays_in_the_driver():
 SEMANTICS = pytest.mark.parametrize("sem", [MONOTONIC, GUARDED],
                                     ids=["monotonic", "guarded"])
 READ = SLet("x", Deref(Var("r")), SRet(Var("x")))
-WRITE = SUpdate(Var("r"), EConst(IntC(1)), SRet(Var("r")))
+WRITE = SUpdate(Var("r"), EConst(1), SRet(Var("r")))
 MALFORMED = [
     ((), {}, "unbound name 'r'"),
     ((("r", SEVEN),), {}, f"not a reference: {SEVEN!r}"),
@@ -421,7 +420,7 @@ def test_a_return_to_a_frame_looks_its_name_up_in_place(evaluated):
     for sem in (MONOTONIC, GUARDED):
         records = []
         assert steps_with(sem, 100, initial_state(stmt),
-                          records.append) == OCon(IntC(3))
+                          records.append) == OCon(3)
         traces.append(records)
         # One transition at a time, so the final state's result, which
         # `steps_with` evaluates, is left out.

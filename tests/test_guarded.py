@@ -10,10 +10,8 @@ from monoref.lang import (
     BOOL,
     DYN,
     INT,
-    BoolC,
     CastError,
     Inject,
-    IntC,
     OCon,
     O_CASTERROR,
     O_INJ,
@@ -81,7 +79,7 @@ def test_gwrite_non_reference_is_stuck():
 def test_run_g_shape_violation_is_stuck():
     from monoref.lang import EConst, STailCall
 
-    program = STailCall(EConst(IntC(1)), EConst(IntC(2)))
+    program = STailCall(EConst(1), EConst(2))
     assert run_g(program, fuel=10) == O_STUCK
 
 
@@ -154,13 +152,13 @@ def test_boolean_cell_viewed_as_int_reference():
 def test_corpus_differential_outcomes():
     ex1 = corpus_program("ex1")
     assert run(ex1) == O_CASTERROR
-    assert run_g(ex1) == OCon(BoolC(True))
+    assert run_g(ex1) == OCon(True)
 
     ex1r = corpus_program("ex1r")
     assert run_g(ex1r) == O_CASTERROR
 
     ex2 = corpus_program("ex2")
-    assert run(ex2) == run_g(ex2) == OCon(IntC(4))
+    assert run(ex2) == run_g(ex2) == OCon(4)
 
     ex3 = corpus_program("ex3")
     assert run(ex3) == O_CASTERROR
@@ -168,7 +166,7 @@ def test_corpus_differential_outcomes():
     assert run_g(ex3) == O_INJ
 
     cycle = corpus_program("cycle")
-    assert run(cycle) == run_g(cycle) == OCon(IntC(42))
+    assert run(cycle) == run_g(cycle) == OCon(42)
 
 
 def test_agreement_without_reference_casts():

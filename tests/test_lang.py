@@ -10,13 +10,11 @@ from monoref.lang import (
     DYN,
     INT,
     ArrowT,
-    BoolC,
     BoolT,
     CastError,
     Closure,
     EConst,
     Fst,
-    IntC,
     IntT,
     IsZero,
     OCon,
@@ -75,7 +73,7 @@ def test_is_static_table():
     assert not is_static(RefT(DYN))
     assert not is_static(PairT(INT, PairT(BOOL, DYN)))
     with pytest.raises(TypeError):
-        is_static(IntC(1))
+        is_static(1)
 
 
 def test_is_static_reads_a_fact_stored_when_the_type_was_made():
@@ -98,9 +96,9 @@ def test_ground_table():
 
 
 def test_typeof_const():
-    assert typeof_const(IntC(4)) == INT
-    assert typeof_const(BoolC(True)) == BOOL
-    assert typeof_const(IntC(-3)) == INT
+    assert typeof_const(4) == INT
+    assert typeof_const(True) == BOOL
+    assert typeof_const(-3) == INT
 
 
 def test_typeof_opr():
@@ -218,9 +216,9 @@ def test_ground_is_upper_approximation(a):
 
 def test_nodes_of_different_classes_are_unequal():
     assert IntT() != BoolT()
-    assert IntC(1) != OCon(IntC(1))
-    assert IntC(1) == IntC(1)
-    assert IntC(1) != IntC(2)
+    assert EConst(1) != OCon(1)
+    assert EConst(1) == EConst(1)
+    assert EConst(1) != EConst(2)
 
 
 def test_equal_nodes_hash_equal():
@@ -234,10 +232,10 @@ def test_equal_nodes_hash_equal():
 def test_nodes_of_another_class_are_unequal_without_reflection():
     # A node of another class is unequal outright; anything but a node
     # is left to its own equality.
-    assert IntC(1).__eq__(OCon(IntC(1))) is False
+    assert EConst(1).__eq__(OCon(1)) is False
     assert Var("x").__eq__("x") is NotImplemented
     assert VPair(1, 2) != (1, 2)
-    assert SRet(Var("x")) != SRet(EConst(IntC(1)))
+    assert SRet(Var("x")) != SRet(EConst(1))
 
 
 def test_deep_values_compare_hash_and_print_without_recursion():
@@ -270,8 +268,7 @@ def test_equality_stops_at_the_first_difference_and_skips_shared_parts():
     a = SLet("x", Var("y"), SRet(Var(Uncomparable())))
     b = SLet("z", Var("y"), SRet(Var(Uncomparable())))
     assert a != b and not a == b
-    assert SLet("x", Var("y"), SRet(Var("x"))) != SLet("x", EConst(IntC(1)),
-                                                       a)
+    assert SLet("x", Var("y"), SRet(Var("x"))) != SLet("x", EConst(1), a)
     shared = SRet(Var(Uncomparable()))
     assert SLet("x", Var("y"), shared) == SLet("x", Var("y"), shared)
 
@@ -332,10 +329,10 @@ def test_node_repr_keeps_the_record_format():
         "SLet(name='x', rhs=Var(name='y'), body=SCast(name='z', "
         "expr=Var(name='x'), src=IntT(), tgt=DynT(), "
         "body=SRet(expr=Var(name='z'))))")
-    app = SApp(SVar("f", (1, 2)), Lit(IntC(3), (1, 5)), (1, 1))
+    app = SApp(SVar("f", (1, 2)), Lit(3, (1, 5)), (1, 1))
     assert repr(app) == (
         "SApp(fn=SVar(name='f', pos=(1, 2)), "
-        "arg=Lit(const=IntC(value=3), pos=(1, 5)), pos=(1, 1))")
+        "arg=Lit(const=3, pos=(1, 5)), pos=(1, 1))")
 
 
 def test_link_and_bindings_on_the_empty_environment():

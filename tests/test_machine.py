@@ -1,20 +1,20 @@
 """Machine semantics: evaluation, casting, transitions, and the driver."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from monoref.guarded import run_g
 from monoref.lang import (
     BOOL,
     DYN,
     INT,
     ArrowT,
-    BoolC,
     CastError,
     Closure,
     Deref,
     EConst,
     Inject,
     ISZERO,
-    IntC,
     MkPair,
     OCon,
     O_CASTERROR,
@@ -35,6 +35,7 @@ from monoref.lang import (
     Var,
     link,
     lookup,
+    typeof_const,
 )
 from monoref.machine import (
     State,
@@ -51,6 +52,7 @@ from monoref.machine import (
     to_addr,
     to_val,
 )
+from monoref.surface import Lit, elaborate, parse_surface
 
 INT4 = 4
 TRUE = True
@@ -92,7 +94,24 @@ def test_one_and_true_stay_apart():
         delta(ISZERO, False)
     with pytest.raises(CastError):
         cast(Inject(TRUE, BOOL), DYN, INT, {}, ())
-    assert run(SRet(PrimApp(SUCC, EConst(BoolC(True))))) == O_STUCK
+    assert run(SRet(PrimApp(SUCC, EConst(True)))) == O_STUCK
+    # A literal is the host value itself, and a node tells its leaves
+    # apart by exact class.
+    for one, true in ((OCon(1), OCon(True)), (Lit(0), Lit(False)),
+                      (EConst(1), EConst(True))):
+        assert one != true and hash(one) != hash(true)
+    assert typeof_const(True) is BOOL and typeof_const(1) is INT
+    with pytest.raises(TypeError):
+        typeof_const(1.0)
+
+
+@given(st.integers(), st.booleans())
+def test_a_pair_of_literals_observes_at_their_exact_types(n, b):
+    program = elaborate(parse_surface(f"(pair {n} {'#t' if b else '#f'})"))
+    for runner in (run, run_g):
+        obs = runner(program)
+        assert obs == OPair(OCon(n), OCon(b))
+        assert type(obs.fst.const) is int and type(obs.snd.const) is bool
 
 
 def test_to_addr():
@@ -119,7 +138,7 @@ def test_eval_expr():
     pending_heap = {0: (7, INT, INT)}
     with pytest.raises(Stuck):
         eval_expr(Deref(Var("r")), ("r", VRef(0), ()), pending_heap)
-    pair = eval_expr(MkPair(EConst(IntC(1)), EConst(BoolC(True))), (), {})
+    pair = eval_expr(MkPair(EConst(1), EConst(True)), (), {})
     assert pair == VPair(1, TRUE)
     assert type(pair.fst) is int and type(pair.snd) is bool
 
@@ -208,14 +227,14 @@ def test_cast_reference_meet_failure():
 
 def test_step_active_discard():
     heap = {0: (INT4, INT)}
-    state = State(SRet(EConst(IntC(1))), (), (), heap, (0,))
+    state = State(SRet(EConst(1)), (), (), heap, (0,))
     after = step(state)
     assert after.active == () and after.heap == heap
 
 
 def test_step_active_commit():
     heap = {0: (Inject(INT4, INT), INT, DYN)}
-    state = State(SRet(EConst(IntC(1))), (), (), heap, (0,))
+    state = State(SRet(EConst(1)), (), (), heap, (0,))
     after = step(state)
     assert after.heap == {0: (INT4, INT)}
     assert after.active == ()
@@ -224,39 +243,39 @@ def test_step_active_commit():
 def test_step_alloc_fresh_address_is_heap_size():
     from monoref.lang import SAlloc
     heap = {0: (INT4, INT), 1: (TRUE, BOOL)}
-    stmt = SAlloc("x", INT, EConst(IntC(4)), SRet(Var("x")))
+    stmt = SAlloc("x", INT, EConst(4), SRet(Var("x")))
     after = step(State(stmt, (), (), heap, ()))
     assert after.env[0] == ("x", VRef(2))
     assert after.heap[2] == (INT4, INT)
 
 
 def test_final():
-    assert final(State(SRet(EConst(IntC(4))), (), (), {}, ()))
+    assert final(State(SRet(EConst(4)), (), (), {}, ()))
     frame = ("x", SRet(Var("x")), ())
-    assert not final(State(SRet(EConst(IntC(4))), (), (frame,), {}, ()))
-    assert not final(State(SRet(EConst(IntC(4))), (), (), {}, (0,)))
+    assert not final(State(SRet(EConst(4)), (), (frame,), {}, ()))
+    assert not final(State(SRet(EConst(4)), (), (), {}, (0,)))
 
 
 def test_step_on_final_state_is_stuck():
     with pytest.raises(Stuck):
-        step(State(SRet(EConst(IntC(4))), (), (), {}, ()))
+        step(State(SRet(EConst(4)), (), (), {}, ()))
 
 
 def test_observe():
-    assert observe(42) == OCon(IntC(42))
+    assert observe(42) == OCon(42)
     assert observe(Inject(INT4, INT)) == O_INJ
     assert observe(VPair(1, TRUE)) == \
-        OPair(OCon(IntC(1)), OCon(BoolC(True)))
+        OPair(OCon(1), OCon(True))
 
 
 def test_steps_fuel_and_return():
-    state = State(SRet(EConst(IntC(4))), (), (), {}, ())
+    state = State(SRet(EConst(4)), (), (), {}, ())
     assert steps(0, state) == O_TIMEOUT
-    assert steps(1, state) == OCon(IntC(4))
+    assert steps(1, state) == OCon(4)
 
 
 def test_steps_cast_error():
-    stmt = SCast("x", EConst(IntC(4)), INT, BOOL, SRet(Var("x")))
+    stmt = SCast("x", EConst(4), INT, BOOL, SRet(Var("x")))
     assert steps(10, initial_state(stmt)) == O_CASTERROR
 
 
@@ -265,22 +284,22 @@ def test_steps_stuck():
 
 
 def test_shape_violations_are_stuck_not_crashes():
-    call_non_closure = STailCall(EConst(IntC(1)), EConst(IntC(2)))
+    call_non_closure = STailCall(EConst(1), EConst(2))
     assert steps(10, initial_state(call_non_closure)) == O_STUCK
 
     from monoref.lang import SUpdate
-    dangling = SUpdate(Var("r"), EConst(IntC(1)), SRet(EConst(IntC(0))))
+    dangling = SUpdate(Var("r"), EConst(1), SRet(EConst(0)))
     state = State(dangling, (("r", VRef(9)),), (), {}, ())
     assert steps(10, state) == O_STUCK
 
 
 def test_run():
-    assert run(SRet(EConst(IntC(4)))) == OCon(IntC(4))
+    assert run(SRet(EConst(4))) == OCon(4)
 
 
 def test_step_deterministic():
     heap = {0: (Inject(INT4, INT), INT, DYN)}
-    state = State(SRet(EConst(IntC(1))), (), (), heap, (0,))
+    state = State(SRet(EConst(1)), (), (), heap, (0,))
     assert step(state) == step(state)
 
 
@@ -305,7 +324,7 @@ def test_worklist_drains_preserving_heap_well_formedness():
         heap, active = hg.config(rng.randint(1, 5))
         sigma = derive_store_typing(heap)
         assert wt_heap(sigma, heap, set(active))
-        state = State(SRet(EConst(IntC(0))), (), (), heap, active)
+        state = State(SRet(EConst(0)), (), (), heap, active)
         previous = sigma
         budget = 1_000
         while state.active:
@@ -336,7 +355,7 @@ def test_step_supersede_then_commit_with_duplicate_worklist_entries():
     tag0 = PairT(RefT(inner), DYN)
     content = VPair(Inject(VRef(0), RefT(DYN)), Inject(INT4, INT))
     heap = {0: (content, tag0, PairT(DYN, DYN))}
-    state = State(SRet(EConst(IntC(0))), (), (), heap, (0,))
+    state = State(SRet(EConst(0)), (), (), heap, (0,))
 
     lowered = PairT(RefT(inner), INT)
     mid = step(state)

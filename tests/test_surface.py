@@ -15,11 +15,9 @@ from monoref.lang import (
     PREV,
     SUCC,
     ArrowT,
-    BoolC,
     Deref,
     EConst,
     Fst,
-    IntC,
     Lam,
     MkPair,
     PairT,
@@ -58,14 +56,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_parse_examples():
-    assert parse_surface("(succ 4)") == SPrim("succ", Lit(IntC(4)))
-    assert parse_surface("(ref int 4)") == SRefNew(INT, Lit(IntC(4)))
+    assert parse_surface("(succ 4)") == SPrim("succ", Lit(4))
+    assert parse_surface("(ref int 4)") == SRefNew(INT, Lit(4))
     assert parse_surface("(cast x (ref dyn))") == SCastE(SVar("x"), RefT(DYN))
     assert parse_surface("(cast x (ref-ty dyn))") == SCastE(SVar("x"), RefT(DYN))
 
 
 def test_integer_literals_are_ascii_digits():
-    assert parse_surface("(succ -12)") == SPrim("succ", Lit(IntC(-12)))
+    assert parse_surface("(succ -12)") == SPrim("succ", Lit(-12))
     assert parse_surface("(succ \u0663\u0663)") == \
         SPrim("succ", SVar("\u0663\u0663"))
 
@@ -160,7 +158,7 @@ def test_parse_line_breaks(newline):
 
 def test_parse_non_breaking_space_separates_tokens():
     ast = parse_surface("(succ\xa04)\x1f")
-    assert ast == SPrim("succ", Lit(IntC(4)))
+    assert ast == SPrim("succ", Lit(4))
     assert ast.arg.pos == (1, 7)
 
 
@@ -210,6 +208,8 @@ def test_dyn_view_type_errors(source, message):
         with pytest.raises(TypeCheckError) as err:
             stage()
         assert str(err.value) == message
+        line, col = err.value.pos
+        assert message.startswith(f"{line}:{col}: ")
 
 
 def test_elaborate_after_check_returns_its_own_ir():
@@ -228,6 +228,11 @@ def test_typecheck_in_a_context_and_elaborate_closed():
         elaborate(ast)
     with pytest.raises(TypeCheckError, match="succ expects int"):
         typecheck_surface([("x", BOOL)], ast)
+    # A node built without a position reports none.
+    with pytest.raises(TypeCheckError) as err:
+        elaborate(SPrim("succ", Lit(True)))
+    assert err.value.pos is None
+    assert str(err.value) == "succ expects int, argument has type bool"
 
 
 def test_check_then_elaborate_is_one_pass(monkeypatch):
@@ -336,7 +341,7 @@ def test_a_cast_function_observes_as_a_function():
 
 def test_dyn_assignment_reaches_the_underlying_cell():
     from monoref.guarded import run_g
-    from monoref.lang import IntC, OCon
+    from monoref.lang import OCon
     from monoref.machine import run
 
     program = elaborate(parse_surface("""
@@ -346,7 +351,7 @@ def test_dyn_assignment_reaches_the_underlying_cell():
                    (! r))))
         """))
     assert check_stmt((), program) == INT
-    assert run(program) == run_g(program) == OCon(IntC(5))
+    assert run(program) == run_g(program) == OCon(5)
 
 
 def test_typecheck_corpus():
@@ -574,12 +579,12 @@ def test_elaboration_matches_golden_ir(name):
 # expression forms, the 5 operators, both Boolean literals and every type
 # constructor, with a lambda at the top and one nested in a chain.
 ALL_FORMS = SLet(
-    "f", Lam("x", ArrowT(INT, BOOL), STailCall(Var("x"), EConst(IntC(-7)))),
-    SCall("a", Var("f"), EConst(BoolC(True)),
+    "f", Lam("x", ArrowT(INT, BOOL), STailCall(Var("x"), EConst(-7))),
+    SCall("a", Var("f"), EConst(True),
     SAlloc("r", RefT(PairT(INT, DYN)),
-           MkPair(EConst(IntC(0)), EConst(BoolC(False))),
+           MkPair(EConst(0), EConst(False)),
     SUpdate(Var("r"), Deref(Var("r")),
-    SDynUpdate(Var("r"), EConst(IntC(1)), DYN,
+    SDynUpdate(Var("r"), EConst(1), DYN,
     SCast("c", Var("a"), BOOL, DYN,
     SDynDeref("d", Var("r"), PairT(INT, DYN),
     SLet("e", PrimApp(SUCC, Var("d")),
@@ -624,10 +629,10 @@ def test_type_print_parse_roundtrip(ty):
 def test_package_level_example():
     # keeps the README usage honest
     from monoref import run, run_g
-    from monoref.lang import IntC, OCon
+    from monoref.lang import OCon
 
     ast = parse_surface("(let (r (ref int 4)) (succ (! r)))")
     assert typecheck_surface((), ast) == INT
     program = elaborate(ast)
-    assert run(program) == OCon(IntC(5))
-    assert run_g(program) == OCon(IntC(5))
+    assert run(program) == OCon(5)
+    assert run_g(program) == OCon(5)

@@ -11,12 +11,10 @@ from monoref.lang import (
     DYN,
     INT,
     ArrowT,
-    BoolC,
     Closure,
     Deref,
     EConst,
     Inject,
-    IntC,
     MkPair,
     PairT,
     PrimApp,
@@ -56,7 +54,7 @@ def corpus_ir(name):
 
 
 def test_check_expr_const():
-    assert check_expr((), EConst(IntC(4))) == INT
+    assert check_expr((), EConst(4)) == INT
 
 
 def test_check_expr_deref_requires_static():
@@ -75,16 +73,16 @@ def test_check_expr_unbound():
 
 def test_check_expr_operator_mismatch():
     with pytest.raises(TypeCheckError):
-        check_expr((), PrimApp(SUCC, EConst(BoolC(True))))
+        check_expr((), PrimApp(SUCC, EConst(True)))
 
 
 def test_check_expr_deref_non_reference():
     with pytest.raises(TypeCheckError):
-        check_expr((), Deref(EConst(IntC(4))))
+        check_expr((), Deref(EConst(4)))
 
 
 def test_check_stmt_return():
-    assert check_stmt((), SRet(EConst(IntC(4)))) == INT
+    assert check_stmt((), SRet(EConst(4))) == INT
 
 
 def test_check_stmt_corpus_ex2():
@@ -94,7 +92,7 @@ def test_check_stmt_corpus_ex2():
 
 
 def test_check_stmt_update_requires_static():
-    stmt = SUpdate(Var("r"), EConst(IntC(4)), SRet(EConst(IntC(0))))
+    stmt = SUpdate(Var("r"), EConst(4), SRet(EConst(0)))
     with pytest.raises(TypeCheckError, match="static"):
         check_stmt((("r", RefT(DYN)),), stmt)
 
@@ -114,30 +112,30 @@ def test_check_stmt_error_paths():
         STailCall,
     )
 
-    ret0 = SRet(EConst(IntC(0)))
+    ret0 = SRet(EConst(0))
     bad = [
-        ((), SCall("x", EConst(IntC(1)), EConst(IntC(2)), ret0)),
+        ((), SCall("x", EConst(1), EConst(2), ret0)),
         ((("f", ArrowT(INT, INT)),),
-         STailCall(Var("f"), EConst(BoolC(True)))),
-        ((), SAlloc("x", INT, EConst(BoolC(True)), ret0)),
+         STailCall(Var("f"), EConst(True))),
+        ((), SAlloc("x", INT, EConst(True), ret0)),
         ((("r", RefT(INT)),),
-         SDynUpdate(Var("r"), EConst(IntC(1)), BOOL, ret0)),
+         SDynUpdate(Var("r"), EConst(1), BOOL, ret0)),
         ((("r", RefT(INT)),),
-         SDynUpdate(Var("r"), EConst(BoolC(True)), INT, ret0)),
-        ((), SCast("x", EConst(IntC(1)), BOOL, INT, ret0)),
-        ((), SCast("x", EConst(IntC(1)), INT, BOOL, ret0)),
-        ((), SCast("x", EConst(IntC(1)), INT, RefT(INT), ret0)),
+         SDynUpdate(Var("r"), EConst(True), INT, ret0)),
+        ((), SCast("x", EConst(1), BOOL, INT, ret0)),
+        ((), SCast("x", EConst(1), INT, BOOL, ret0)),
+        ((), SCast("x", EConst(1), INT, RefT(INT), ret0)),
         ((("r", RefT(INT)),), SDynDeref("x", Var("r"), BOOL, ret0)),
-        ((), SDynDeref("x", EConst(IntC(1)), INT, ret0)),
-        ((("r", BOOL),), SUpdate(Var("r"), EConst(IntC(1)), ret0)),
+        ((), SDynDeref("x", EConst(1), INT, ret0)),
+        ((("r", BOOL),), SUpdate(Var("r"), EConst(1), ret0)),
         ((("r", RefT(INT)),),
-         SUpdate(Var("r"), EConst(BoolC(True)), ret0)),
+         SUpdate(Var("r"), EConst(True), ret0)),
     ]
     for gamma, stmt in bad:
         with pytest.raises(TypeCheckError):
             check_stmt(gamma, stmt)
     with pytest.raises(TypeCheckError) as err:
-        check_stmt((), SCast("x", EConst(IntC(1)), INT, BOOL, SRet(Var("x"))))
+        check_stmt((), SCast("x", EConst(1), INT, BOOL, SRet(Var("x"))))
     assert err.value.message == "cast from int to inconsistent bool"
 
 
@@ -331,9 +329,9 @@ def _random_pure_expr(rng, gamma, ty, depth):
         if candidates:
             return Var(rng.choice(candidates))
         if ty == INT:
-            return EConst(IntC(rng.randint(0, 9)))
+            return EConst(rng.randint(0, 9))
         if ty == BOOL:
-            return EConst(BoolC(True))
+            return EConst(True)
         return None
     if ty == INT and rng.random() < 0.5:
         sub = _random_pure_expr(rng, gamma, INT, depth - 1)
