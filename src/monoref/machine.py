@@ -196,8 +196,8 @@ def read_cell(ref: Val, heap: Heap) -> Val:
 def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
     """Evaluate a pure expression; a `Deref` reads through `read(ref,
     heap)`. The driver makes the common forms itself (see
-    `_transitions`), so this serves a lambda, a pair, a literal, an
-    operand that is not a name and the final result."""
+    `_transitions`), so this serves a pair, a lambda or literal where the
+    driver does not make it, and the final result."""
     t = type(e)
     if t is Var:
         name, scope = e.name, env
@@ -421,8 +421,10 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
     final state. Stuck and CastError propagate to the caller.
 
     Each operand that is a name is looked up where it is used, a return
-    to a caller's frame included. A `let` of a `Deref` reads a settled
-    cell of a `VRef` here, and a `let` of `succ` or `prev` on a host
+    to a caller's frame included, and a literal operand of a call, an
+    allocation or an update is its value. A `let` of a `Lam` builds its
+    closure here, a `let` of a `Deref` reads a settled cell of a `VRef`
+    here, and a `let` of `succ` or `prev` on a host
     `int` computes it here; any other reference goes to `sem.read` and
     any other primitive to `delta`, as `evaluate` would send them. A
     static access through a `VRef` and an annotated one whose cast is an
@@ -472,6 +474,8 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     v = scope[1] if scope else lookup(name, scope)
+                elif tr is Lam:
+                    v = Closure(v.param, v.param_ty, v.body, env)
                 else:
                     v = evaluate(v, env, heap, read)
                 env = (stmt.name, v, env)
@@ -490,6 +494,8 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     arg = scope[1] if scope else lookup(name, scope)
+                elif type(arg) is EConst:
+                    arg = arg.const
                 else:
                     arg = evaluate(arg, env, heap, read)
                 if t is SCall:
@@ -523,6 +529,8 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     v = scope[1] if scope else lookup(name, scope)
+                elif type(v) is EConst:
+                    v = v.const
                 else:
                     v = evaluate(v, env, heap, read)
                 addr = len(heap)
@@ -543,6 +551,8 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     v = scope[1] if scope else lookup(name, scope)
+                elif type(v) is EConst:
+                    v = v.const
                 else:
                     v = evaluate(v, env, heap, read)
                 cell = heap.get(ref.addr) if type(ref) is VRef else None

@@ -22,10 +22,15 @@ INT is an optional `-` followed by ASCII digits. `(× T T)` is accepted
 for pair types and `(ref T)` for reference types.
 Identifiers starting with `$` are reserved for generated temporaries.
 
-The reader makes one pass, pushing each line's tokens straight onto a
-stack of open lists. Fixed-shape forms are parsed from the tables
-`_FORMS` and `_TYPE_FORMS`, from which `_KEYWORDS` is also built; the
-type keywords come from `lang.TYPE_KEYWORDS`, by which types print. The
+The reader makes one pass over each line's tokens, with one branch per
+token kind: the innermost open list is a local, a list joins its parent
+when it opens, and `)` is one pop. Expressions are parsed from the
+table `_SYNTAX` and types from `_TYPE_FORMS`, from which `_KEYWORDS` is
+also built; the type keywords come from `lang.TYPE_KEYWORDS`, by which
+types print. A `let`/`begin` chain is parsed in a loop and a type from
+an explicit stack, each form checked before its parts, so the first
+error in reading order is the one reported and neither a long chain nor
+a deep type costs Python frames. The
 IR is printed from one keyword table, `_IR_KEYWORDS`, which also names
 the primitives of `_PRIMS`, and from an explicit work stack, so a
 printed program may nest as deeply as it runs.
@@ -44,6 +49,8 @@ a lambda's from the type at its body's return or tail call. It is
 written in direct style: each subterm appends the heads of the
 statements that compute it to a list, which is folded around the return
 or tail call at the end, and `let`/`begin` chains are walked in a loop.
+Each intermediate value is named by a temporary `$tN` whose atom is
+interned in `_TEMPS`, so most of the pass's `Var`s are never built.
 A `let` that rebinds a name already bound in the program is renamed to a
 fresh temporary. `typecheck_surface` returns the pass's type and
 `elaborate` its IR; an ill-typed program raises the same
@@ -233,38 +240,47 @@ _INT_RE = re.compile(r"-?[0-9]+\Z")  # ASCII digits only, unlike `\d`
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
+class _Top(list):
+    """The reader's outermost list. It holds the input's one s-expression;
+    any item after that is trailing input."""
+
+    def append(self, item):
+        if self:
+            token = item[0] if type(item[0]) is str else "("
+            raise ParseError(f"unexpected trailing input {token!r}", *item[1])
+        list.append(self, item)
+
+
 def _read(text: str):
-    """Read the one s-expression of `text` in a single pass: each token
-    of each line (as `splitlines` ends lines) goes straight onto a stack
-    of open lists, so nesting depth costs no Python frames."""
-    open_lists = []  # (items, pos of the open paren), innermost last
-    sx = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """Read the one s-expression of `text` in a single pass over the
+    tokens of each line (as `splitlines` ends lines). The innermost open
+    list is the local `items`, and a list joins its parent when it opens,
+    so `)` is one pop and nesting depth costs no Python frames."""
+    top = items = _Top()
+    outer = []  # the open lists enclosing `items`, innermost last
+    for lineno, line in enumerate(text.splitlines(), 1):
         for match in _TOKEN_RE.finditer(line):
             token = match[0]
-            if token == ";":
+            if token == "(":
+                inner = []
+                items.append((inner, (lineno, match.start() + 1)))
+                outer.append(items)
+                items = inner
+            elif token == ")":
+                if not outer:
+                    raise ParseError("unexpected trailing input ')'" if top
+                                     else "unexpected ')'",
+                                     lineno, match.start() + 1)
+                items = outer.pop()
+            elif token == ";":
                 break
-            if sx is not None:
-                raise ParseError(f"unexpected trailing input {token!r}",
-                                 lineno, match.start() + 1)
-            if token == ")":
-                if not open_lists:
-                    raise ParseError("unexpected ')'", lineno, match.start() + 1)
-                item = open_lists.pop()
-            elif token == "(":
-                open_lists.append(([], (lineno, match.start() + 1)))
-                continue
             else:
-                item = (token, (lineno, match.start() + 1))
-            if open_lists:
-                open_lists[-1][0].append(item)
-            else:
-                sx = item
-    if open_lists:
-        raise ParseError("unclosed parenthesis", *open_lists[-1][1])
-    if sx is None:
+                items.append((token, (lineno, match.start() + 1)))
+    if outer:  # the innermost open list is the last item of its parent
+        raise ParseError("unclosed parenthesis", *outer[-1][-1][1])
+    if not top:
         raise ParseError("empty input", 1, 1)
-    return sx
+    return top[0]
 
 
 def _fail(sx, message: str):
@@ -272,18 +288,36 @@ def _fail(sx, message: str):
 
 
 def _type(sx) -> Ty:
-    form = sx[0]
-    if type(form) is str:
-        if form not in _BASE_TYPES:
-            _fail(sx, f"unknown type {form!r}")
-        return _BASE_TYPES[form]
-    if not form or type(form[0][0]) is not str:
-        _fail(sx, "malformed type")
-    head = form[0][0]
-    cls = _TYPE_FORMS.get(head)
-    if cls is None or len(form) != 1 + len(cls._fields):
-        _fail(sx, f"malformed type starting with {head!r}")
-    return cls(*map(_type, form[1:]))
+    """The type `sx` spells, built from an explicit stack: each form is
+    checked before its fields, in order, and a constructor is applied
+    once its fields are built, so nesting depth costs no Python frames."""
+    todo, done = [sx], []  # `todo` also holds constructors to apply
+    while todo:
+        sx = todo.pop()
+        if type(sx) is not tuple:
+            n = len(sx._fields)
+            done[-n:] = (sx(*done[-n:]),)
+            continue
+        form = sx[0]
+        if type(form) is str:
+            if form not in _BASE_TYPES:
+                _fail(sx, f"unknown type {form!r}")
+            done.append(_BASE_TYPES[form])
+            continue
+        if not form or type(form[0][0]) is not str:
+            _fail(sx, "malformed type")
+        head = form[0][0]
+        cls = _TYPE_FORMS.get(head)
+        if cls is None or len(form) != 1 + len(cls._fields):
+            _fail(sx, f"malformed type starting with {head!r}")
+        todo.append(cls)
+        todo += reversed(form[1:])
+    return done[0]
+
+
+# The first characters of the atoms that need more than a keyword test:
+# an integer's, and the reserved `#` and `$`.
+_ODD_STARTS = frozenset("-0123456789#$")
 
 
 def _name(sx) -> str:
@@ -292,39 +326,65 @@ def _name(sx) -> str:
         _fail(sx, "expected an identifier")
     if text in _KEYWORDS:
         _fail(sx, f"keyword {text!r} used as an identifier")
-    if _INT_RE.match(text) or text.startswith("#"):
-        _fail(sx, f"{text!r} is not an identifier")
-    if text.startswith("$"):
-        _fail(sx, "identifiers starting with '$' are reserved")
+    if text[0] in _ODD_STARTS:
+        if _INT_RE.match(text) or text[0] == "#":
+            _fail(sx, f"{text!r} is not an identifier")
+        if text[0] == "$":
+            _fail(sx, "identifiers starting with '$' are reserved")
     return text
 
 
+def _int(sx) -> Lit:
+    form = sx[0]
+    # A cap is at least 640 digits, so a shorter literal is below any.
+    if len(form) >= 640:
+        digits, limit = len(form.lstrip("-")), _int_max_str_digits()
+        if limit and digits >= limit:
+            _fail(sx, f"integer literal of {digits} digits; at most "
+                      f"{limit - 1} are allowed")
+    return Lit(int(form), sx[1])
+
+
 def _expr(sx) -> SurfExpr:
-    form, pos = sx
-    if type(form) is str:
-        if _INT_RE.match(form):
-            digits, limit = len(form.lstrip("-")), _int_max_str_digits()
-            if limit and digits >= limit:
-                _fail(sx, f"integer literal of {digits} digits; at most "
-                          f"{limit - 1} are allowed")
-            return Lit(int(form), pos)
-        if form in ("#t", "true"):
-            return Lit(True, pos)
-        if form in ("#f", "false"):
-            return Lit(False, pos)
-        return SVar(_name(sx), pos)
-    items = form
-    if not items:
-        _fail(sx, "empty application")
-    kw = items[0][0]
-    if type(kw) is str:
-        if kw in _FORMS:
-            cls, usage, operands = _FORMS[kw]
-            if len(items) != 1 + len(operands):
-                _fail(sx, f"expected {usage}")
-            if len(operands) == 1:
-                return cls(operands[0](items[1]), pos)
-            return cls(operands[0](items[1]), operands[1](items[2]), pos)
+    """The expression `sx` spells. The bodies of a `let`/`begin` chain
+    are walked in a loop, the chain's links kept in `links` until its
+    last expression is built, so a long chain costs no Python frames."""
+    links = []  # (name, expr, pos): a let's binding, or a begin's item
+    while True:
+        form, pos = sx
+        if type(form) is str:
+            if form in _KEYWORDS:
+                if form not in _BOOLS:
+                    _name(sx)  # raises: a keyword is no identifier
+                e = Lit(_BOOLS[form], pos)
+            elif form[0] in _ODD_STARTS:
+                e = _int(sx) if _INT_RE.match(form) else SVar(_name(sx), pos)
+            else:
+                e = SVar(form, pos)
+            break
+        items = form
+        if not items:
+            _fail(sx, "empty application")
+        kw = items[0][0]
+        if type(kw) is not str or kw not in _SYNTAX:
+            if len(items) != 2:
+                _fail(sx, "application expects exactly one argument")
+            e = SApp(_expr(items[0]), _expr(items[1]), pos)
+            break
+        if kw == "let":
+            if len(items) != 3 or type(items[1][0]) is str \
+                    or len(items[1][0]) != 2:
+                _fail(sx, "expected (let (x e) body)")
+            name, rhs = items[1][0]
+            links.append((_name(name), _expr(rhs), pos))
+            sx = items[2]
+            continue
+        if kw == "begin":
+            if len(items) < 3:
+                _fail(sx, "begin needs at least two expressions")
+            links += [(None, _expr(item), pos) for item in items[1:-1]]
+            sx = items[-1]
+            continue
         if kw == "lambda":
             if len(items) != 3 or type(items[1][0]) is str:
                 _fail(sx, "expected (lambda (x : T) body)")
@@ -335,34 +395,27 @@ def _expr(sx) -> SurfExpr:
                 param, ann = _name(params[0]), _type(params[1])
             else:
                 _fail(items[1], "expected (x : T)")
-            return SLambda(param, ann, _expr(items[2]), pos)
-        if kw == "let":
-            if len(items) != 3 or type(items[1][0]) is str \
-                    or len(items[1][0]) != 2:
-                _fail(sx, "expected (let (x e) body)")
-            binding = items[1][0]
-            return SLetE(_name(binding[0]), _expr(binding[1]),
-                         _expr(items[2]), pos)
-        if kw == "begin":
-            if len(items) < 3:
-                _fail(sx, "begin needs at least two expressions")
-            exprs = [_expr(item) for item in items[1:]]
-            result = exprs[-1]
-            for e in reversed(exprs[:-1]):
-                result = SBegin(e, result, pos)
-            return result
-        if kw in _PRIMS:
-            if len(items) != 2:
-                _fail(sx, f"expected ({kw} e)")
-            return SPrim(kw, _expr(items[1]), pos)
-    if len(items) != 2:
-        _fail(sx, "application expects exactly one argument")
-    return SApp(_expr(items[0]), _expr(items[1]), pos)
+            e = SLambda(param, ann, _expr(items[2]), pos)
+            break
+        cls, usage, operands = _SYNTAX[kw]
+        if len(items) != 1 + len(operands):
+            _fail(sx, f"expected {usage}")
+        if cls is SPrim:
+            e = SPrim(kw, _expr(items[1]), pos)
+        elif len(operands) == 1:
+            e = cls(operands[0](items[1]), pos)
+        else:
+            e = cls(operands[0](items[1]), operands[1](items[2]), pos)
+        break
+    for name, x, pos in reversed(links):
+        e = SBegin(x, e, pos) if name is None else SLetE(name, x, e, pos)
+    return e
 
 
-# The fixed-shape expression forms: each keyword's node class, its usage
-# for the arity error, and one parser per operand, in order.
-_FORMS = {
+# The expression keywords. A fixed-shape form has its node class, its
+# usage for the arity error, and one parser per operand, in order; so has
+# each primitive. `_expr` parses `let`, `begin` and `lambda` itself.
+_SYNTAX = {
     "ref": (SRefNew, "(ref T e)", (_type, _expr)),
     "!": (SDeref, "(! e)", (_expr,)),
     ":=": (SAssign, "(:= target value)", (_expr, _expr)),
@@ -370,14 +423,16 @@ _FORMS = {
     "pair": (SPair, "(pair e e)", (_expr, _expr)),
     "fst": (SFst, "(fst e)", (_expr,)),
     "snd": (SSnd, "(snd e)", (_expr,)),
+    **{kw: (SPrim, f"({kw} e)", (_expr,)) for kw in _PRIMS},
+    "let": None, "begin": None, "lambda": None,
 }
 # The type keywords of `TYPE_KEYWORDS`, plus the aliases `×` and `ref`. A
 # type constructor takes one type per field.
 _TYPE_FORMS = {**{kw: cls for cls, kw in TYPE_KEYWORDS.items() if cls._fields},
                "×": PairT, "ref": RefT}
 _BASE_TYPES = {TYPE_KEYWORDS[type(t)]: t for t in (INT, BOOL, DYN)}
-_KEYWORDS = {*_FORMS, *_TYPE_FORMS, *_BASE_TYPES, *_PRIMS, "lambda", "let",
-             "begin", ":", "#t", "#f", "true", "false"}
+_BOOLS = {"#t": True, "true": True, "#f": False, "false": False}
+_KEYWORDS = {*_SYNTAX, *_TYPE_FORMS, *_BASE_TYPES, *_BOOLS, ":"}
 
 
 def parse_surface(text: str) -> SurfExpr:
@@ -425,6 +480,25 @@ _MISMATCHES = {
 # ---------------------------------------------------------------------------
 # Typing and elaboration to the IR
 
+# The temporaries `$t0`, `$t1`, ... as atoms: the `Var` of `$tN` is made
+# the first time an elaboration needs N + 1 temporaries, and every later
+# IR shares it. Nodes are immutable, so sharing changes no IR's printing,
+# equality or hash. The table grows to the most temporaries one
+# elaboration has used, and no further than `_TEMPS_MAX`; past that an
+# elaboration makes its own.
+_TEMPS = []
+_TEMPS_MAX = 1 << 16
+
+
+def _temp(n: int) -> Var:
+    """The atom of temporary `$tN` that is not in `_TEMPS` yet; N is the
+    table's length or, once it is full, more."""
+    tmp = Var(f"$t{n}")
+    if n < _TEMPS_MAX:
+        _TEMPS.append(tmp)
+    return tmp
+
+
 class _Elaborator:
     """Types a surface expression and lowers it to ANF statements.
 
@@ -434,11 +508,14 @@ class _Elaborator:
     head is a statement class with every field but its body, which is
     always the last field; `tail` folds a list of heads around the leaf,
     a return or, for an application, a tail call. Every intermediate value
-    is named by a fresh `$tN` temporary; casts appear exactly where an
-    operand's type is consistent with, but not equal to, the type needed.
+    is named by the next `$tN` temporary, an interned atom of `_TEMPS`;
+    casts appear exactly where an operand's type is consistent with, but
+    not equal to, the type needed. `atom` dispatches on the exact class
+    of its expression, the commonest forms first, and walks a `let`/
+    `begin` chain only when it meets one.
 
     A `let` keeps its name unless a `let` or a lambda has already bound
-    that name in the program; then it gets a fresh `$tN`, since the rest
+    that name in the program; then it gets the next `$tN`, since the rest
     of the enclosing expression is emitted inside its binding. `gamma`
     is a linked environment (`lang.lookup`) that binds each surface name
     to its atom and type.
@@ -448,24 +525,21 @@ class _Elaborator:
         self.counter = 0
         self.bound = set()  # names bound so far by a let or a lambda
 
-    def fresh(self) -> str:
-        name = f"$t{self.counter}"
-        self.counter += 1
-        return name
-
     def bind(self, heads: list, cls, *fields) -> Var:
-        """Append the head of a `cls` statement that binds a fresh name."""
-        tmp = self.fresh()
-        heads.append((cls, tmp, *fields))
-        return Var(tmp)
+        """Append the head of a `cls` statement that binds the next
+        temporary; returns its atom."""
+        n = self.counter
+        self.counter = n + 1
+        tmp = _TEMPS[n] if n < len(_TEMPS) else _temp(n)
+        heads.append((cls, tmp.name, *fields))
+        return tmp
 
     def coerce(self, e: SurfExpr, atom: Expr, have: Ty, want: Ty,
                heads: list) -> Expr:
         """`atom`, the value of an operand of `e`, cast from `have` to
-        `want` unless they are equal, that is the same interned type; an
-        inconsistent pair is `e`'s type error from `_MISMATCHES`."""
-        if have is want:
-            return atom
+        `want`, another type (callers keep an operand whose type is the
+        one needed, the same interned type, as it is); an inconsistent
+        pair is `e`'s type error from `_MISMATCHES`."""
         if not consistent(have, want):
             raise TypeCheckError(
                 _MISMATCHES[type(e)].format(e=e, have=have, want=want),
@@ -491,15 +565,21 @@ class _Elaborator:
     def chain(self, e: SurfExpr, gamma, heads: list):
         """Emit the bindings of the `let`/`begin` chain at `e`; returns the
         chain's last expression and the scope it sits in."""
+        bound = self.bound
         while True:
-            if isinstance(e, SLetE):
+            cls = type(e)
+            if cls is SLetE:
                 atom, ty = self.atom(e.rhs, gamma, heads)
-                name = self.fresh() if e.name in self.bound else e.name
-                self.bound.add(e.name)
-                heads.append((SLet, name, atom))
-                gamma = (e.name, (Var(name), ty), gamma)
+                name = e.name
+                if name in bound:
+                    var = self.bind(heads, SLet, atom)
+                else:
+                    bound.add(name)
+                    var = Var(name)
+                    heads.append((SLet, name, atom))
+                gamma = (name, (var, ty), gamma)
                 e = e.body
-            elif isinstance(e, SBegin):
+            elif cls is SBegin:
                 self.atom(e.first, gamma, heads)
                 e = e.second
             else:
@@ -507,84 +587,103 @@ class _Elaborator:
 
     def call(self, e: SApp, gamma, heads: list):
         """The callee and argument atoms of an application, and its type."""
-        fn, fn_ty = self.view(e, *self.atom(e.fn, gamma, heads), heads,
-                              gamma, e.arg)
+        fn, fn_ty = self.atom(e.fn, gamma, heads)
+        if type(fn_ty) is not ArrowT:
+            fn, fn_ty = self.view(e, fn, fn_ty, heads, gamma, e.arg)
         arg, arg_ty = self.atom(e.arg, gamma, heads)
-        return fn, self.coerce(e, arg, arg_ty, fn_ty.dom, heads), fn_ty.cod
+        if arg_ty is not fn_ty.dom:
+            arg = self.coerce(e, arg, arg_ty, fn_ty.dom, heads)
+        return fn, arg, fn_ty.cod
 
     def atom(self, e: SurfExpr, gamma, heads: list):
         """Elaborate `e` into `heads`; returns its value's atom and type."""
-        e, gamma = self.chain(e, gamma, heads)
-        if isinstance(e, Lit):
-            return EConst(e.const), typeof_const(e.const)
-        if isinstance(e, SVar):
+        cls = type(e)
+        if cls is SVar:
             try:
                 return lookup(e.name, gamma)
             except Stuck:
                 raise TypeCheckError(f"unbound variable {e.name!r}",
                                      e.pos) from None
-        if isinstance(e, SLambda):
+        if cls is SPrim:
+            op, out = _PRIMS[e.op]
+            atom, ty = self.atom(e.arg, gamma, heads)
+            if ty is not INT:
+                atom = self.coerce(e, atom, ty, INT, heads)
+            return self.bind(heads, SLet, PrimApp(op, atom)), out
+        if cls is SApp:
+            fn, arg, cod = self.call(e, gamma, heads)
+            return self.bind(heads, SCall, fn, arg), cod
+        if cls is SLetE or cls is SBegin:
+            e, gamma = self.chain(e, gamma, heads)
+            return self.atom(e, gamma, heads)
+        if cls is Lit:
+            return EConst(e.const), typeof_const(e.const)
+        if cls is SLambda:
             self.bound.add(e.param)
             param = (e.param, (Var(e.param), e.ann), gamma)
             body, cod = self.tail(e.body, param)
             return (self.bind(heads, SLet, Lam(e.param, e.ann, body)),
                     ArrowT(e.ann, cod))
-        if isinstance(e, SApp):
-            fn, arg, cod = self.call(e, gamma, heads)
-            return self.bind(heads, SCall, fn, arg), cod
-        if isinstance(e, SPair):
-            a, a_ty = self.atom(e.fst, gamma, heads)
-            b, b_ty = self.atom(e.snd, gamma, heads)
-            return self.bind(heads, SLet, MkPair(a, b)), PairT(a_ty, b_ty)
-        if isinstance(e, (SFst, SSnd)):
-            atom, ty = self.view(e, *self.atom(e.pair, gamma, heads), heads)
-            if isinstance(e, SFst):
-                op, out = Fst(ty.left, ty.right), ty.left
-            else:
-                op, out = Snd(ty.left, ty.right), ty.right
-            return self.bind(heads, SLet, PrimApp(op, atom)), out
-        if isinstance(e, SPrim):
-            op, out = _PRIMS[e.op]
-            atom, ty = self.atom(e.arg, gamma, heads)
-            atom = self.coerce(e, atom, ty, INT, heads)
-            return self.bind(heads, SLet, PrimApp(op, atom)), out
-        if isinstance(e, SRefNew):
+        if cls is SRefNew:
             atom, ty = self.atom(e.init, gamma, heads)
-            atom = self.coerce(e, atom, ty, e.cell_ty, heads)
+            if ty is not e.cell_ty:
+                atom = self.coerce(e, atom, ty, e.cell_ty, heads)
             return self.bind(heads, SAlloc, e.cell_ty, atom), RefT(e.cell_ty)
-        if isinstance(e, SDeref):
-            atom, ty = self.view(e, *self.atom(e.ref, gamma, heads), heads)
+        if cls is SDeref:
+            atom, ty = self.atom(e.ref, gamma, heads)
+            if type(ty) is not RefT:
+                atom, ty = self.view(e, atom, ty, heads)
             if is_static(ty.cell):
                 return self.bind(heads, SLet, Deref(atom)), ty.cell
             return self.bind(heads, SDynDeref, atom, ty.cell), ty.cell
-        if isinstance(e, SAssign):
-            target, ty = self.view(e, *self.atom(e.target, gamma, heads),
-                                   heads, gamma, e.value)
+        if cls is SAssign:
+            target, ty = self.atom(e.target, gamma, heads)
+            if type(ty) is not RefT:
+                target, ty = self.view(e, target, ty, heads, gamma, e.value)
             value, value_ty = self.atom(e.value, gamma, heads)
-            value = self.coerce(e, value, value_ty, ty.cell, heads)
+            if value_ty is not ty.cell:
+                value = self.coerce(e, value, value_ty, ty.cell, heads)
             if is_static(ty.cell):
                 heads.append((SUpdate, target, value))
             else:
                 heads.append((SDynUpdate, target, value, ty.cell))
             return value, ty.cell
-        if isinstance(e, SCastE):
+        if cls is SCastE:
             atom, ty = self.atom(e.expr, gamma, heads)
-            return self.coerce(e, atom, ty, e.ty, heads), e.ty
+            if ty is not e.ty:
+                atom = self.coerce(e, atom, ty, e.ty, heads)
+            return atom, e.ty
+        if cls is SPair:
+            a, a_ty = self.atom(e.fst, gamma, heads)
+            b, b_ty = self.atom(e.snd, gamma, heads)
+            return self.bind(heads, SLet, MkPair(a, b)), PairT(a_ty, b_ty)
+        if cls is SFst or cls is SSnd:
+            atom, ty = self.view(e, *self.atom(e.pair, gamma, heads), heads)
+            if cls is SFst:
+                op, out = Fst(ty.left, ty.right), ty.left
+            else:
+                op, out = Snd(ty.left, ty.right), ty.right
+            return self.bind(heads, SLet, PrimApp(op, atom)), out
         raise TypeCheckError(f"unknown surface form {e!r}")
 
     def tail(self, e: SurfExpr, gamma):
         """Elaborate `e` in return position; returns the statement and
         the type of the value it returns."""
         heads = []
-        e, gamma = self.chain(e, gamma, heads)
-        if isinstance(e, SApp):
+        if type(e) is SLetE or type(e) is SBegin:
+            e, gamma = self.chain(e, gamma, heads)
+        if type(e) is SApp:
             fn, arg, ty = self.call(e, gamma, heads)
             stmt = STailCall(fn, arg)
         else:
             atom, ty = self.atom(e, gamma, heads)
             stmt = SRet(atom)
-        for cls, *fields in reversed(heads):
-            stmt = cls(*fields, stmt)
+        for head in reversed(heads):
+            cls = head[0]
+            if cls is SLet:
+                stmt = SLet(head[1], head[2], stmt)
+            else:
+                stmt = cls(*head[1:], stmt)
         return stmt, ty
 
 

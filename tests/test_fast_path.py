@@ -22,9 +22,11 @@ The IR is in A-normal form, so an operand is a name or a literal. A
 static transition looks a name operand up where it is used, a return
 to a caller's frame included, and a `let` reads a cell or takes a
 successor in place: counting the calls of `evaluate` over a window of
-static loop steps, casts on names included, shows none at all, while a
-`let` of a lambda still makes one. An annotated read or write looks its
-names up in place too.
+static loop steps, casts on names included, shows none at all. A `let`
+of a lambda builds its closure in place, and a literal operand of a
+call, an allocation or an update is its value: a run of such a program
+calls `evaluate` never, while a `let` of a pair still does. An
+annotated read or write looks its names up in place too.
 
 The driver also makes an annotated access itself when its reference is
 a `VRef` to a cell with no pending cast whose tag is the annotation, and
@@ -58,6 +60,7 @@ from monoref.lang import (
     Inject,
     IsZero,
     Lam,
+    MkPair,
     Node,
     OCon,
     PairT,
@@ -399,11 +402,35 @@ def test_a_static_transition_looks_its_names_up_in_place(sem, name,
     if name == "ref-cast":
         assert sum(r.rule == "cast" for r in records) > 300
     assert calls == []
-    # The fixture does see a call: a `let` of a lambda makes one.
+    # The fixture does see calls: a `let` of a pair makes one per part.
     evaluated.clear()
-    step_with(sem, State(SLet("f", IDENTITY_LAM, SRet(Var("f"))), (), (),
-                         {}, ()))
-    assert evaluated == [IDENTITY_LAM]
+    pair = MkPair(EConst(1), EConst(True))
+    step_with(sem, State(SLet("p", pair, SRet(Var("p"))), (), (), {}, ()))
+    assert evaluated == [pair, EConst(1), EConst(True)]
+
+
+# A lambda bound by a `let`, and a literal operand of an allocation, an
+# update and a non-tail call.
+LITERAL_OPERANDS = ("(let (r (ref int 1)) (begin (:= r 3)"
+                    " (let (f (lambda (x : int) (succ x))) (succ (f 4)))))")
+
+
+def test_lambdas_and_literal_operands_are_made_in_place(evaluated):
+    ast = parse_surface(LITERAL_OPERANDS)
+    typecheck_surface((), ast)
+    stmt = elaborate(ast)
+    for sem in (MONOTONIC, GUARDED):
+        assert steps_with(sem, 100, initial_state(stmt), None) == OCon(6)
+        evaluated.clear()
+        state = initial_state(stmt)
+        while not final(state):
+            state = step_with(sem, state)
+        assert evaluated == []
+    evaluated.clear()
+    state = step_with(GUARDED, State(SLet("f", IDENTITY_LAM, SRet(Var("f"))),
+                                     (), (), {}, ()))
+    assert evaluated == [] and state.env[0][1] == Closure(
+        "x", INT, IDENTITY_LAM.body, ())
 
 
 # A non-tail call whose result returns through a frame: `(f 1)` pushes
@@ -428,7 +455,7 @@ def test_a_return_to_a_frame_looks_its_name_up_in_place(evaluated):
         state = initial_state(stmt)
         while not final(state):
             state = step_with(sem, state)
-        assert evaluated and [e for e in evaluated if type(e) is Var] == []
+        assert evaluated == []
     assert traces[0] == traces[1]
     assert [r.rule for r in traces[0]].count("return") == 1
 

@@ -1,6 +1,8 @@
 """Parser, consistency, surface checking, and elaboration properties."""
 
 import random
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from monoref.lang import (
     Fst,
     Lam,
     MkPair,
+    Node,
     PairT,
     PrimApp,
     RefT,
@@ -33,6 +36,7 @@ from monoref.lang import (
     SAlloc,
     SUpdate,
     Snd,
+    Ty,
     Var,
 )
 from monoref.surface import (
@@ -111,7 +115,8 @@ def test_parse_malformed_inputs():
             parse_surface(source)
 
 
-@pytest.mark.parametrize("source, message, pos", [
+# Malformed programs, each with its first error and where it is.
+PARSE_ERRORS = [
     ("", "empty input", (1, 1)),
     ("; only a comment\n  ; and another\n", "empty input", (1, 1)),
     (")", "unexpected ')'", (1, 1)),
@@ -139,7 +144,10 @@ def test_parse_malformed_inputs():
     ("(succ\r4)\r)", "unexpected trailing input ')'", (3, 1)),
     ("(succ\x0c  4)\x0c x", "unexpected trailing input 'x'", (3, 2)),
     ("(succ\xa04)\xa0x", "unexpected trailing input 'x'", (1, 10)),
-])
+]
+
+
+@pytest.mark.parametrize("source, message, pos", PARSE_ERRORS)
 def test_parse_error_messages_and_positions(source, message, pos):
     with pytest.raises(ParseError) as err:
         parse_surface(source)
@@ -174,7 +182,8 @@ def test_keywords_are_not_binders(keyword):
         (f"keyword {keyword!r} used as an identifier", 1, 7)
 
 
-@pytest.mark.parametrize("source, message", [
+# Ill-typed programs, each with its first type error.
+TYPE_ERRORS = [
     ("(let (f 4) (f 1))", "1:12: application of non-function type int"),
     ("(fst (lambda (x : int) x))",
      "1:1: projection from non-pair type (-> int int)"),
@@ -199,7 +208,10 @@ def test_keywords_are_not_binders(keyword):
     # a reference, so the error inside the second comes first.
     ("(#t (succ #f))", "1:5: succ expects int, argument has type bool"),
     ("(:= 4 (succ #f))", "1:7: succ expects int, argument has type bool"),
-])
+]
+
+
+@pytest.mark.parametrize("source, message", TYPE_ERRORS)
 def test_dyn_view_type_errors(source, message):
     # Typechecking and elaboration are one pass, so both entry points
     # reject each program with the same first error, at the form.
@@ -516,17 +528,27 @@ def _nested_lambda_bodies(depth: int) -> str:
             + "".join(reversed(closing)) + ") 0)")
 
 
-# Long statement chains and deep lambda nesting: within the recursion
+def _let_chain(n: int, rhs: str = "(succ x{})") -> str:
+    """`n` nested `let`s, each binding `x<i>` to `rhs` of `x<i - 1>`."""
+    return ("(let (x0 0)\n" + "".join(
+        f"(let (x{i} {rhs.format(i - 1)})\n" for i in range(1, n))
+        + f"x{n - 1}" + ")" * n)
+
+
+# Long statement chains and deep lambda nesting. The parser and the
+# elaborator walk a `let`/`begin` chain in a loop, so a chain may be as
+# long as the machine runs; lambda bodies nest within the recursion
 # limit of the layers that still recurse (the parser and the surface
-# checker), but each elaborates to a chain of more than 1,000 IR
+# checker). Each program elaborates to a chain of more than 1,000 IR
 # statements or to a lambda body nested 250 levels deep.
 LONG_PROGRAMS = {
-    "400-lets": ("(let (x0 0)\n" + "".join(
-        f"(let (x{i} (succ (succ x{i - 1})))\n" for i in range(1, 400))
-        + "x399" + ")" * 400, "798"),
+    "400-lets": (_let_chain(400, "(succ (succ x{}))"), "798"),
     "400-item-begin": ("(let (r (ref int 0)) (begin\n"
                        + "(:= r (succ (! r)))\n" * 400 + "))", "400"),
     "250-nested-bodies": (_nested_lambda_bodies(250), "251"),
+    "1200-lets": (_let_chain(1200), "1199"),
+    "1200-item-begin": ("(let (r (ref int 0)) (begin\n"
+                        + "(:= r (succ (! r)))\n" * 1200 + "))", "1200"),
 }
 
 
@@ -548,6 +570,62 @@ def test_long_programs_pass_every_layer(name):
     assert hash(again) == hash(program) and repr(again) == repr(program)
     other = elaborate(parse_surface(source.replace("succ", "prev", 1)))
     assert other != program
+
+
+def _arrows(depth: int, leaf: str = "int") -> str:
+    """An arrow type whose codomains nest `depth` deep, around `leaf`."""
+    return "(-> int " * depth + leaf + ")" * depth
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python does not cap the digits of an int")
+def test_a_literal_at_the_lowest_digit_cap_is_a_parse_error():
+    # 640 is the lowest cap Python accepts other than none.
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_surface("-" + "9" * 639) == Lit(-int("9" * 639))
+        for literal in ("9" * 640, "-" + "9" * 640):
+            with pytest.raises(ParseError) as err:
+                parse_surface(literal)
+            assert err.value.message == \
+                "integer literal of 640 digits; at most 639 are allowed"
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_deep_annotations_parse_without_recursion():
+    # The type reader keeps its own stack: a 1,200-deep arrow annotation
+    # parses, and so does one nested through domains.
+    want = INT
+    for _ in range(1200):
+        want = ArrowT(INT, want)
+    ast = parse_surface(f"(lambda (f : {_arrows(1200)}) f)")
+    assert ast.ann is want
+    domains = "(-> " * 1200 + "int" + " bool)" * 1200
+    assert parse_surface(f"(cast 1 {domains})").ty.dom.dom.cod is BOOL
+
+
+@pytest.mark.parametrize("source, message, pos", [
+    # The first error in pre-order, however deep the walk has gone.
+    (f"(cast 1 {_arrows(1200, 'zzz')})", "unknown type 'zzz'", (1, 9609)),
+    (f"(cast 1 {_arrows(1200, '(-> int)')})",
+     "malformed type starting with '->'", (1, 9609)),
+    ("(cast 1 (-> (-> int zzz) yyy))", "unknown type 'zzz'", (1, 21)),
+    (_let_chain(1200).replace("x1198))", "$x))"),
+     "identifiers starting with '$' are reserved", (1200, 19)),
+    (_let_chain(1200).replace("(succ x0)", "(succ)"), "expected (succ e)",
+     (2, 10)),
+    ("(begin 1 (begin 2 (let (x 3) (begin x (succ)))))", "expected (succ e)",
+     (1, 39)),
+], ids=["deep-unknown-type", "deep-malformed-type", "first-of-two",
+        "last-let-rhs", "first-let-rhs", "nested-begin"])
+def test_deep_parse_errors_keep_their_order_and_position(source, message,
+                                                         pos):
+    with pytest.raises(ParseError) as err:
+        parse_surface(source)
+    assert (err.value.message, err.value.line, err.value.col) == \
+        (message, *pos)
 
 
 def test_generated_static_programs_elaborate_without_casts():
@@ -573,6 +651,68 @@ def test_elaboration_matches_golden_ir(name):
     golden = (GOLDEN / f"{name}.ir").read_bytes()
     ast = parse_surface((CORPUS / f"{name}.gtlc").read_text())
     assert (stmt_to_sexpr(elaborate(ast)) + "\n").encode("utf-8") == golden
+
+
+def _temporaries(stmt) -> list:
+    """The `$tN` atoms that `stmt` uses, in a fixed order, lambda bodies
+    included."""
+    found, todo = [], [stmt]
+    while todo:
+        x = todo.pop()
+        if type(x) is Var:
+            if x.name.startswith("$t"):
+                found.append(x)
+        elif isinstance(x, Node) and not isinstance(x, Ty):
+            todo += reversed(x._key())
+    return found
+
+
+def _temporary_count(stmt) -> int:
+    """How many temporaries `stmt` binds: one past the largest N."""
+    return 1 + max(map(int, re.findall(r"\$t(\d+)", stmt_to_sexpr(stmt))),
+                   default=-1)
+
+
+def test_temporaries_are_interned_atoms(monkeypatch):
+    from monoref import surface
+
+    sources = [(CORPUS / f"{name}.gtlc").read_text() for name in CORPUS_NAMES]
+    sources.append(LONG_PROGRAMS["400-item-begin"][0])
+    # Every IR below is made while the table starts empty.
+    monkeypatch.setattr(surface, "_TEMPS", [])
+    firsts = [elaborate(parse_surface(text)) for text in sources]
+    seconds = [elaborate(parse_surface(text)) for text in sources]
+    counts = [_temporary_count(stmt) for stmt in firsts]
+    assert len(surface._TEMPS) == max(counts) == counts[-1] > 400
+    for name, first in zip(CORPUS_NAMES, firsts):
+        assert stmt_to_sexpr(first) + "\n" == \
+            (GOLDEN / f"{name}.ir").read_text(encoding="utf-8")
+    for first, second in zip(firsts, seconds):
+        temps = _temporaries(first)
+        assert temps and all(a is b for a, b in
+                             zip(temps, _temporaries(second), strict=True))
+        assert all(tmp is surface._TEMPS[int(tmp.name[2:])] for tmp in temps)
+    # A table of other atoms changes no IR's printing, equality or hash.
+    monkeypatch.setattr(surface, "_TEMPS", [])
+    for text, first in zip(sources, firsts):
+        other = elaborate(parse_surface(text))
+        assert all(a is not b for a, b in
+                   zip(_temporaries(other), _temporaries(first)))
+        assert other == first and hash(other) == hash(first)
+        assert stmt_to_sexpr(other) == stmt_to_sexpr(first)
+        assert repr(other) == repr(first)
+
+
+def test_the_temporary_table_stays_bounded(monkeypatch):
+    from monoref import surface
+
+    monkeypatch.setattr(surface, "_TEMPS", [])
+    monkeypatch.setattr(surface, "_TEMPS_MAX", 5)
+    text = LONG_PROGRAMS["400-lets"][0]
+    capped = elaborate(parse_surface(text))
+    assert len(surface._TEMPS) == 5 < _temporary_count(capped)
+    monkeypatch.setattr(surface, "_TEMPS_MAX", 1 << 16)
+    assert capped == elaborate(parse_surface(text))
 
 
 # One statement of every IR form: the 9 statement forms, the 6
