@@ -15,14 +15,24 @@ the driver reads and writes a plain reference itself, so they serve a
 static access only when it goes through a proxy.
 
 The proxies' cost is kept naive on purpose: every reference cast makes
-one more proxy, even between equal types, and every read or write visits
-every layer. A walk steps over an identity layer, one whose two cell
-types are the same base type or both dyn, without a call, since
-`cast_value` would return the value unchanged; every other layer casts
-through `cast_value` directly. `cast_value` is shared, so a function
-cast between equal arrows returns the function here too, and a layer
-between equal arrow cell types casts each value it passes through to
-itself; only a reference cast always makes a proxy.
+one more proxy, even between equal types, every read or write visits
+every layer, and nothing is fused, so an `int→dyn` layer under a
+`dyn→int` one still builds an `Inject` and takes it apart again on each
+access. Each layer is walked with as little work as `cast_value` itself
+would do, though, so that what the two semantics cost differs by their
+rules, not by their tuning. Types are interned, so a walk tells an
+identity layer, whose two cell types are the same base type or both
+dyn, by pointer tests (`src_cell is tgt_cell`, and that object is
+`INT`, `BOOL` or `DYN`) and steps over it without a call. A layer into
+dyn builds its `Inject` in place, and a layer out of dyn whose value
+was injected from its target type, a base type or an arrow, returns the
+payload in place: these are the two shapes `cast_value` would make.
+Every other layer casts through `cast_value`, so failed casts raise the
+same errors and reference and pair layers take the shared cases.
+`cast_value` is shared, so a function cast between equal arrows returns
+the function here too, and a layer between equal arrow cell types casts
+each value it passes through to itself; only a reference cast always
+makes a proxy.
 
 Values are the ordinary runtime values, host `int` and `bool` for the
 base types, plus `lang.GProxy`, which `machine.observe` sees as an
@@ -35,9 +45,13 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .lang import (
+    BOOL,
+    DYN,
+    INT,
+    ArrowT,
     CastError,
     GProxy,
-    IDENTITY_HEADS,
+    Inject,
     Observable,
     RefT,
     Stmt,
@@ -61,7 +75,7 @@ from .machine import (
 
 def proxy(v, src: RefT, tgt: RefT, heap, work) -> GProxy:
     """The guarded reference cast: one more proxy layer, no heap effects."""
-    if isinstance(v, (VRef, GProxy)):
+    if type(v) is VRef or type(v) is GProxy:
         return GProxy(v, src.cell, tgt.cell)
     raise CastError("no cast from {} to {}", src, tgt)
 
@@ -76,33 +90,52 @@ def gread(v, heap: Heap, ann=None, work=None):
 
     The chain is walked in a loop, so its depth costs no Python frames.
     An identity layer is stepped over on the way down; the others are
-    kept and cast on the way back up.
+    kept and cast on the way back up, an injection or a projection of
+    its own payload type in place and any other cast by `cast_value`.
     """
-    layers = ()  # (casting layer, further layers), innermost first
+    layers = []  # the casting layers, outermost first
     while type(v) is GProxy:
-        s = type(v.src_cell)
-        if s is not type(v.tgt_cell) or s not in IDENTITY_HEADS:
-            layers = (v, layers)
+        s = v.src_cell
+        if s is not v.tgt_cell or (s is not DYN and s is not INT
+                                   and s is not BOOL):
+            layers.append(v)
         v = v.inner
     w = read_cell(v, heap)
-    while layers:
-        layer, layers = layers
-        w = cast_value(w, layer.src_cell, layer.tgt_cell, None, None, proxy)
+    for layer in reversed(layers):
+        s, t = layer.src_cell, layer.tgt_cell
+        if t is DYN:
+            w = Inject(w, s)
+        elif (s is DYN and type(w) is Inject and w.src_ty is t
+              and (t is INT or t is BOOL or type(t) is ArrowT)):
+            w = w.payload
+        else:
+            w = cast_value(w, s, t, None, None, proxy)
     return w
 
 
 def write_in_place(v, w, heap: Heap, ann=None, work=None) -> None:
     """Write through a proxy chain, casting each layer outermost first
-    while descending to the underlying reference; identity layers are
-    stepped over.
+    while descending to the underlying reference, from its target cell
+    type back to its source: an identity layer is stepped over, an
+    injection or a projection of its own payload type is made in place,
+    and any other cast goes through `cast_value`.
 
     The cell then holds the cast value under its original allocation
     tag; guarded reads never consult the tag.
     """
     while type(v) is GProxy:
-        t = type(v.tgt_cell)
-        if t is not type(v.src_cell) or t not in IDENTITY_HEADS:
-            w = cast_value(w, v.tgt_cell, v.src_cell, None, None, proxy)
+        s, t = v.tgt_cell, v.src_cell
+        if t is DYN:
+            if s is not DYN:
+                w = Inject(w, s)
+        elif s is DYN:
+            if (type(w) is Inject and w.src_ty is t
+                    and (t is INT or t is BOOL or type(t) is ArrowT)):
+                w = w.payload
+            else:
+                w = cast_value(w, s, t, None, None, proxy)
+        elif s is not t or (s is not INT and s is not BOOL):
+            w = cast_value(w, s, t, None, None, proxy)
         v = v.inner
     update_cell(v, w, heap)
 

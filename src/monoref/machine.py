@@ -83,6 +83,7 @@ from .lang import (
     O_STUCK,
     O_TIMEOUT,
     Opr,
+    PairT,
     Prev,
     PrimApp,
     RefT,
@@ -275,9 +276,12 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
         if ts is ArrowT:
             return v if src is tgt else fun_cast(v, src, tgt)
         if type(v) is VPair:
-            fst = cast_value(v.fst, src.left, tgt.left, heap, work, cast_ref)
-            return VPair(fst, cast_value(v.snd, src.right, tgt.right, heap,
-                                         work, cast_ref))
+            left, right = tgt.left, tgt.right
+            if type(left) is PairT or type(right) is PairT:
+                return _cast_pairs(v, src, tgt, heap, work, cast_ref)
+            fst = cast_value(v.fst, src.left, left, heap, work, cast_ref)
+            return VPair(fst, cast_value(v.snd, src.right, right, heap, work,
+                                         cast_ref))
     elif tt is DynT:
         return Inject(v, src)
     elif ts is DynT:
@@ -289,6 +293,38 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
             return v.payload
         return cast_value(v.payload, inner, tgt, heap, work, cast_ref)
     raise CastError("no cast from {} to {}", src, tgt)
+
+
+_PAIR_UP = object()  # on a walk's stack: pair the last two results
+
+
+def _cast_pairs(v: VPair, src: Ty, tgt: Ty, heap, work,
+                cast_ref) -> VPair:
+    """`cast_value` of a pair to a pair type with a pair component.
+
+    A component cast to a pair type nests: a pair cast componentwise,
+    or a projection of an injected pair, which casts its payload. These
+    are walked with an explicit stack, so a pair's depth costs no Python
+    frames. Every other component cast is one `cast_value` call, made
+    fst before snd as the recursive rule makes them, so `cast_ref` meets
+    the references, and a failing cast raises, in the same order."""
+    done, todo = [], [(v, src, tgt)]
+    while todo:
+        task = todo.pop()
+        if task is _PAIR_UP:
+            done[-2:] = [VPair(*done[-2:])]
+            continue
+        v, src, tgt = task
+        ts, tt = type(src), type(tgt)
+        if tt is PairT and ts is DynT and type(v) is Inject \
+                and type(v.src_ty) is PairT:
+            v, src, ts = v.payload, v.src_ty, PairT
+        if tt is PairT and ts is PairT and type(v) is VPair:
+            todo += (_PAIR_UP, (v.snd, src.right, tgt.right),
+                     (v.fst, src.left, tgt.left))
+        else:
+            done.append(cast_value(v, src, tgt, heap, work, cast_ref))
+    return done[0]
 
 
 def retag(v: Val, src: RefT, tgt: RefT, heap: Heap, work: list) -> Val:
@@ -368,7 +404,6 @@ def _active_step(heap: Heap, work: list) -> str:
 # Each value class that observes as an atom, and its atom.
 _ATOMS = {Closure: O_FUN, FunCast: O_FUN, VRef: O_ADDR, GProxy: O_ADDR,
           Inject: O_INJ}
-_PAIR_UP = object()  # on `observe`'s stack: pair the last two observables
 
 
 def observe(v: Val) -> Observable:

@@ -94,14 +94,11 @@ from .lang import (
     SUpdate,
     Snd,
     Stmt,
-    Stuck,
     Succ,
     Ty,
     Var,
     consistent,
     is_static,
-    link,
-    lookup,
     typeof_const,
     typeof_opr,
 )
@@ -516,14 +513,17 @@ class _Elaborator:
 
     A `let` keeps its name unless a `let` or a lambda has already bound
     that name in the program; then it gets the next `$tN`, since the rest
-    of the enclosing expression is emitted inside its binding. `gamma`
-    is a linked environment (`lang.lookup`) that binds each surface name
-    to its atom and type.
+    of the enclosing expression is emitted inside its binding. `scope`
+    maps each surface name in scope to a stack of `(atom, type)` entries,
+    the innermost binding last, so a name is looked up in constant time
+    however long the chain that bound it; a chain or a lambda pops the
+    entries it pushed once its scope closes.
     """
 
     def __init__(self):
         self.counter = 0
         self.bound = set()  # names bound so far by a let or a lambda
+        self.scope = {}  # name -> [(atom, type), ...], innermost last
 
     def bind(self, heads: list, cls, *fields) -> Var:
         """Append the head of a `cls` statement that binds the next
@@ -547,29 +547,31 @@ class _Elaborator:
         return self.bind(heads, SCast, atom, have, want)
 
     def view(self, e: SurfExpr, atom: Expr, ty: Ty, heads: list,
-             gamma=(), then: SurfExpr | None = None):
+             then: SurfExpr | None = None):
         """`atom` of type `ty` cast to `_view(ty, e)` unless that is `ty`.
         If the view fails and `e` has a second operand `then`, that is
-        typed in `gamma` before the failure is reported, so an error
-        inside it comes first."""
+        typed before the failure is reported, so an error inside it comes
+        first."""
         try:
             want = _view(ty, e)
         except TypeCheckError:
             if then is not None:
-                self.atom(then, gamma, [])
+                self.atom(then, [])
             raise
         if want is not ty:
             atom = self.bind(heads, SCast, atom, ty, want)
         return atom, want
 
-    def chain(self, e: SurfExpr, gamma, heads: list):
-        """Emit the bindings of the `let`/`begin` chain at `e`; returns the
-        chain's last expression and the scope it sits in."""
-        bound = self.bound
+    def chain(self, e: SurfExpr, heads: list):
+        """Emit the bindings of the `let`/`begin` chain at `e` and bring
+        its names into scope; returns the chain's last expression and the
+        names, which the caller pops once it has elaborated that
+        expression."""
+        bound, scope, names = self.bound, self.scope, []
         while True:
             cls = type(e)
             if cls is SLetE:
-                atom, ty = self.atom(e.rhs, gamma, heads)
+                atom, ty = self.atom(e.rhs, heads)
                 name = e.name
                 if name in bound:
                     var = self.bind(heads, SLet, atom)
@@ -577,70 +579,75 @@ class _Elaborator:
                     bound.add(name)
                     var = Var(name)
                     heads.append((SLet, name, atom))
-                gamma = (name, (var, ty), gamma)
+                scope.setdefault(name, []).append((var, ty))
+                names.append(name)
                 e = e.body
             elif cls is SBegin:
-                self.atom(e.first, gamma, heads)
+                self.atom(e.first, heads)
                 e = e.second
             else:
-                return e, gamma
+                return e, names
 
-    def call(self, e: SApp, gamma, heads: list):
+    def call(self, e: SApp, heads: list):
         """The callee and argument atoms of an application, and its type."""
-        fn, fn_ty = self.atom(e.fn, gamma, heads)
+        fn, fn_ty = self.atom(e.fn, heads)
         if type(fn_ty) is not ArrowT:
-            fn, fn_ty = self.view(e, fn, fn_ty, heads, gamma, e.arg)
-        arg, arg_ty = self.atom(e.arg, gamma, heads)
+            fn, fn_ty = self.view(e, fn, fn_ty, heads, e.arg)
+        arg, arg_ty = self.atom(e.arg, heads)
         if arg_ty is not fn_ty.dom:
             arg = self.coerce(e, arg, arg_ty, fn_ty.dom, heads)
         return fn, arg, fn_ty.cod
 
-    def atom(self, e: SurfExpr, gamma, heads: list):
+    def atom(self, e: SurfExpr, heads: list):
         """Elaborate `e` into `heads`; returns its value's atom and type."""
         cls = type(e)
         if cls is SVar:
-            try:
-                return lookup(e.name, gamma)
-            except Stuck:
-                raise TypeCheckError(f"unbound variable {e.name!r}",
-                                     e.pos) from None
+            entries = self.scope.get(e.name)
+            if entries:
+                return entries[-1]
+            raise TypeCheckError(f"unbound variable {e.name!r}", e.pos)
         if cls is SPrim:
             op, out = _PRIMS[e.op]
-            atom, ty = self.atom(e.arg, gamma, heads)
+            atom, ty = self.atom(e.arg, heads)
             if ty is not INT:
                 atom = self.coerce(e, atom, ty, INT, heads)
             return self.bind(heads, SLet, PrimApp(op, atom)), out
         if cls is SApp:
-            fn, arg, cod = self.call(e, gamma, heads)
+            fn, arg, cod = self.call(e, heads)
             return self.bind(heads, SCall, fn, arg), cod
         if cls is SLetE or cls is SBegin:
-            e, gamma = self.chain(e, gamma, heads)
-            return self.atom(e, gamma, heads)
+            e, names = self.chain(e, heads)
+            result = self.atom(e, heads)
+            for name in names:
+                self.scope[name].pop()
+            return result
         if cls is Lit:
             return EConst(e.const), typeof_const(e.const)
         if cls is SLambda:
             self.bound.add(e.param)
-            param = (e.param, (Var(e.param), e.ann), gamma)
-            body, cod = self.tail(e.body, param)
+            entries = self.scope.setdefault(e.param, [])
+            entries.append((Var(e.param), e.ann))
+            body, cod = self.tail(e.body)
+            entries.pop()
             return (self.bind(heads, SLet, Lam(e.param, e.ann, body)),
                     ArrowT(e.ann, cod))
         if cls is SRefNew:
-            atom, ty = self.atom(e.init, gamma, heads)
+            atom, ty = self.atom(e.init, heads)
             if ty is not e.cell_ty:
                 atom = self.coerce(e, atom, ty, e.cell_ty, heads)
             return self.bind(heads, SAlloc, e.cell_ty, atom), RefT(e.cell_ty)
         if cls is SDeref:
-            atom, ty = self.atom(e.ref, gamma, heads)
+            atom, ty = self.atom(e.ref, heads)
             if type(ty) is not RefT:
                 atom, ty = self.view(e, atom, ty, heads)
             if is_static(ty.cell):
                 return self.bind(heads, SLet, Deref(atom)), ty.cell
             return self.bind(heads, SDynDeref, atom, ty.cell), ty.cell
         if cls is SAssign:
-            target, ty = self.atom(e.target, gamma, heads)
+            target, ty = self.atom(e.target, heads)
             if type(ty) is not RefT:
-                target, ty = self.view(e, target, ty, heads, gamma, e.value)
-            value, value_ty = self.atom(e.value, gamma, heads)
+                target, ty = self.view(e, target, ty, heads, e.value)
+            value, value_ty = self.atom(e.value, heads)
             if value_ty is not ty.cell:
                 value = self.coerce(e, value, value_ty, ty.cell, heads)
             if is_static(ty.cell):
@@ -649,16 +656,16 @@ class _Elaborator:
                 heads.append((SDynUpdate, target, value, ty.cell))
             return value, ty.cell
         if cls is SCastE:
-            atom, ty = self.atom(e.expr, gamma, heads)
+            atom, ty = self.atom(e.expr, heads)
             if ty is not e.ty:
                 atom = self.coerce(e, atom, ty, e.ty, heads)
             return atom, e.ty
         if cls is SPair:
-            a, a_ty = self.atom(e.fst, gamma, heads)
-            b, b_ty = self.atom(e.snd, gamma, heads)
+            a, a_ty = self.atom(e.fst, heads)
+            b, b_ty = self.atom(e.snd, heads)
             return self.bind(heads, SLet, MkPair(a, b)), PairT(a_ty, b_ty)
         if cls is SFst or cls is SSnd:
-            atom, ty = self.view(e, *self.atom(e.pair, gamma, heads), heads)
+            atom, ty = self.view(e, *self.atom(e.pair, heads), heads)
             if cls is SFst:
                 op, out = Fst(ty.left, ty.right), ty.left
             else:
@@ -666,18 +673,20 @@ class _Elaborator:
             return self.bind(heads, SLet, PrimApp(op, atom)), out
         raise TypeCheckError(f"unknown surface form {e!r}")
 
-    def tail(self, e: SurfExpr, gamma):
+    def tail(self, e: SurfExpr):
         """Elaborate `e` in return position; returns the statement and
         the type of the value it returns."""
-        heads = []
+        heads, names = [], ()
         if type(e) is SLetE or type(e) is SBegin:
-            e, gamma = self.chain(e, gamma, heads)
+            e, names = self.chain(e, heads)
         if type(e) is SApp:
-            fn, arg, ty = self.call(e, gamma, heads)
+            fn, arg, ty = self.call(e, heads)
             stmt = STailCall(fn, arg)
         else:
-            atom, ty = self.atom(e, gamma, heads)
+            atom, ty = self.atom(e, heads)
             stmt = SRet(atom)
+        for name in names:
+            self.scope[name].pop()
         for head in reversed(heads):
             cls = head[0]
             if cls is SLet:
@@ -702,9 +711,12 @@ def typecheck_surface(gamma, e: SurfExpr) -> Ty:
     This is the elaborator's pass, each name in `gamma` standing for
     itself; in the empty context its IR is kept for `elaborate`."""
     global _last
-    scope = link([(name, (Var(name), ty)) for name, ty in gamma])
-    stmt, ty = _Elaborator().tail(e, scope)
-    _last = None if scope else (e, stmt)
+    gamma = list(gamma)
+    elaborator = _Elaborator()
+    for name, ty in reversed(gamma):
+        elaborator.scope.setdefault(name, []).append((Var(name), ty))
+    stmt, ty = elaborator.tail(e)
+    _last = None if gamma else (e, stmt)
     return ty
 
 
@@ -721,7 +733,7 @@ def elaborate(e: SurfExpr) -> Stmt:
     last, _last = _last, None
     if last is not None and last[0] is e:
         return last[1]
-    return _Elaborator().tail(e, ())[0]
+    return _Elaborator().tail(e)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 `SLOW` reads and writes through a proxy chain by folding `cast_g` over
 every layer, identity layers included, the plainest statement of the
 guarded semantics. `GUARDED` must agree with it on every observable and
-every trace record. The ref-cast loop must still pile up two proxies per
-iteration: the guarded baseline stays naive.
+every trace record, on chains of a few layers and of more than a
+thousand. The ref-cast loop must still pile up two proxies per
+iteration, and a read through k `int→dyn→int` layer pairs must still
+build k injections: the guarded baseline stays naive.
 
 `cast_value` dispatches on the cast's shape, and returns a projection's
 payload without a further cast when its injected type is the target.
@@ -28,8 +30,10 @@ from kernels import kernel, lattice_kernels
 from monoref.guarded import GUARDED, GProxy, cast_g, gread, gwrite, step_g
 from monoref.guarded import proxy
 from monoref.lang import (
+    BOOL,
     DYN,
     IDENTITY_HEADS,
+    INT,
     ArrowT,
     CastError,
     DynT,
@@ -46,6 +50,7 @@ from monoref.lang import (
 )
 from monoref.machine import (
     Semantics,
+    cast,
     cast_value,
     fun_cast,
     initial_state,
@@ -141,6 +146,109 @@ def test_random_proxy_chains_match_casting_every_layer():
         value = gen.value_of(cell)
         assert outcome(gwrite, ref, value, heap) == \
             outcome(slow_gwrite, ref, value, heap)
+
+
+# Layer moves for the deep chains below: a reference, pair or arrow cell
+# type and the one its layer casts to, each back again. A reference
+# layer wraps the value it passes in one more proxy, a pair layer
+# injects or projects a component, an arrow layer makes a `FunCast`.
+SWITCHES = {RefT(INT): RefT(DYN), PairT(INT, DYN): PairT(DYN, DYN),
+            ArrowT(INT, INT): ArrowT(DYN, DYN)}
+SWITCHES.update({b: a for a, b in SWITCHES.items()})
+DEEP_CELLS = [INT, BOOL, *SWITCHES]
+
+
+def deep_chain(rng, ref, cell, depth, fail):
+    """A chain of at least `depth` proxy layers over `ref`, whose cell
+    type is `cell`, and the chain's outermost cell type. It is made of
+    runs of identity layers, `cell→dyn→cell` pairs and reference, pair
+    and arrow layers; with `fail`, one `cell→dyn→X` pair at a random
+    depth projects to an `X` of another head, which fails both ways."""
+    layers, fail_at = 0, rng.randrange(depth) if fail else -1
+    while layers < depth:
+        choice = rng.random()
+        if 0 <= fail_at < layers + 2:
+            wrong = INT if cell is BOOL else BOOL
+            ref, cell = GProxy(GProxy(ref, cell, DYN), DYN, wrong), wrong
+            layers, fail_at = layers + 2, -1
+        elif choice < 0.35:
+            for _ in range(rng.randint(1, 20)):
+                ref = GProxy(ref, cell, cell)
+                layers += 1
+        elif choice < 0.7:
+            ref = GProxy(GProxy(ref, cell, DYN), DYN, cell)
+            layers += 2
+        elif cell in SWITCHES:
+            ref, cell = GProxy(ref, cell, SWITCHES[cell]), SWITCHES[cell]
+            layers += 1
+        else:
+            # An identity run over dyn, between an injection and its
+            # projection.
+            ref = GProxy(ref, cell, DYN)
+            for _ in range(rng.randint(1, 20)):
+                ref = GProxy(ref, DYN, DYN)
+            ref = GProxy(ref, DYN, cell)
+            layers += 2
+    return ref, cell
+
+
+def test_deep_proxy_chains_match_casting_every_layer():
+    # Chains of 1,000 to 1,200 layers, a third of them with a failing
+    # projection; each is read, written back with the value read, and
+    # written with a fresh value of its outermost cell type.
+    rng = random.Random(1212)
+    read = 0
+    for trial in range(36):
+        gen = HeapGen(rng)
+        cell = rng.choice(DEEP_CELLS)
+        addr = gen.alloc(cell)
+        heap = gen.heap()
+        fail = trial % 3 == 0
+        ref, cell = deep_chain(rng, VRef(addr), cell,
+                               rng.randint(1000, 1200), fail)
+        result = outcome(gread, ref, heap)
+        assert result == outcome(slow_read, ref, heap)
+        if fail:
+            assert result[0] is CastError
+            assert result[1].startswith("projection of ")
+        elif type(result) is not tuple:
+            read += 1
+            assert outcome(gwrite, ref, result, heap) == \
+                outcome(slow_gwrite, ref, result, heap)
+        value = gen.value_of(cell)
+        assert outcome(gwrite, ref, value, heap) == \
+            outcome(slow_gwrite, ref, value, heap)
+    assert read >= 20
+
+
+def test_deep_ref_cast_loop_matches_casting_every_layer():
+    # At fuel 5,000 the ref-cast loop reads through up to about 1,660
+    # proxies.
+    stmt = kernel("ref-cast")
+    fast = observe_and_trace(GUARDED, stmt, 5_000)
+    assert fast == observe_and_trace(SLOW, stmt, 5_000)
+    assert len(fast[1]) == 5_000
+
+
+@pytest.mark.parametrize("pairs", [1, 10, 500])
+def test_a_read_builds_one_inject_per_layer_pair(pairs, monkeypatch):
+    # Nothing is fused: each `int→dyn` layer under a `dyn→int` one
+    # injects the value on every access, and its partner projects it.
+    built = []
+    init = Inject.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Inject, "__init__", counted)
+    ref = VRef(0)
+    for _ in range(pairs):
+        ref = GProxy(GProxy(ref, INT, DYN), DYN, INT)
+    heap = {0: (7, INT)}
+    assert gread(ref, heap) == 7
+    assert len(built) == pairs
+    assert gwrite(ref, 8, heap) == {0: (8, INT)}
+    assert len(built) == 2 * pairs
 
 
 def test_head_constructor_decides_projection():
@@ -292,3 +400,49 @@ def test_cast_value_agrees_with_the_cast_in_rule_order():
                         (v, src, tgt)
                     compared += 1
     assert compared > 20_000
+
+
+DEPTH = 3_000
+
+
+@pytest.mark.parametrize("semantics", ["monotonic", "guarded"])
+def test_a_deep_pair_casts_without_recursion(semantics):
+    # A pair nested 3,000 deep to the right, each fst a reference to a
+    # dyn cell cast to a reference to int, the innermost snd an int
+    # injected into dyn. The monotonic cast lowers every cell's tag in
+    # the order the recursive rule meets them, outermost first, so the
+    # worklist's head is the innermost cell's address; the guarded one
+    # wraps each reference in a proxy.
+    v, src, tgt, want = 0, INT, DYN, Inject(0, INT)
+    for addr in reversed(range(DEPTH)):
+        v = VPair(VRef(addr), v)
+        src, tgt = PairT(RefT(DYN), src), PairT(RefT(INT), tgt)
+        ref = VRef(addr) if semantics == "monotonic" else \
+            GProxy(VRef(addr), DYN, INT)
+        want = VPair(ref, want)
+    heap = {addr: (Inject(addr, INT), DYN) for addr in range(DEPTH)}
+    if semantics == "monotonic":
+        w, new_heap, active = cast(v, src, tgt, heap, ())
+        assert new_heap == {addr: (Inject(addr, INT), INT, DYN)
+                            for addr in range(DEPTH)}
+        assert active == tuple(reversed(range(DEPTH)))
+    else:
+        w = cast_g(v, src, tgt)
+    assert w == want
+
+
+@pytest.mark.parametrize("cast_ref", [retag, proxy], ids=["retag", "proxy"])
+def test_a_deep_injected_pair_projects_without_recursion(cast_ref):
+    # A dyn value nested 3,000 deep: each level a pair of an int and
+    # the next level, injected into dyn; projected to the pair type it
+    # was built from, it comes back out level by level.
+    v, want, tgt = Inject(0, INT), 0, INT
+    for i in range(DEPTH):
+        v = Inject(VPair(i, v), PairT(INT, DYN))
+        want, tgt = VPair(i, want), PairT(INT, tgt)
+    assert cast_value(v, DYN, tgt, {}, [], cast_ref) == want
+    wrong = Inject(VPair(0, Inject(True, BOOL)), PairT(INT, DYN))
+    for i in range(DEPTH):
+        wrong = Inject(VPair(i, wrong), PairT(INT, DYN))
+    assert outcome(cast_value, wrong, DYN, PairT(INT, tgt), {}, [],
+                   cast_ref) == (CastError, "projection of bool payload to int")

@@ -1,8 +1,10 @@
 """Parser, consistency, surface checking, and elaboration properties."""
 
+import gc
 import random
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -570,6 +572,50 @@ def test_long_programs_pass_every_layer(name):
     assert hash(again) == hash(program) and repr(again) == repr(program)
     other = elaborate(parse_surface(source.replace("succ", "prev", 1)))
     assert other != program
+
+
+def test_a_use_far_down_a_chain_costs_what_a_near_one_does():
+    # The elaborator keeps a stack of entries per name, so each of 8,000
+    # `let`s that uses the chain's first binding finds it at once; a
+    # linked scope walked every binding in between, about 23 times the
+    # time of the chain whose items use the previous binding. Best of 3,
+    # with the cyclic collector off while a pass is timed.
+    def best(source):
+        ast = parse_surface(source)
+        times = []
+        for _ in range(3):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                typecheck_surface((), ast)
+                times.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+        return min(times)
+
+    far, near = best(_let_chain(8000, "(succ x0)")), best(_let_chain(8000))
+    assert far <= 3 * near
+
+
+# A name goes out of scope where its `let` chain or lambda ends, and an
+# outer binding of it, one from the context included, comes back.
+OUT_OF_SCOPE = [
+    ("(pair (let (x 1) x) x)", (1, 21), PairT(INT, BOOL)),
+    ("(begin (let (x 1) x) x)", (1, 22), BOOL),
+    ("(pair ((lambda (x : int) x) 1) x)", (1, 32), PairT(INT, BOOL)),
+]
+
+
+@pytest.mark.parametrize("source, pos, ty", OUT_OF_SCOPE,
+                         ids=["let", "begin", "lambda"])
+def test_a_name_leaves_scope_with_its_binder(source, pos, ty):
+    with pytest.raises(TypeCheckError) as err:
+        typecheck_surface((), parse_surface(source))
+    assert str(err.value) == f"{pos[0]}:{pos[1]}: unbound variable 'x'"
+    assert err.value.pos == pos
+    gamma = (("x", BOOL), ("x", INT))
+    assert typecheck_surface(gamma, parse_surface(source)) is ty
 
 
 def _arrows(depth: int, leaf: str = "int") -> str:
