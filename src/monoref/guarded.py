@@ -118,24 +118,22 @@ def write_in_place(v, w, heap: Heap, ann=None, work=None) -> None:
     while descending to the underlying reference, from its target cell
     type back to its source: an identity layer is stepped over, an
     injection or a projection of its own payload type is made in place,
-    and any other cast goes through `cast_value`.
+    and any other cast goes through `cast_value`: the same identity test
+    and the same three casts as in `gread`.
 
     The cell then holds the cast value under its original allocation
     tag; guarded reads never consult the tag.
     """
     while type(v) is GProxy:
         s, t = v.tgt_cell, v.src_cell
-        if t is DYN:
-            if s is not DYN:
+        if s is not t or (s is not DYN and s is not INT and s is not BOOL):
+            if t is DYN:
                 w = Inject(w, s)
-        elif s is DYN:
-            if (type(w) is Inject and w.src_ty is t
-                    and (t is INT or t is BOOL or type(t) is ArrowT)):
+            elif (s is DYN and type(w) is Inject and w.src_ty is t
+                  and (t is INT or t is BOOL or type(t) is ArrowT)):
                 w = w.payload
             else:
                 w = cast_value(w, s, t, None, None, proxy)
-        elif s is not t or (s is not INT and s is not BOOL):
-            w = cast_value(w, s, t, None, None, proxy)
         v = v.inner
     update_cell(v, w, heap)
 

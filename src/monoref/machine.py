@@ -117,7 +117,8 @@ DEFAULT_FUEL = 1_000_000
 # The type classes whose cast from a type to itself returns the value
 # untouched, under both semantics: base types, dyn and arrows. Such a
 # cast on a pair rebuilds the pair, and on a reference it is `cast_ref`,
-# which may retype a cell.
+# which may retype a cell. `guarded.gread` and `guarded.write_in_place`
+# inline the projection shortcut that `cast_value` takes with it.
 _SELF_IDENTITY_HEADS = IDENTITY_HEADS | {ArrowT}
 
 Env = tuple  # linked cell (name, Val, rest), newest binding first; () is empty
@@ -259,13 +260,14 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     ones included, which may update `heap` and the worklist `work` (head
     last) in place; the identity between equal arrows, which interned
     types tell by identity, and a `FunCast` between unequal ones; pairs
-    componentwise. Between two heads, the shapes dynamic code casts
-    most: injection into dyn, then projection out of it, which requires
-    the injected type and the target to have the same head, which is
-    equality of their ground types, since neither is dyn. A projection
-    whose injected type is the target itself, a base type or an arrow,
-    returns the payload at once: the cast it would recurse into is an
-    identity.
+    componentwise, fst before snd, walking nested pairs on an explicit
+    stack, so a pair's depth costs no Python frames. Between two heads,
+    the shapes dynamic code casts most: injection into dyn, then
+    projection out of it, which requires the injected type and the
+    target to have the same head, which is equality of their ground
+    types, since neither is dyn. A projection whose injected type is the
+    target itself, a base type or an arrow, returns the payload at once:
+    the cast it would recurse into is an identity.
     """
     ts, tt = type(src), type(tgt)
     if ts is tt:
@@ -276,12 +278,34 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
         if ts is ArrowT:
             return v if src is tgt else fun_cast(v, src, tgt)
         if type(v) is VPair:
-            left, right = tgt.left, tgt.right
-            if type(left) is PairT or type(right) is PairT:
-                return _cast_pairs(v, src, tgt, heap, work, cast_ref)
-            fst = cast_value(v.fst, src.left, left, heap, work, cast_ref)
-            return VPair(fst, cast_value(v.snd, src.right, right, heap, work,
-                                         cast_ref))
+            # Componentwise, fst before snd, on an explicit stack: `up`
+            # links the enclosing pairs, innermost first, each as
+            # `(v, src, tgt)` while its fst is cast and as `[fst]` while
+            # its snd is. A component that nests is walked into; every
+            # other one is one `cast_value` call.
+            up = None
+            while True:  # cast the fst of `v`
+                f, fs, ft = v.fst, src.left, tgt.left
+                if type(ft) is PairT and (nest := _pair_parts(f, fs)):
+                    up = ((v, src, tgt), up)
+                    (v, src), tgt = nest, ft
+                    continue
+                w = cast_value(f, fs, ft, heap, work, cast_ref)
+                while True:  # `w` is the fst of `v`: cast its snd
+                    s, ss, st = v.snd, src.right, tgt.right
+                    if type(st) is PairT and (nest := _pair_parts(s, ss)):
+                        up = ([w], up)
+                        (v, src), tgt = nest, st
+                        break
+                    w = VPair(w, cast_value(s, ss, st, heap, work, cast_ref))
+                    while up:  # `w` is a whole pair: climb
+                        top, up = up
+                        if type(top) is tuple:  # `w` is its fst
+                            v, src, tgt = top
+                            break
+                        w = VPair(top[0], w)
+                    else:
+                        return w
     elif tt is DynT:
         return Inject(v, src)
     elif ts is DynT:
@@ -295,36 +319,16 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     raise CastError("no cast from {} to {}", src, tgt)
 
 
-_PAIR_UP = object()  # on a walk's stack: pair the last two results
-
-
-def _cast_pairs(v: VPair, src: Ty, tgt: Ty, heap, work,
-                cast_ref) -> VPair:
-    """`cast_value` of a pair to a pair type with a pair component.
-
-    A component cast to a pair type nests: a pair cast componentwise,
-    or a projection of an injected pair, which casts its payload. These
-    are walked with an explicit stack, so a pair's depth costs no Python
-    frames. Every other component cast is one `cast_value` call, made
-    fst before snd as the recursive rule makes them, so `cast_ref` meets
-    the references, and a failing cast raises, in the same order."""
-    done, todo = [], [(v, src, tgt)]
-    while todo:
-        task = todo.pop()
-        if task is _PAIR_UP:
-            done[-2:] = [VPair(*done[-2:])]
-            continue
-        v, src, tgt = task
-        ts, tt = type(src), type(tgt)
-        if tt is PairT and ts is DynT and type(v) is Inject \
-                and type(v.src_ty) is PairT:
-            v, src, ts = v.payload, v.src_ty, PairT
-        if tt is PairT and ts is PairT and type(v) is VPair:
-            todo += (_PAIR_UP, (v.snd, src.right, tgt.right),
-                     (v.fst, src.left, tgt.left))
-        else:
-            done.append(cast_value(v, src, tgt, heap, work, cast_ref))
-    return done[0]
+def _pair_parts(v: Val, src: Ty):
+    """The pair that a component cast from `src` to a pair type walks
+    into, with its type: `v` itself when it is a pair, or its payload
+    when it is an injected pair projected out of dyn. None when the cast
+    does not nest: `cast_value` makes it, or raises."""
+    if type(v) is Inject and type(src) is DynT and type(v.src_ty) is PairT:
+        v, src = v.payload, v.src_ty
+    if type(v) is VPair and type(src) is PairT:
+        return v, src
+    return None
 
 
 def retag(v: Val, src: RefT, tgt: RefT, heap: Heap, work: list) -> Val:
@@ -404,6 +408,7 @@ def _active_step(heap: Heap, work: list) -> str:
 # Each value class that observes as an atom, and its atom.
 _ATOMS = {Closure: O_FUN, FunCast: O_FUN, VRef: O_ADDR, GProxy: O_ADDR,
           Inject: O_INJ}
+_PAIR_UP = object()  # on `observe`'s stack: pair the last two observables
 
 
 def observe(v: Val) -> Observable:

@@ -407,25 +407,31 @@ DEPTH = 3_000
 
 @pytest.mark.parametrize("semantics", ["monotonic", "guarded"])
 def test_a_deep_pair_casts_without_recursion(semantics):
-    # A pair nested 3,000 deep to the right, each fst a reference to a
-    # dyn cell cast to a reference to int, the innermost snd an int
-    # injected into dyn. The monotonic cast lowers every cell's tag in
-    # the order the recursive rule meets them, outermost first, so the
-    # worklist's head is the innermost cell's address; the guarded one
-    # wraps each reference in a proxy.
+    # A pair nested 3,000 deep, level i into its fst when i is even and
+    # into its snd when i is odd, its other component a reference to
+    # dyn cell i cast to a reference to int; the innermost component is
+    # an int injected into dyn. Fst before snd meets the odd cells
+    # outermost first, then the even ones innermost first: the
+    # monotonic cast lowers every cell's tag and lists the cells on the
+    # worklist last met first; the guarded one wraps each reference in
+    # a proxy.
     v, src, tgt, want = 0, INT, DYN, Inject(0, INT)
     for addr in reversed(range(DEPTH)):
-        v = VPair(VRef(addr), v)
-        src, tgt = PairT(RefT(DYN), src), PairT(RefT(INT), tgt)
         ref = VRef(addr) if semantics == "monotonic" else \
             GProxy(VRef(addr), DYN, INT)
-        want = VPair(ref, want)
+        if addr % 2:
+            v, want = VPair(VRef(addr), v), VPair(ref, want)
+            src, tgt = PairT(RefT(DYN), src), PairT(RefT(INT), tgt)
+        else:
+            v, want = VPair(v, VRef(addr)), VPair(want, ref)
+            src, tgt = PairT(src, RefT(DYN)), PairT(tgt, RefT(INT))
+    met = [*range(1, DEPTH, 2), *reversed(range(0, DEPTH, 2))]
     heap = {addr: (Inject(addr, INT), DYN) for addr in range(DEPTH)}
     if semantics == "monotonic":
         w, new_heap, active = cast(v, src, tgt, heap, ())
         assert new_heap == {addr: (Inject(addr, INT), INT, DYN)
                             for addr in range(DEPTH)}
-        assert active == tuple(reversed(range(DEPTH)))
+        assert active == tuple(reversed(met))
     else:
         w = cast_g(v, src, tgt)
     assert w == want
