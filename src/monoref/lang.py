@@ -2,12 +2,14 @@
 
 The type language has integers, Booleans, pairs, functions, references,
 and the unknown type `dyn`; a type prints, and the parser reads it, by
-the keywords of `TYPE_KEYWORDS`. The IR separates pure expressions from
-effectful statements; every control path through a statement ends in a
-return or a tail call. Runtime values and the observables produced by
-a finished run live here too, together with the type algebra: the
-less-or-equally-dynamic order, its meet, consistency, staticness and
-ground types, each one rule over a type's fields. An
+the keywords of `TYPE_KEYWORDS`. The IR is in A-normal form, which
+`typecheck.check_stmt` enforces: every operand is an atom, a `Var` or a
+host `int` or `bool`, and a `let` binds an atom, a `Lam`, or a
+`PrimApp`, `MkPair` or `Deref` of atoms. Every control path through a
+statement ends in a return or a tail call. Runtime values and the
+observables produced by a finished run live here too, together with the
+type algebra: the less-or-equally-dynamic order, its meet, consistency,
+staticness and ground types, each one rule over a type's fields. An
 observable is a pair, a literal, or an `OAtom` whose text is its
 rendering: an opaque value, or the end of a run that gave none.
 
@@ -335,18 +337,18 @@ class Var(Expr):
     name: str
 
 
-class EConst(Expr):
-    const: int  # or bool
+# An operand: a name, or a literal, which is its own value.
+Atom = Var | int | bool
 
 
 class PrimApp(Expr):
     op: Opr
-    arg: Expr
+    arg: Atom
 
 
 class MkPair(Expr):
-    fst: Expr
-    snd: Expr
+    fst: Atom
+    snd: Atom
 
 
 class Lam(Expr):
@@ -356,54 +358,54 @@ class Lam(Expr):
 
 
 class Deref(Expr):
-    ref: Expr
+    ref: Atom
 
 
 class SLet(Stmt):
     name: str
-    rhs: Expr
+    rhs: Expr  # an atom, a `Lam`, or a `PrimApp`, `MkPair` or `Deref`
     body: Stmt
 
 
 class SRet(Stmt):
-    expr: Expr
+    expr: Atom
 
 
 class SCall(Stmt):
     name: str
-    fn: Expr
-    arg: Expr
+    fn: Atom
+    arg: Atom
     body: Stmt
 
 
 class STailCall(Stmt):
-    fn: Expr
-    arg: Expr
+    fn: Atom
+    arg: Atom
 
 
 class SAlloc(Stmt):
     name: str
     cell_ty: Ty
-    init: Expr
+    init: Atom
     body: Stmt
 
 
 class SUpdate(Stmt):
-    ref: Expr
-    rhs: Expr
+    ref: Atom
+    rhs: Atom
     body: Stmt
 
 
 class SDynUpdate(Stmt):
-    ref: Expr
-    rhs: Expr
+    ref: Atom
+    rhs: Atom
     ann: Ty
     body: Stmt
 
 
 class SCast(Stmt):
     name: str
-    expr: Expr
+    expr: Atom
     src: Ty
     tgt: Ty
     body: Stmt
@@ -411,7 +413,7 @@ class SCast(Stmt):
 
 class SDynDeref(Stmt):
     name: str
-    ref: Expr
+    ref: Atom
     ann: Ty
     body: Stmt
 

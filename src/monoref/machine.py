@@ -44,12 +44,12 @@ annotated access whose cast is an identity under both semantics: a read
 or write through a `VRef` to a cell with no pending cast whose tag is
 the annotation itself, when that tag is a base type or dyn, or, for a
 read, an arrow. A monotonic arrow write still goes through the worklist.
-The IR is in A-normal form: a transition looks a name operand up in
-place, a `let` also reads a cell (`Deref`) and takes a successor or
-predecessor of an integer (`PrimApp`) in place, and a return to a
-caller's frame looks its name up in place too. `evaluate` serves only a
-`let` that binds a lambda, a pair or a literal, an operand that is not a
-name, and the final state's result: static loop code calls nothing.
+The IR is in A-normal form (see `lang`): a transition looks a name
+operand up in place, a return to a caller's frame included, and a
+literal is its own value. A `let` also builds a closure or a pair, reads
+a cell (`Deref`) and takes a successor or predecessor of an integer
+(`PrimApp`) in place, so static loop code calls nothing; `_operand`
+serves only a pair's two atoms and the final state's result.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ from .lang import (
     Closure,
     Deref,
     DynT,
-    EConst,
-    Expr,
     Fst,
     FunCast,
     GProxy,
@@ -195,34 +193,14 @@ def read_cell(ref: Val, heap: Heap) -> Val:
     return to_val(heap_cell(heap, to_addr(ref)))
 
 
-def evaluate(e: Expr, env: Env, heap: Heap, read) -> Val:
-    """Evaluate a pure expression; a `Deref` reads through `read(ref,
-    heap)`. The driver makes the common forms itself (see
-    `_transitions`), so this serves a pair, a lambda or literal where the
-    driver does not make it, and the final result."""
-    t = type(e)
-    if t is Var:
-        name, scope = e.name, env
-        while scope and scope[0] != name:
-            scope = scope[2]
-        return scope[1] if scope else lookup(name, scope)
-    if t is EConst:
-        return e.const
-    if t is Lam:
-        return Closure(e.param, e.param_ty, e.body, env)
-    if t is MkPair:
-        return VPair(evaluate(e.fst, env, heap, read),
-                     evaluate(e.snd, env, heap, read))
-    if t is Deref:
-        return read(evaluate(e.ref, env, heap, read), heap)
-    if t is PrimApp:
-        return delta(e.op, evaluate(e.arg, env, heap, read))
-    raise Stuck(f"unknown expression form {e!r}")
-
-
-def eval_expr(e: Expr, env: Env, heap: Heap) -> Val:
-    """Evaluate a pure expression; only safe once the worklist is empty."""
-    return evaluate(e, env, heap, read_cell)
+def _operand(x, env: Env) -> Val:
+    """An operand's value: a name's newest binding, else the operand."""
+    if type(x) is not Var:
+        return x
+    name = x.name
+    while env and env[0] != name:
+        env = env[2]
+    return env[1] if env else lookup(name, env)
 
 
 # A function cast's body shares its atoms: they carry no types.
@@ -461,15 +439,14 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
     final state. Stuck and CastError propagate to the caller.
 
     Each operand that is a name is looked up where it is used, a return
-    to a caller's frame included, and a literal operand of a call, an
-    allocation or an update is its value. A `let` of a `Lam` builds its
-    closure here, a `let` of a `Deref` reads a settled cell of a `VRef`
-    here, and a `let` of `succ` or `prev` on a host
-    `int` computes it here; any other reference goes to `sem.read` and
-    any other primitive to `delta`, as `evaluate` would send them. A
-    static access through a `VRef` and an annotated one whose cast is an
-    identity under both semantics (see the module docstring) are made
-    here; every other access calls `sem.read` or `sem.write`, so each
+    to a caller's frame included, and any other operand is its own
+    value. A `let` of a `Lam` or a `MkPair` builds its closure or pair
+    here, a `let` of a `Deref` reads a settled cell of a `VRef` here,
+    and a `let` of `succ` or `prev` on a host `int` computes it here;
+    any other reference goes to `sem.read` and any other primitive to
+    `delta`. A static access through a `VRef` and an annotated one whose
+    cast is an identity under both semantics (see the module docstring)
+    are made here; every other access calls `sem.read` or `sem.write`, so each
     transition is the one the semantics' own rules would make.
     """
     read, write, cast_ref, active_step = (
@@ -487,8 +464,6 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                         while scope and scope[0] != name:
                             scope = scope[2]
                         ref = scope[1] if scope else lookup(name, scope)
-                    else:
-                        ref = evaluate(ref, env, heap, read)
                     cell = heap.get(ref.addr) if type(ref) is VRef else None
                     if cell is not None and len(cell) == 2:
                         v = cell[0]
@@ -501,8 +476,6 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                         while scope and scope[0] != name:
                             scope = scope[2]
                         v = scope[1] if scope else lookup(name, scope)
-                    else:
-                        v = evaluate(v, env, heap, read)
                     if type(v) is int and type(op) is Succ:
                         v = v + 1
                     elif type(v) is int and type(op) is Prev:
@@ -516,8 +489,8 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     v = scope[1] if scope else lookup(name, scope)
                 elif tr is Lam:
                     v = Closure(v.param, v.param_ty, v.body, env)
-                else:
-                    v = evaluate(v, env, heap, read)
+                elif tr is MkPair:
+                    v = VPair(_operand(v.fst, env), _operand(v.snd, env))
                 env = (stmt.name, v, env)
                 stmt = stmt.body
                 rule = "let"
@@ -527,17 +500,11 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     fn = scope[1] if scope else lookup(name, scope)
-                else:
-                    fn = evaluate(fn, env, heap, read)
                 if type(arg := stmt.arg) is Var:
                     name, scope = arg.name, env
                     while scope and scope[0] != name:
                         scope = scope[2]
                     arg = scope[1] if scope else lookup(name, scope)
-                elif type(arg) is EConst:
-                    arg = arg.const
-                else:
-                    arg = evaluate(arg, env, heap, read)
                 if t is SCall:
                     stack.append((stmt.name, stmt.body, env))
                     rule = "call"
@@ -558,8 +525,6 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     v = scope[1] if scope else lookup(name, scope)
-                else:
-                    v = evaluate(v, env, heap, read)
                 name, stmt, env = stack.pop()
                 env = (name, v, env)
                 rule = "return"
@@ -569,10 +534,6 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     v = scope[1] if scope else lookup(name, scope)
-                elif type(v) is EConst:
-                    v = v.const
-                else:
-                    v = evaluate(v, env, heap, read)
                 addr = len(heap)
                 heap[addr] = (v, stmt.cell_ty)
                 env = (stmt.name, VRef(addr), env)
@@ -584,17 +545,11 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     ref = scope[1] if scope else lookup(name, scope)
-                else:
-                    ref = evaluate(ref, env, heap, read)
                 if type(v := stmt.rhs) is Var:
                     name, scope = v.name, env
                     while scope and scope[0] != name:
                         scope = scope[2]
                     v = scope[1] if scope else lookup(name, scope)
-                elif type(v) is EConst:
-                    v = v.const
-                else:
-                    v = evaluate(v, env, heap, read)
                 cell = heap.get(ref.addr) if type(ref) is VRef else None
                 if cell is not None:
                     heap[ref.addr] = (v, cell[1])
@@ -608,8 +563,6 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     v = scope[1] if scope else lookup(name, scope)
-                else:
-                    v = evaluate(v, env, heap, read)
                 v = cast_value(v, stmt.src, stmt.tgt, heap, work, cast_ref)
                 env = (stmt.name, v, env)
                 stmt = stmt.body
@@ -620,8 +573,6 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     ref = scope[1] if scope else lookup(name, scope)
-                else:
-                    ref = evaluate(ref, env, heap, read)
                 cell = heap.get(ref.addr) if type(ref) is VRef else None
                 if (cell is not None and len(cell) == 2
                         and cell[1] is stmt.ann
@@ -638,15 +589,11 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                     while scope and scope[0] != name:
                         scope = scope[2]
                     ref = scope[1] if scope else lookup(name, scope)
-                else:
-                    ref = evaluate(ref, env, heap, read)
                 if type(v := stmt.rhs) is Var:
                     name, scope = v.name, env
                     while scope and scope[0] != name:
                         scope = scope[2]
                     v = scope[1] if scope else lookup(name, scope)
-                else:
-                    v = evaluate(v, env, heap, read)
                 cell = heap.get(ref.addr) if type(ref) is VRef else None
                 if (cell is not None and len(cell) == 2
                         and cell[1] is stmt.ann
@@ -690,10 +637,10 @@ def steps_with(sem: Semantics, fuel: int, state: State,
     """Drive `sem` from `state` for at most `fuel` transitions.
 
     Exhausted fuel reports a timeout, and so does `fuel` <= 0, which lets
-    no transition run; a final state evaluates and observes its return
-    expression; Stuck and cast failures map to their observables. The
-    optional `trace` callback receives one record per completed
-    transition.
+    no transition run; a final state observes the value of its return
+    operand; Stuck and cast failures map to their observables, a final
+    value that is no value included. The optional `trace` callback
+    receives one record per completed transition.
     """
     try:
         env, stack, heap, work = _unpack(sem, state)
@@ -701,12 +648,11 @@ def steps_with(sem: Semantics, fuel: int, state: State,
                                        heap, work, trace)
         if left <= 0:
             return O_TIMEOUT
-        v = evaluate(stmt.expr, env, heap, sem.read)
+        return observe(_operand(stmt.expr, env))
     except Stuck:
         return O_STUCK
     except CastError:
         return O_CASTERROR
-    return observe(v)
 
 
 def step(state: State) -> State:

@@ -39,19 +39,19 @@ Typechecking is consistency-based: `dyn` is consistent with everything,
 other types structurally with themselves. An operand of type dyn used as
 a function, pair or reference is seen as that constructor over dyn
 (`_view`). Typechecking and elaboration are one pass, which lowers to
-the statement IR, inserting a cast at every boundary accepted by
-consistency rather than equality, and picking the plain dereference and
-update forms exactly when the reference's cell type is static. Types are
-interned (`lang.Ty`), so that equality is a pointer test. Like the
-cast-insertion translation of Siek and Taha (Scheme Workshop 2006), it
-is type-directed: each subterm's type is computed together with its IR,
-a lambda's from the type at its body's return or tail call. It is
-written in direct style: each subterm appends the heads of the
-statements that compute it to a list, which is folded around the return
-or tail call at the end, and `let`/`begin` chains are walked in a loop.
-Each intermediate value is named by a temporary `$tN` whose atom is
-interned in `_TEMPS`, so most of the pass's `Var`s are never built.
-A `let` that rebinds a name already bound in the program is renamed to a
+the statement IR in A-normal form, inserting a cast at every boundary
+accepted by consistency rather than equality, and picking the plain
+dereference and update forms exactly when the reference's cell type is
+static. Types are interned (`lang.Ty`), so that equality is a pointer
+test. Like the cast-insertion translation of Siek and Taha (Scheme
+Workshop 2006), it is type-directed: each subterm's type is computed
+together with its IR, a lambda's from the type at its body's return or
+tail call. It is written in direct style: each subterm appends the heads
+of the statements that compute it to a list, which is folded around the
+return or tail call at the end, and `let`/`begin` chains are walked in a
+loop. Each intermediate value is named by a temporary `$tN` whose atom
+is interned in `_TEMPS`, so most of the pass's `Var`s are never built. A
+`let` that rebinds a name already bound in the program is renamed to a
 fresh temporary. `typecheck_surface` returns the pass's type and
 `elaborate` its IR; an ill-typed program raises the same
 `TypeCheckError` from either.
@@ -72,7 +72,6 @@ from .lang import (
     TYPE_KEYWORDS,
     ArrowT,
     Deref,
-    EConst,
     Expr,
     Fst,
     IsZero,
@@ -500,7 +499,7 @@ class _Elaborator:
     """Types a surface expression and lowers it to ANF statements.
 
     Direct-style A-normal form (Flanagan, Sabry, Duba and Felleisen, PLDI
-    1993): `atom` returns an expression's value as a Var/EConst atom with
+    1993): `atom` returns an expression's value as a Var/literal atom with
     its type and appends the statements that compute it to `heads`. A
     head is a statement class with every field but its body, which is
     always the last field; `tail` folds a list of heads around the leaf,
@@ -622,7 +621,7 @@ class _Elaborator:
                 self.scope[name].pop()
             return result
         if cls is Lit:
-            return EConst(e.const), typeof_const(e.const)
+            return e.const, typeof_const(e.const)
         if cls is SLambda:
             self.bound.add(e.param)
             entries = self.scope.setdefault(e.param, [])
@@ -785,8 +784,8 @@ def _to_sexpr(node, indent: int, kind) -> str:
                       ")" * (depth - indent + 1))
         elif cls is Var:
             items = (x.name,)
-        elif cls is EConst:
-            items = (const_to_sexpr(x.const),)
+        elif cls is int or cls is bool:
+            items = (const_to_sexpr(x),)
         elif cls is Lam:
             items = (f"(lambda ({x.param} : {x.param_ty})\n",
                      (x.body, indent + 1, Stmt), ")")

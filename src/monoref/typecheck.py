@@ -1,10 +1,11 @@
 """Static typechecking of the IR and runtime typing predicates.
 
 `check_expr` and `check_stmt` synthesize the unique type of a term or
-raise a `TypeCheckError` naming the failed premise. The `wt_*`
-predicates decide whether runtime structures (values, heap cells, whole
-heaps) are well typed against a store typing; they are used as oracles
-by the test suite.
+raise a `TypeCheckError` naming the failed premise, an operand that is
+not an atom among them (see `lang`). The `wt_*` predicates decide
+whether runtime structures (values, heap cells, whole heaps) are well
+typed against a store typing; they are used as oracles by the test
+suite.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .lang import (
     ArrowT,
     Closure,
     Deref,
-    EConst,
     Expr,
     FunCast,
     Inject,
@@ -72,66 +72,76 @@ class TypeCheckError(Exception):
 
 
 def check_expr(gamma, e: Expr) -> Ty:
-    """Synthesize the type of a pure expression under `gamma`, a sequence
-    of (name, type) pairs, newest first."""
-    return _expr(link(gamma), e)
+    """Synthesize the type of a `let` right-hand side, an atom, a `Lam`,
+    or a `PrimApp`, `MkPair` or `Deref` of atoms, under `gamma`, a
+    sequence of (name, type) pairs, newest first."""
+    return _rhs(link(gamma), e)
 
 
 def check_stmt(gamma, s: Stmt) -> Ty:
     """Synthesize the type of a statement under `gamma`, a sequence of
-    (name, type) pairs, newest first."""
+    (name, type) pairs, newest first. The statement must be in A-normal
+    form: an operand that is not an atom is a `TypeCheckError`."""
     return _stmt(link(gamma), s)
 
 
 # The checker's own scope is a linked environment: a statement extends
 # it without copying.
 
-def _expr(gamma, e: Expr) -> Ty:
-    if isinstance(e, Var):
+def _atom(gamma, x) -> Ty:
+    """The type of an operand: a `Var`, or a host `int` or `bool`."""
+    t = type(x)
+    if t is Var:
         try:
-            return lookup(e.name, gamma)
+            return lookup(x.name, gamma)
         except Stuck:
-            raise TypeCheckError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, EConst):
-        return typeof_const(e.const)
-    if isinstance(e, PrimApp):
+            raise TypeCheckError(f"unbound variable {x.name!r}") from None
+    if t is int or t is bool:
+        return typeof_const(x)
+    raise TypeCheckError(f"operand {t.__name__} is not a name or a literal")
+
+
+def _rhs(gamma, e: Expr) -> Ty:
+    """The type of a `let` right-hand side (see `check_expr`)."""
+    t = type(e)
+    if t is PrimApp:
         arrow = typeof_opr(e.op)
-        arg_ty = _expr(gamma, e.arg)
+        arg_ty = _atom(gamma, e.arg)
         if arg_ty != arrow.dom:
             raise TypeCheckError(
                 f"operator expects {arrow.dom}, argument has type {arg_ty}")
         return arrow.cod
-    if isinstance(e, MkPair):
-        return PairT(_expr(gamma, e.fst), _expr(gamma, e.snd))
-    if isinstance(e, Lam):
+    if t is Lam:
         body_ty = _stmt((e.param, e.param_ty, gamma), e.body)
         return ArrowT(e.param_ty, body_ty)
-    if isinstance(e, Deref):
-        ref_ty = _expr(gamma, e.ref)
+    if t is Deref:
+        ref_ty = _atom(gamma, e.ref)
         if not isinstance(ref_ty, RefT):
             raise TypeCheckError(f"dereference of non-reference type {ref_ty}")
         if not is_static(ref_ty.cell):
             raise TypeCheckError(
                 f"dereference of non-static reference type {ref_ty}")
         return ref_ty.cell
-    raise TypeCheckError(f"unknown expression form {e!r}")
+    if t is MkPair:
+        return PairT(_atom(gamma, e.fst), _atom(gamma, e.snd))
+    return _atom(gamma, e)
 
 
 def _stmt(gamma, s: Stmt) -> Ty:
-    """Follows each statement's body in a loop; only a `Lam` body nested
-    in an expression costs a Python frame."""
+    """Follows each statement's body in a loop; only the body of a `Lam`
+    costs a Python frame."""
     while True:
         if isinstance(s, SLet):
-            rhs_ty = _expr(gamma, s.rhs)
+            rhs_ty = _rhs(gamma, s.rhs)
             gamma = (s.name, rhs_ty, gamma)
             s = s.body
         elif isinstance(s, SRet):
-            return _expr(gamma, s.expr)
+            return _atom(gamma, s.expr)
         elif isinstance(s, (SCall, STailCall)):
-            fn_ty = _expr(gamma, s.fn)
+            fn_ty = _atom(gamma, s.fn)
             if not isinstance(fn_ty, ArrowT):
                 raise TypeCheckError(f"call of non-function type {fn_ty}")
-            arg_ty = _expr(gamma, s.arg)
+            arg_ty = _atom(gamma, s.arg)
             if arg_ty != fn_ty.dom:
                 raise TypeCheckError(
                     f"call expects {fn_ty.dom}, argument has type {arg_ty}")
@@ -140,39 +150,39 @@ def _stmt(gamma, s: Stmt) -> Ty:
             gamma = (s.name, fn_ty.cod, gamma)
             s = s.body
         elif isinstance(s, SAlloc):
-            init_ty = _expr(gamma, s.init)
+            init_ty = _atom(gamma, s.init)
             if init_ty != s.cell_ty:
                 raise TypeCheckError(
                     f"allocation at {s.cell_ty} initialized with {init_ty}")
             gamma = (s.name, RefT(s.cell_ty), gamma)
             s = s.body
         elif isinstance(s, SUpdate):
-            ref_ty = _expr(gamma, s.ref)
+            ref_ty = _atom(gamma, s.ref)
             if not isinstance(ref_ty, RefT):
                 raise TypeCheckError(
                     f"update through non-reference type {ref_ty}")
             if not is_static(ref_ty.cell):
                 raise TypeCheckError(
                     f"update through non-static reference type {ref_ty}")
-            rhs_ty = _expr(gamma, s.rhs)
+            rhs_ty = _atom(gamma, s.rhs)
             if rhs_ty != ref_ty.cell:
                 raise TypeCheckError(
                     f"update expects {ref_ty.cell}, value has type {rhs_ty}")
             s = s.body
         elif isinstance(s, SDynUpdate):
-            ref_ty = _expr(gamma, s.ref)
+            ref_ty = _atom(gamma, s.ref)
             if ref_ty != RefT(s.ann):
                 raise TypeCheckError(
                     f"annotated update at {s.ann} through reference of type "
                     f"{ref_ty}")
-            rhs_ty = _expr(gamma, s.rhs)
+            rhs_ty = _atom(gamma, s.rhs)
             if rhs_ty != s.ann:
                 raise TypeCheckError(
                     f"annotated update expects {s.ann}, value has type "
                     f"{rhs_ty}")
             s = s.body
         elif isinstance(s, SCast):
-            src_ty = _expr(gamma, s.expr)
+            src_ty = _atom(gamma, s.expr)
             if src_ty != s.src:
                 raise TypeCheckError(
                     f"cast source annotated {s.src}, expression has type "
@@ -183,7 +193,7 @@ def _stmt(gamma, s: Stmt) -> Ty:
             gamma = (s.name, s.tgt, gamma)
             s = s.body
         elif isinstance(s, SDynDeref):
-            ref_ty = _expr(gamma, s.ref)
+            ref_ty = _atom(gamma, s.ref)
             if ref_ty != RefT(s.ann):
                 raise TypeCheckError(
                     f"annotated dereference at {s.ann} through reference of "

@@ -22,7 +22,6 @@ from monoref.cli import (
 )
 from monoref.guarded import run_g
 from monoref.lang import (
-    EConst,
     MkPair,
     OCon,
     O_ADDR,
@@ -260,10 +259,10 @@ def test_a_deep_pair_observes_and_renders_without_recursion():
             suffixes.append(" 1)")
     program = SRet(Var("p"))
     for k in reversed(range(n)):
-        pair = (MkPair(EConst(True), Var("p")) if k % 2
-                else MkPair(Var("p"), EConst(1)))
+        pair = (MkPair(True, Var("p")) if k % 2
+                else MkPair(Var("p"), 1))
         program = SLet("p", pair, program)
-    program = SLet("p", EConst(0), program)
+    program = SLet("p", 0, program)
     text = "".join(reversed(prefixes)) + "0" + "".join(suffixes)
     for runner in (run, run_g):
         obs = runner(program)
@@ -422,9 +421,10 @@ def test_diff_propagates_parse_error(capsys):
 
 
 def test_console_script_entry():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-m", "monoref.cli", "run", corpus("ex2")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == EXIT_OK
     assert result.stdout.strip() == "4"
 

@@ -15,7 +15,6 @@ from monoref.lang import (
     INT,
     CastError,
     Closure,
-    EConst,
     Inject,
     Lam,
     OCon,
@@ -40,11 +39,10 @@ from monoref.lang import (
     link,
 )
 from monoref.machine import (
-    MONOTONIC,
     Semantics,
     State,
     TraceRecord,
-    evaluate,
+    _operand,
     final,
     initial_state,
     run,
@@ -63,7 +61,7 @@ RULES = {SLet: "let", SRet: "return", SCall: "call", STailCall: "tailcall",
          SAlloc: "alloc", SUpdate: "update", SDynUpdate: "dyn-update",
          SCast: "cast", SDynDeref: "dyn-deref"}
 
-SEMANTICS = [(steps, step, MONOTONIC), (steps_g, step_g, GUARDED)]
+SEMANTICS = [(steps, step), (steps_g, step_g)]
 
 
 def rule_of(before: State, after: State) -> str:
@@ -78,19 +76,16 @@ def rule_of(before: State, after: State) -> str:
     return "active-supersede"
 
 
-def iterate(stepper, sem, state, fuel):
+def iterate(stepper, state, fuel):
     """Observable and trace of `fuel` transitions taken one `step` at a time."""
     records = []
     for index in range(fuel):
         if final(state):
             try:
-                v = evaluate(state.stmt.expr, link(state.env), state.heap,
-                             sem.read)
+                obs = observe(_operand(state.stmt.expr, link(state.env)))
             except Stuck:
                 return O_STUCK, records
-            except CastError:
-                return O_CASTERROR, records
-            return observe(v), records
+            return obs, records
         try:
             after = stepper(state)
         except Stuck:
@@ -124,12 +119,12 @@ def start_states():
         ast = gen.program(size=rng.randint(3, 10))
         typecheck_surface((), ast)
         yield f"generated {i}", initial_state(elaborate(ast))
-    yield "discard", State(SRet(EConst(1)), (), (), {0: cell(INT4)}, (0,))
+    yield "discard", State(SRet(1), (), (), {0: cell(INT4)}, (0,))
     # A pending cast whose nested projection lowers the same cell's tag.
     inner = PairT(RefT(DYN), INT)
     tag = PairT(RefT(inner), DYN)
     content = VPair(Inject(VRef(0), RefT(DYN)), Inject(INT4, INT))
-    yield "supersede", State(SRet(EConst(0)), (), (),
+    yield "supersede", State(SRet(0), (), (),
                              {0: (content, tag, PairT(DYN, DYN))},
                              (0,))
 
@@ -137,11 +132,11 @@ def start_states():
 def test_steps_matches_iterated_step():
     seen = set()
     for name, state in start_states():
-        for driver, stepper, sem in SEMANTICS:
+        for driver, stepper in SEMANTICS:
             for fuel in (10_000, 7):
                 records = []
                 obs = driver(fuel, state, trace=records.append)
-                expected_obs, expected_records = iterate(stepper, sem, state, fuel)
+                expected_obs, expected_records = iterate(stepper, state, fuel)
                 assert obs == expected_obs, name
                 assert records == expected_records, name
                 seen.update(r.rule for r in records)
@@ -154,26 +149,26 @@ FRAME = ("k", SRet(Var("k")), ())
 
 
 @pytest.mark.parametrize("stepper, state", [
-    (step, State(SAlloc("x", INT, EConst(4), SRet(Var("x"))),
+    (step, State(SAlloc("x", INT, 4, SRet(Var("x"))),
                  (), (FRAME,), {0: cell(INT4)}, ())),
-    (step, State(SUpdate(Var("r"), EConst(5), SRet(Var("r"))),
+    (step, State(SUpdate(Var("r"), 5, SRet(Var("r"))),
                  (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
-    (step, State(SDynUpdate(Var("r"), EConst(5), INT, SRet(Var("r"))),
+    (step, State(SDynUpdate(Var("r"), 5, INT, SRet(Var("r"))),
                  (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
     (step, State(SCast("y", Var("r"), RefT(DYN), RefT(INT), SRet(Var("y"))),
                  (("r", VRef(0)),), (FRAME,),
                  {0: cell(Inject(INT4, INT), DYN)}, ())),
-    (step, State(SRet(EConst(1)), (), (FRAME,),
+    (step, State(SRet(1), (), (FRAME,),
                  {0: (Inject(INT4, INT), INT, DYN)}, (0,))),
-    (step, State(SCall("k", Var("f"), EConst(1), SRet(Var("k"))),
+    (step, State(SCall("k", Var("f"), 1, SRet(Var("k"))),
                  (("f", Closure("x", INT, SRet(Var("x")), ())),), (FRAME,),
                  {}, ())),
-    (step_g, State(SAlloc("x", INT, EConst(4), SRet(Var("x"))),
+    (step_g, State(SAlloc("x", INT, 4, SRet(Var("x"))),
                    (), (FRAME,), {0: cell(INT4)}, ())),
-    (step_g, State(SUpdate(Var("r"), EConst(5), SRet(Var("r"))),
+    (step_g, State(SUpdate(Var("r"), 5, SRet(Var("r"))),
                    (("r", GProxy(VRef(0), INT, INT)),), (FRAME,),
                    {0: cell(INT4)}, ())),
-    (step_g, State(SDynUpdate(Var("r"), EConst(5), INT, SRet(Var("r"))),
+    (step_g, State(SDynUpdate(Var("r"), 5, INT, SRet(Var("r"))),
                    (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
     (step_g, State(SCast("y", Var("r"), RefT(DYN), RefT(INT), SRet(Var("y"))),
                    (("r", VRef(0)),), (FRAME,),
@@ -196,7 +191,7 @@ def test_step_leaves_its_input_unchanged(stepper, state):
 
 def test_step_return_pops_the_innermost_frame():
     outer = ("a", SRet(Var("a")), ())
-    state = State(SRet(EConst(3)), (), (FRAME, outer), {}, ())
+    state = State(SRet(3), (), (FRAME, outer), {}, ())
     after = step_g(state)
     assert after.stack == (outer,) and after.stmt == FRAME[1]
     assert after.env == (("k", 3),)
@@ -208,7 +203,7 @@ def test_step_lists_the_environment_as_pairs(stepper):
     # `State.env` lists (name, value) pairs, newest first, although the
     # driver keeps a linked cell; a closure and a frame hold the cell.
     identity = Lam("y", INT, SRet(Var("y")))
-    stmt = SLet("x", EConst(1), SLet("f", identity, SCall(
+    stmt = SLet("x", 1, SLet("f", identity, SCall(
         "z", Var("f"), Var("x"),
         SAlloc("r", INT, Var("z"), SRet(Var("r"))))))
     closure = Closure("y", INT, identity.body, ("x", 1, ()))
@@ -238,7 +233,7 @@ def test_closures_share_their_scope(runner):
     # while a run is measured, so whether a collection falls inside it,
     # which depends on the tests run before, does not move the peak.
     def peak_bytes(n):
-        stmt = SRet(EConst(0))
+        stmt = SRet(0)
         for i in range(n):
             stmt = SLet(f"f{i}", Lam("x", INT, SRet(Var("x"))), stmt)
         gc.collect()
@@ -283,6 +278,15 @@ def test_driver_maps_only_stuck_and_cast_errors():
         steps_with(failing, 10_000, initial_state(stmt), None)
 
 
+@pytest.mark.parametrize("driver", [steps, steps_g])
+def test_a_final_value_that_is_no_value_is_stuck(driver):
+    # The final state's result is observed inside the driver's mapping of
+    # Stuck, so a result that is no runtime value ends as an observable.
+    state = State(SRet(Var("x")), (("x", "junk"),), (), {}, ())
+    assert driver(10, state) == O_STUCK
+    assert driver(10, State(SRet("junk"), (), (), {}, ())) == O_STUCK
+
+
 def no_transition(record):
     raise AssertionError(f"transition {record} ran without fuel")
 
@@ -292,7 +296,7 @@ def test_fuel_at_most_zero_runs_no_transition(fuel):
     loop = elaborate(parse_surface(REF_CAST_LOOP))
     assert run(loop, fuel=fuel, trace=no_transition) == O_TIMEOUT
     assert run_g(loop, fuel=fuel, trace=no_transition) == O_TIMEOUT
-    done = State(SRet(EConst(4)), (), (), {}, ())
+    done = State(SRet(4), (), (), {}, ())
     for driver in (steps, steps_g):
         assert driver(fuel, initial_state(loop), no_transition) == O_TIMEOUT
         assert driver(fuel, done, no_transition) == O_TIMEOUT

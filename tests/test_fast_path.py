@@ -21,11 +21,11 @@ and none per stack frame.
 The IR is in A-normal form, so an operand is a name or a literal. A
 static transition looks a name operand up where it is used, a return
 to a caller's frame included, and a `let` reads a cell or takes a
-successor in place: counting the calls of `evaluate` over a window of
-static loop steps, casts on names included, shows none at all. A `let`
-of a lambda builds its closure in place, and a literal operand of a
-call, an allocation or an update is its value: a run of such a program
-calls `evaluate` never, while a `let` of a pair still does. An
+successor in place: counting the calls of the driver's `_operand` over
+a window of static loop steps, casts on names included, shows none at
+all. A `let` of a lambda builds its closure in place, and a literal
+operand is its own value: a transition of such a program calls
+`_operand` never, while a `let` of a pair calls it once per part. An
 annotated read or write looks its names up in place too.
 
 The driver also makes an annotated access itself when its reference is
@@ -54,7 +54,6 @@ from monoref.lang import (
     ArrowT,
     Closure,
     Deref,
-    EConst,
     Fst,
     FunCast,
     Inject,
@@ -89,7 +88,6 @@ from monoref.machine import (
     Semantics,
     State,
     delta,
-    evaluate,
     final,
     initial_state,
     step_with,
@@ -178,7 +176,7 @@ def test_static_access_stays_in_the_driver():
 SEMANTICS = pytest.mark.parametrize("sem", [MONOTONIC, GUARDED],
                                     ids=["monotonic", "guarded"])
 READ = SLet("x", Deref(Var("r")), SRet(Var("x")))
-WRITE = SUpdate(Var("r"), EConst(1), SRet(Var("r")))
+WRITE = SUpdate(Var("r"), 1, SRet(Var("r")))
 MALFORMED = [
     ((), {}, "unbound name 'r'"),
     ((("r", SEVEN),), {}, f"not a reference: {SEVEN!r}"),
@@ -333,7 +331,7 @@ def calls_of_function_casts(sem, stmt, window=3_000):
     for n in range(2 * window):
         s = state.stmt
         if n >= window and not state.active and type(s) in (SCall, STailCall):
-            fn = evaluate(s.fn, link(state.env), state.heap, sem.read)
+            fn = machine._operand(s.fn, link(state.env))
             calls += type(fn) is FunCast
         state = step_with(sem, state)
     return calls
@@ -362,20 +360,20 @@ def test_a_function_cast_builds_its_body_once(sem, built):
 
 @pytest.fixture
 def evaluated(monkeypatch):
-    """The expressions `machine.evaluate` is called on while the test
-    runs, its calls of itself included, in call order."""
-    exprs = []
+    """The atoms `machine._operand` is called on while the test runs, in
+    call order: a pair's two parts, and a final state's result."""
+    atoms = []
 
-    def counting(e, env, heap, read, _evaluate=machine.evaluate):
-        exprs.append(e)
-        return _evaluate(e, env, heap, read)
-    monkeypatch.setattr(machine, "evaluate", counting)
-    return exprs
+    def counting(x, env, _operand=machine._operand):
+        atoms.append(x)
+        return _operand(x, env)
+    monkeypatch.setattr(machine, "_operand", counting)
+    return atoms
 
 
 def calls_in_window(sem, stmt, evaluated, window=3_000):
     """The trace records of steps `window` to `2 * window` of a run, and
-    the expressions `evaluate` was called on meanwhile. A run is
+    the atoms `_operand` was called on meanwhile. A run is
     deterministic, so the longer run's calls start with the shorter
     run's, and set-up cancels."""
     runs = []
@@ -404,9 +402,10 @@ def test_a_static_transition_looks_its_names_up_in_place(sem, name,
     assert calls == []
     # The fixture does see calls: a `let` of a pair makes one per part.
     evaluated.clear()
-    pair = MkPair(EConst(1), EConst(True))
+    pair = MkPair(1, True)
     step_with(sem, State(SLet("p", pair, SRet(Var("p"))), (), (), {}, ()))
-    assert evaluated == [pair, EConst(1), EConst(True)]
+    assert evaluated == [1, True]
+    assert [type(x) for x in evaluated] == [int, bool]
 
 
 # A lambda bound by a `let`, and a literal operand of an allocation, an
@@ -450,7 +449,7 @@ def test_a_return_to_a_frame_looks_its_name_up_in_place(evaluated):
                           records.append) == OCon(3)
         traces.append(records)
         # One transition at a time, so the final state's result, which
-        # `steps_with` evaluates, is left out.
+        # `steps_with` looks up with `_operand`, is left out.
         evaluated.clear()
         state = initial_state(stmt)
         while not final(state):

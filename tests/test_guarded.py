@@ -77,9 +77,9 @@ def test_gwrite_non_reference_is_stuck():
 
 
 def test_run_g_shape_violation_is_stuck():
-    from monoref.lang import EConst, STailCall
+    from monoref.lang import STailCall
 
-    program = STailCall(EConst(1), EConst(2))
+    program = STailCall(1, 2)
     assert run_g(program, fuel=10) == O_STUCK
 
 
@@ -94,14 +94,16 @@ def test_run_g_timeout():
 
 
 def test_steps_g_final_read_through_failing_proxy():
-    # A proxied read can fail inside the final return expression itself.
+    # A proxied read can fail in the `let` whose value the final return
+    # returns: the driver maps the failure to the run's observable.
     from monoref.guarded import steps_g
-    from monoref.lang import Deref, SRet, Var
+    from monoref.lang import Deref, SLet, SRet, Var
     from monoref.machine import State
 
     heap = {0: (Inject(TRUE, BOOL), DYN)}
     env = (("r", GProxy(VRef(0), DYN, INT)),)
-    state = State(SRet(Deref(Var("r"))), env, (), heap, ())
+    state = State(SLet("v", Deref(Var("r")), SRet(Var("v"))), env, (), heap,
+                  ())
     assert steps_g(10, state) == O_CASTERROR
     missing = State(SRet(Var("missing")), (), (), {}, ())
     assert steps_g(10, missing) == O_STUCK

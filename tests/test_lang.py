@@ -13,7 +13,6 @@ from monoref.lang import (
     BoolT,
     CastError,
     Closure,
-    EConst,
     Fst,
     IntT,
     IsZero,
@@ -216,9 +215,10 @@ def test_ground_is_upper_approximation(a):
 
 def test_nodes_of_different_classes_are_unequal():
     assert IntT() != BoolT()
-    assert EConst(1) != OCon(1)
-    assert EConst(1) == EConst(1)
-    assert EConst(1) != EConst(2)
+    assert OCon(1) != OCon(True)
+    assert Var("x") != SVar("x")
+    assert Var("x") == Var("x")
+    assert Var("x") != Var("y")
 
 
 def test_equal_nodes_hash_equal():
@@ -232,10 +232,10 @@ def test_equal_nodes_hash_equal():
 def test_nodes_of_another_class_are_unequal_without_reflection():
     # A node of another class is unequal outright; anything but a node
     # is left to its own equality.
-    assert EConst(1).__eq__(OCon(1)) is False
+    assert Var("x").__eq__(SVar("x")) is False
     assert Var("x").__eq__("x") is NotImplemented
     assert VPair(1, 2) != (1, 2)
-    assert SRet(Var("x")) != SRet(EConst(1))
+    assert SRet(Var("x")) != SRet(1)
 
 
 def test_deep_values_compare_hash_and_print_without_recursion():
@@ -268,7 +268,7 @@ def test_equality_stops_at_the_first_difference_and_skips_shared_parts():
     a = SLet("x", Var("y"), SRet(Var(Uncomparable())))
     b = SLet("z", Var("y"), SRet(Var(Uncomparable())))
     assert a != b and not a == b
-    assert SLet("x", Var("y"), SRet(Var("x"))) != SLet("x", EConst(1), a)
+    assert SLet("x", Var("y"), SRet(Var("x"))) != SLet("x", 1, a)
     shared = SRet(Var(Uncomparable()))
     assert SLet("x", Var("y"), shared) == SLet("x", Var("y"), shared)
 

@@ -12,7 +12,6 @@ from monoref.lang import (
     CastError,
     Closure,
     Deref,
-    EConst,
     Inject,
     ISZERO,
     MkPair,
@@ -26,6 +25,7 @@ from monoref.lang import (
     PrimApp,
     RefT,
     SCast,
+    SLet,
     SRet,
     STailCall,
     SUCC,
@@ -39,9 +39,9 @@ from monoref.lang import (
 )
 from monoref.machine import (
     State,
+    _operand,
     cast,
     delta,
-    eval_expr,
     final,
     fun_cast,
     initial_state,
@@ -63,7 +63,7 @@ def run_to_value(stmt, env=(), heap=None):
     state = State(stmt, env, (), heap if heap is not None else {}, ())
     for _ in range(10_000):
         if final(state):
-            return (eval_expr(state.stmt.expr, link(state.env), state.heap),
+            return (_operand(state.stmt.expr, link(state.env)),
                     state.heap)
         state = step(state)
     raise AssertionError("no final state within 10000 steps")
@@ -94,12 +94,13 @@ def test_one_and_true_stay_apart():
         delta(ISZERO, False)
     with pytest.raises(CastError):
         cast(Inject(TRUE, BOOL), DYN, INT, {}, ())
-    assert run(SRet(PrimApp(SUCC, EConst(True)))) == O_STUCK
+    assert run(SLet("x", PrimApp(SUCC, True), SRet(Var("x")))) == O_STUCK
     # A literal is the host value itself, and a node tells its leaves
     # apart by exact class.
     for one, true in ((OCon(1), OCon(True)), (Lit(0), Lit(False)),
-                      (EConst(1), EConst(True))):
+                      (SRet(1), SRet(True))):
         assert one != true and hash(one) != hash(true)
+    assert run(SRet(1)) == OCon(1) and run(SRet(True)) == OCon(True)
     assert typeof_const(True) is BOOL and typeof_const(1) is INT
     with pytest.raises(TypeError):
         typeof_const(1.0)
@@ -129,16 +130,22 @@ def test_to_val():
         to_val((7, INT, INT))
 
 
-def test_eval_expr():
-    assert eval_expr(Var("x"), ("x", 9, ()), {}) == 9
+def test_let_binds_each_right_hand_side():
+    def bound(rhs, env=(("x", 9),), heap=None):
+        state = State(SLet("v", rhs, SRet(Var("v"))), env, (),
+                      heap or {}, ())
+        return step(state).env[0][1]
+
+    assert _operand(Var("x"), ("x", 9, ())) == 9
+    assert _operand(3, ()) == 3 and _operand(False, ()) is False
+    assert bound(Var("x")) == 9 and bound(7) == 7
     with pytest.raises(Stuck, match="unbound name 'y'"):
-        eval_expr(Var("y"), ("x", 9, ()), {})
-    heap = {0: (7, INT)}
-    assert eval_expr(Deref(Var("r")), ("r", VRef(0), ()), heap) == 7
-    pending_heap = {0: (7, INT, INT)}
+        bound(Var("y"))
+    r = (("r", VRef(0)),)
+    assert bound(Deref(Var("r")), r, {0: (7, INT)}) == 7
     with pytest.raises(Stuck):
-        eval_expr(Deref(Var("r")), ("r", VRef(0), ()), pending_heap)
-    pair = eval_expr(MkPair(EConst(1), EConst(True)), (), {})
+        bound(Deref(Var("r")), r, {0: (7, INT, INT)})
+    pair = bound(MkPair(1, True))
     assert pair == VPair(1, TRUE)
     assert type(pair.fst) is int and type(pair.snd) is bool
 
@@ -227,14 +234,14 @@ def test_cast_reference_meet_failure():
 
 def test_step_active_discard():
     heap = {0: (INT4, INT)}
-    state = State(SRet(EConst(1)), (), (), heap, (0,))
+    state = State(SRet(1), (), (), heap, (0,))
     after = step(state)
     assert after.active == () and after.heap == heap
 
 
 def test_step_active_commit():
     heap = {0: (Inject(INT4, INT), INT, DYN)}
-    state = State(SRet(EConst(1)), (), (), heap, (0,))
+    state = State(SRet(1), (), (), heap, (0,))
     after = step(state)
     assert after.heap == {0: (INT4, INT)}
     assert after.active == ()
@@ -243,22 +250,22 @@ def test_step_active_commit():
 def test_step_alloc_fresh_address_is_heap_size():
     from monoref.lang import SAlloc
     heap = {0: (INT4, INT), 1: (TRUE, BOOL)}
-    stmt = SAlloc("x", INT, EConst(4), SRet(Var("x")))
+    stmt = SAlloc("x", INT, 4, SRet(Var("x")))
     after = step(State(stmt, (), (), heap, ()))
     assert after.env[0] == ("x", VRef(2))
     assert after.heap[2] == (INT4, INT)
 
 
 def test_final():
-    assert final(State(SRet(EConst(4)), (), (), {}, ()))
+    assert final(State(SRet(4), (), (), {}, ()))
     frame = ("x", SRet(Var("x")), ())
-    assert not final(State(SRet(EConst(4)), (), (frame,), {}, ()))
-    assert not final(State(SRet(EConst(4)), (), (), {}, (0,)))
+    assert not final(State(SRet(4), (), (frame,), {}, ()))
+    assert not final(State(SRet(4), (), (), {}, (0,)))
 
 
 def test_step_on_final_state_is_stuck():
     with pytest.raises(Stuck):
-        step(State(SRet(EConst(4)), (), (), {}, ()))
+        step(State(SRet(4), (), (), {}, ()))
 
 
 def test_observe():
@@ -269,13 +276,13 @@ def test_observe():
 
 
 def test_steps_fuel_and_return():
-    state = State(SRet(EConst(4)), (), (), {}, ())
+    state = State(SRet(4), (), (), {}, ())
     assert steps(0, state) == O_TIMEOUT
     assert steps(1, state) == OCon(4)
 
 
 def test_steps_cast_error():
-    stmt = SCast("x", EConst(4), INT, BOOL, SRet(Var("x")))
+    stmt = SCast("x", 4, INT, BOOL, SRet(Var("x")))
     assert steps(10, initial_state(stmt)) == O_CASTERROR
 
 
@@ -284,22 +291,22 @@ def test_steps_stuck():
 
 
 def test_shape_violations_are_stuck_not_crashes():
-    call_non_closure = STailCall(EConst(1), EConst(2))
+    call_non_closure = STailCall(1, 2)
     assert steps(10, initial_state(call_non_closure)) == O_STUCK
 
     from monoref.lang import SUpdate
-    dangling = SUpdate(Var("r"), EConst(1), SRet(EConst(0)))
+    dangling = SUpdate(Var("r"), 1, SRet(0))
     state = State(dangling, (("r", VRef(9)),), (), {}, ())
     assert steps(10, state) == O_STUCK
 
 
 def test_run():
-    assert run(SRet(EConst(4))) == OCon(4)
+    assert run(SRet(4)) == OCon(4)
 
 
 def test_step_deterministic():
     heap = {0: (Inject(INT4, INT), INT, DYN)}
-    state = State(SRet(EConst(1)), (), (), heap, (0,))
+    state = State(SRet(1), (), (), heap, (0,))
     assert step(state) == step(state)
 
 
@@ -324,7 +331,7 @@ def test_worklist_drains_preserving_heap_well_formedness():
         heap, active = hg.config(rng.randint(1, 5))
         sigma = derive_store_typing(heap)
         assert wt_heap(sigma, heap, set(active))
-        state = State(SRet(EConst(0)), (), (), heap, active)
+        state = State(SRet(0), (), (), heap, active)
         previous = sigma
         budget = 1_000
         while state.active:
@@ -355,7 +362,7 @@ def test_step_supersede_then_commit_with_duplicate_worklist_entries():
     tag0 = PairT(RefT(inner), DYN)
     content = VPair(Inject(VRef(0), RefT(DYN)), Inject(INT4, INT))
     heap = {0: (content, tag0, PairT(DYN, DYN))}
-    state = State(SRet(EConst(0)), (), (), heap, (0,))
+    state = State(SRet(0), (), (), heap, (0,))
 
     lowered = PairT(RefT(inner), INT)
     mid = step(state)

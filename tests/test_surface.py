@@ -20,7 +20,6 @@ from monoref.lang import (
     SUCC,
     ArrowT,
     Deref,
-    EConst,
     Fst,
     Lam,
     MkPair,
@@ -765,12 +764,12 @@ def test_the_temporary_table_stays_bounded(monkeypatch):
 # expression forms, the 5 operators, both Boolean literals and every type
 # constructor, with a lambda at the top and one nested in a chain.
 ALL_FORMS = SLet(
-    "f", Lam("x", ArrowT(INT, BOOL), STailCall(Var("x"), EConst(-7))),
-    SCall("a", Var("f"), EConst(True),
+    "f", Lam("x", ArrowT(INT, BOOL), STailCall(Var("x"), -7)),
+    SCall("a", Var("f"), True,
     SAlloc("r", RefT(PairT(INT, DYN)),
-           MkPair(EConst(0), EConst(False)),
+           MkPair(0, False),
     SUpdate(Var("r"), Deref(Var("r")),
-    SDynUpdate(Var("r"), EConst(1), DYN,
+    SDynUpdate(Var("r"), 1, DYN,
     SCast("c", Var("a"), BOOL, DYN,
     SDynDeref("d", Var("r"), PairT(INT, DYN),
     SLet("e", PrimApp(SUCC, Var("d")),

@@ -13,12 +13,12 @@ from monoref.lang import (
     ArrowT,
     Closure,
     Deref,
-    EConst,
     Inject,
     MkPair,
     PairT,
     PrimApp,
     RefT,
+    SLet,
     SRet,
     SUCC,
     SUpdate,
@@ -29,7 +29,14 @@ from monoref.lang import (
     lesseq,
     link,
 )
-from monoref.machine import eval_expr, final, fun_cast, initial_state, step
+from monoref.machine import (
+    State,
+    _operand,
+    final,
+    fun_cast,
+    initial_state,
+    step,
+)
 from monoref.surface import elaborate, parse_surface, typecheck_surface
 from monoref.typecheck import (
     TypeCheckError,
@@ -54,7 +61,7 @@ def corpus_ir(name):
 
 
 def test_check_expr_const():
-    assert check_expr((), EConst(4)) == INT
+    assert check_expr((), 4) == INT
 
 
 def test_check_expr_deref_requires_static():
@@ -73,16 +80,16 @@ def test_check_expr_unbound():
 
 def test_check_expr_operator_mismatch():
     with pytest.raises(TypeCheckError):
-        check_expr((), PrimApp(SUCC, EConst(True)))
+        check_expr((), PrimApp(SUCC, True))
 
 
 def test_check_expr_deref_non_reference():
     with pytest.raises(TypeCheckError):
-        check_expr((), Deref(EConst(4)))
+        check_expr((), Deref(4))
 
 
 def test_check_stmt_return():
-    assert check_stmt((), SRet(EConst(4))) == INT
+    assert check_stmt((), SRet(4)) == INT
 
 
 def test_check_stmt_corpus_ex2():
@@ -92,7 +99,7 @@ def test_check_stmt_corpus_ex2():
 
 
 def test_check_stmt_update_requires_static():
-    stmt = SUpdate(Var("r"), EConst(4), SRet(EConst(0)))
+    stmt = SUpdate(Var("r"), 4, SRet(0))
     with pytest.raises(TypeCheckError, match="static"):
         check_stmt((("r", RefT(DYN)),), stmt)
 
@@ -112,30 +119,30 @@ def test_check_stmt_error_paths():
         STailCall,
     )
 
-    ret0 = SRet(EConst(0))
+    ret0 = SRet(0)
     bad = [
-        ((), SCall("x", EConst(1), EConst(2), ret0)),
+        ((), SCall("x", 1, 2, ret0)),
         ((("f", ArrowT(INT, INT)),),
-         STailCall(Var("f"), EConst(True))),
-        ((), SAlloc("x", INT, EConst(True), ret0)),
+         STailCall(Var("f"), True)),
+        ((), SAlloc("x", INT, True, ret0)),
         ((("r", RefT(INT)),),
-         SDynUpdate(Var("r"), EConst(1), BOOL, ret0)),
+         SDynUpdate(Var("r"), 1, BOOL, ret0)),
         ((("r", RefT(INT)),),
-         SDynUpdate(Var("r"), EConst(True), INT, ret0)),
-        ((), SCast("x", EConst(1), BOOL, INT, ret0)),
-        ((), SCast("x", EConst(1), INT, BOOL, ret0)),
-        ((), SCast("x", EConst(1), INT, RefT(INT), ret0)),
+         SDynUpdate(Var("r"), True, INT, ret0)),
+        ((), SCast("x", 1, BOOL, INT, ret0)),
+        ((), SCast("x", 1, INT, BOOL, ret0)),
+        ((), SCast("x", 1, INT, RefT(INT), ret0)),
         ((("r", RefT(INT)),), SDynDeref("x", Var("r"), BOOL, ret0)),
-        ((), SDynDeref("x", EConst(1), INT, ret0)),
-        ((("r", BOOL),), SUpdate(Var("r"), EConst(1), ret0)),
+        ((), SDynDeref("x", 1, INT, ret0)),
+        ((("r", BOOL),), SUpdate(Var("r"), 1, ret0)),
         ((("r", RefT(INT)),),
-         SUpdate(Var("r"), EConst(True), ret0)),
+         SUpdate(Var("r"), True, ret0)),
     ]
     for gamma, stmt in bad:
         with pytest.raises(TypeCheckError):
             check_stmt(gamma, stmt)
     with pytest.raises(TypeCheckError) as err:
-        check_stmt((), SCast("x", EConst(1), INT, BOOL, SRet(Var("x"))))
+        check_stmt((), SCast("x", 1, INT, BOOL, SRet(Var("x"))))
     assert err.value.message == "cast from int to inconsistent bool"
 
 
@@ -315,39 +322,48 @@ def test_store_typing_lesseq():
 
 
 # ---------------------------------------------------------------------------
-# Evaluation safety: well-typed expressions evaluate to well-typed values
-# when no cast is pending.
+# Evaluation safety: each well-typed `let` binds a well-typed value when
+# no cast is pending.
 
-def _random_pure_expr(rng, gamma, ty, depth):
-    """A well-typed pure expression of type `ty` over `gamma`, or None."""
+def _bind(lets, rhs):
+    name = f"e{len(lets)}"
+    lets.append((name, rhs))
+    return Var(name)
+
+
+def _random_atom(rng, gamma, ty, depth, lets):
+    """An atom of type `ty` over `gamma`, or None. The `let`s that compute
+    it, each a name and an A-normal right-hand side, go on `lets`."""
     candidates = [n for n, t in gamma if t == ty]
     deref_candidates = [n for n, t in gamma
                         if t == RefT(ty) and is_static(ty)]
     if depth > 0 and deref_candidates and rng.random() < 0.3:
-        return Deref(Var(rng.choice(deref_candidates)))
+        return _bind(lets, Deref(Var(rng.choice(deref_candidates))))
     if depth <= 0 or (candidates and rng.random() < 0.4):
         if candidates:
             return Var(rng.choice(candidates))
         if ty == INT:
-            return EConst(rng.randint(0, 9))
+            return rng.randint(0, 9)
         if ty == BOOL:
-            return EConst(True)
+            return True
         return None
     if ty == INT and rng.random() < 0.5:
-        sub = _random_pure_expr(rng, gamma, INT, depth - 1)
-        return PrimApp(SUCC, sub) if sub is not None else None
+        sub = _random_atom(rng, gamma, INT, depth - 1, lets)
+        return _bind(lets, PrimApp(SUCC, sub)) if sub is not None else None
     if isinstance(ty, PairT):
-        left = _random_pure_expr(rng, gamma, ty.left, depth - 1)
-        right = _random_pure_expr(rng, gamma, ty.right, depth - 1)
+        left = _random_atom(rng, gamma, ty.left, depth - 1, lets)
+        right = _random_atom(rng, gamma, ty.right, depth - 1, lets)
         if left is not None and right is not None:
-            return MkPair(left, right)
+            return _bind(lets, MkPair(left, right))
         return None
-    return _random_pure_expr(rng, gamma, ty, 0)
+    return _random_atom(rng, gamma, ty, 0, lets)
 
 
 def test_evaluation_safety_on_generated_expressions():
     # Values allocated through HeapGen only create settled cells, which
-    # is the empty-worklist precondition this property needs.
+    # is the empty-worklist precondition this property needs. Each
+    # generated chain of `let`s is stepped through the driver, and every
+    # value it binds, the result included, types at its checked type.
     rng = random.Random(4242)
     checked = 0
     for _ in range(300):
@@ -360,12 +376,24 @@ def test_evaluation_safety_on_generated_expressions():
         sigma = derive_store_typing(heap)
         gamma = environment_typing(sigma, link(env))
         target = random_ty(rng, 2)
-        expr = _random_pure_expr(rng, gamma, target, 2)
-        if expr is None:
+        lets = []
+        atom = _random_atom(rng, gamma, target, 2, lets)
+        if atom is None:
             continue
-        ty = check_expr(gamma, expr)
-        value = eval_expr(expr, link(env), heap)
-        assert wt_val(sigma, value, ty)
+        stmt = SRet(atom)
+        for name, rhs in reversed(lets):
+            stmt = SLet(name, rhs, stmt)
+        assert check_stmt(gamma, stmt) == target
+        state = State(stmt, tuple(env), (), heap, ())
+        scope = gamma
+        for name, rhs in lets:
+            ty = check_expr(scope, rhs)
+            scope = ((name, ty),) + scope
+            state = step(state)
+            assert state.env[0][0] == name
+            assert wt_val(sigma, state.env[0][1], ty)
+        assert final(state)
+        assert wt_val(sigma, _operand(atom, link(state.env)), target)
         checked += 1
     assert checked >= 100
 
