@@ -26,7 +26,8 @@ temporaries use them, and so do the five names of a `FunCast`'s body.
 
 Every node, value and record class of the package derives from `Node`,
 an immutable record: its fields are its annotations, inherited ones
-first, and a class-level value is a field's default. Nodes compare and
+first, each kept in a slot, and a class-level value is a field's
+default. `vars(node)` is a fresh dict of the fields. Nodes compare and
 hash by class and fields, print as `SVar(name='x', pos=(1, 2))`, and
 refuse assignment; each of the three walks nested nodes with an
 explicit stack, so a program compares, hashes and prints however deeply
@@ -54,42 +55,69 @@ class FrozenNodeError(AttributeError):
     """An attempt to assign or delete an attribute of a `Node`."""
 
 
-class Node:
+class _Slotted(type):
+    """`Node`'s metaclass: a class's annotations not inherited become its
+    `__slots__`, appended to the inherited `_fields`, and their class-level
+    values move into `_defaults`, over the inherited ones."""
+
+    def __new__(mcls, name, bases, ns):
+        fields, defaults = {}, {}
+        for base in reversed(bases):
+            fields.update(dict.fromkeys(getattr(base, "_fields", ())))
+            defaults.update(getattr(base, "_defaults", {}))
+        own = ns.get("__annotations__", {})
+        defaults.update({f: ns.pop(f) for f in own if f in ns})
+        new = [f for f in own if f not in fields]
+        ns.update(__slots__=(*ns.get("__slots__", ()), *new),
+                  _fields=(*fields, *new), _defaults=defaults)
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Node(metaclass=_Slotted):
     """Immutable record; the base of syntax, types, values and states.
 
-    Fields are the annotations, inherited ones first; a class-level value
-    is a field's default. The generated `__init__` takes them by position
-    or keyword and stores each with `object.__setattr__`: writing into
-    `__dict__` builds nodes faster, but CPython 3.11 then drops inline
-    attribute values and every later field load slows. Equality needs the
-    same class and equal fields, `hash` hashes those fields, and fields
-    named in `_uncompared` take part in neither. Equality, `hash` and
-    `repr` walk nested nodes and tuples with an explicit stack; a field
-    whose class has its own equality, a type's identity, is compared
-    whole. Equality walks both operands in lockstep, skips a part shared
-    by both and stops at the first difference; any other leaf compares
-    by class and value, so a field holding `1` differs from one holding
-    `True`.
+    Fields are the annotations, inherited ones first, each a slot of the
+    class that adds it; a class-level value is a field's default, kept in
+    `_defaults`. The generated `__init__` takes them by position or
+    keyword and stores each through its slot's descriptor. `vars(node)`
+    and `node.__dict__` give a fresh `{field: value}` dict, so writing
+    into it changes nothing, and copying and pickling rebuild a node
+    through its constructor. Equality needs the same class and equal
+    fields, `hash` hashes those fields, and fields named in `_uncompared`
+    take part in neither. Equality, `hash` and `repr` walk nested nodes
+    and tuples with an explicit stack; a field whose class has its own
+    equality, a type's identity, is compared whole. Equality walks both
+    operands in lockstep, skips a part shared by both and stops at the
+    first difference; any other leaf compares by class and value, so a
+    field holding `1` differs from one holding `True`.
     """
 
     _uncompared = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = fields = tuple(dict.fromkeys(
-            name for klass in reversed(cls.__mro__)
-            for name in vars(klass).get("__annotations__", ())))
-        params = "".join(f", {name}=_cls.{name}" if hasattr(cls, name)
-                         else f", {name}" for name in fields)
-        stores = "".join(f"\n _set(self, {name!r}, {name})" for name in fields)
+        fields = cls._fields
+        params = "".join(f", {name}=_defaults[{name!r}]"
+                         if name in cls._defaults else f", {name}"
+                         for name in fields)
+        stores = "".join(f"\n _set_{name}(self, {name})" for name in fields)
         keys = "".join(f"self.{name}, " for name in fields
                        if name not in cls._uncompared)
-        namespace = {"_set": object.__setattr__, "_cls": cls}
+        namespace = {"_defaults": cls._defaults}
+        namespace.update((f"_set_{name}", getattr(cls, name).__set__)
+                         for name in fields)
         exec(f"def __init__(self{params}):{stores or ' pass'}\n"
              f"def _key(self): return ({keys})", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         cls._key = namespace["_key"]
+
+    @property
+    def __dict__(self):
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if not isinstance(other, Node):
@@ -197,36 +225,34 @@ class Ty(Node):
     `object`'s. Copying and pickling rebuild a type through its
     constructor, which returns the interned object. A type is made after
     its fields, so `__new__` also stores whether it is static, `_static`:
-    its class's `_static` and its fields'. A field that is no type raises
-    `TypeError` before anything enters the table.
+    its class's `_static_class` and its fields'. A field that is no type
+    raises `TypeError` before anything enters the table.
     """
 
+    __slots__ = ("_static",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-    _static = True
+    _static_class = True
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         args = "".join(f", {name}" for name in cls._fields)
         static = "".join(f" & _is_static({name})" for name in cls._fields)
-        stores = "".join(f"\n  _set(ty, {name!r}, {name})"
-                         for name in cls._fields)
-        namespace = {"_set": object.__setattr__, "_new": object.__new__,
-                     "_types": _TYPES, "_is_static": is_static}
+        namespace = {"_init": cls.__init__, "_new": object.__new__,
+                     "_set_static": Ty._static.__set__, "_types": _TYPES,
+                     "_is_static": is_static}
         exec(f"def __new__(_cls{args}):\n"
              f" key = (_cls{args},)\n"
              f" ty = _types.get(key)\n"
              f" if ty is None:\n"
-             f"  static = _cls._static{static}\n"
-             f"  ty = _types[key] = _new(_cls){stores}\n"
-             f"  _set(ty, '_static', static)\n"
+             f"  static = _cls._static_class{static}\n"
+             f"  ty = _types[key] = _new(_cls)\n"
+             f"  _init(ty{args})\n"
+             f"  _set_static(ty, static)\n"
              f" return ty", namespace)
         namespace["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
         cls.__new__ = staticmethod(namespace["__new__"])
         cls.__init__ = object.__init__
-
-    def __reduce__(self):
-        return type(self), self._key()
 
     def __str__(self) -> str:
         """`kw` or `(kw field ...)`, `kw` from `TYPE_KEYWORDS`; a loop."""
@@ -266,7 +292,7 @@ class RefT(Ty):
 
 
 class DynT(Ty):
-    _static = False
+    _static_class = False
 
 
 # The keyword each type constructor prints as, and the parser reads.

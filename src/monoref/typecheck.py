@@ -1,10 +1,11 @@
 """Static typechecking of the IR and runtime typing predicates.
 
 `check_expr` and `check_stmt` synthesize the unique type of a term or
-raise a `TypeCheckError` naming the failed premise, an operand that is
-not an atom among them (see `lang`). The `wt_*` predicates decide
-whether runtime structures (values, heap cells, whole heaps) are well
-typed against a store typing; they are used as oracles by the test
+raise a `TypeCheckError` naming the failed premise: an operand that is
+not an atom (see `lang`), a type field that holds no type and an
+operator field that holds no operator among them. The `wt_*` predicates
+decide whether runtime structures (values, heap cells, whole heaps) are
+well typed against a store typing; they are used as oracles by the test
 suite.
 """
 
@@ -101,18 +102,28 @@ def _atom(gamma, x) -> Ty:
     raise TypeCheckError(f"operand {t.__name__} is not a name or a literal")
 
 
+def _ty(t) -> Ty:
+    """A type field's value, which must be a type."""
+    if not isinstance(t, Ty):
+        raise TypeCheckError(f"annotation {t!r} is not a type")
+    return t
+
+
 def _rhs(gamma, e: Expr) -> Ty:
     """The type of a `let` right-hand side (see `check_expr`)."""
     t = type(e)
     if t is PrimApp:
-        arrow = typeof_opr(e.op)
+        try:  # an operator, whose own fields, if any, are types
+            arrow = typeof_opr(e.op)
+        except TypeError as err:
+            raise TypeCheckError(str(err)) from None
         arg_ty = _atom(gamma, e.arg)
         if arg_ty != arrow.dom:
             raise TypeCheckError(
                 f"operator expects {arrow.dom}, argument has type {arg_ty}")
         return arrow.cod
     if t is Lam:
-        body_ty = _stmt((e.param, e.param_ty, gamma), e.body)
+        body_ty = _stmt((e.param, _ty(e.param_ty), gamma), e.body)
         return ArrowT(e.param_ty, body_ty)
     if t is Deref:
         ref_ty = _atom(gamma, e.ref)
@@ -151,7 +162,7 @@ def _stmt(gamma, s: Stmt) -> Ty:
             s = s.body
         elif isinstance(s, SAlloc):
             init_ty = _atom(gamma, s.init)
-            if init_ty != s.cell_ty:
+            if init_ty != _ty(s.cell_ty):
                 raise TypeCheckError(
                     f"allocation at {s.cell_ty} initialized with {init_ty}")
             gamma = (s.name, RefT(s.cell_ty), gamma)
@@ -171,7 +182,7 @@ def _stmt(gamma, s: Stmt) -> Ty:
             s = s.body
         elif isinstance(s, SDynUpdate):
             ref_ty = _atom(gamma, s.ref)
-            if ref_ty != RefT(s.ann):
+            if ref_ty != RefT(_ty(s.ann)):
                 raise TypeCheckError(
                     f"annotated update at {s.ann} through reference of type "
                     f"{ref_ty}")
@@ -183,18 +194,18 @@ def _stmt(gamma, s: Stmt) -> Ty:
             s = s.body
         elif isinstance(s, SCast):
             src_ty = _atom(gamma, s.expr)
-            if src_ty != s.src:
+            if src_ty != _ty(s.src):
                 raise TypeCheckError(
                     f"cast source annotated {s.src}, expression has type "
                     f"{src_ty}")
-            if not consistent(s.src, s.tgt):
+            if not consistent(s.src, _ty(s.tgt)):
                 raise TypeCheckError(
                     f"cast from {s.src} to inconsistent {s.tgt}")
             gamma = (s.name, s.tgt, gamma)
             s = s.body
         elif isinstance(s, SDynDeref):
             ref_ty = _atom(gamma, s.ref)
-            if ref_ty != RefT(s.ann):
+            if ref_ty != RefT(_ty(s.ann)):
                 raise TypeCheckError(
                     f"annotated dereference at {s.ann} through reference of "
                     f"type {ref_ty}")
@@ -257,32 +268,43 @@ def _scope_type(sigma: StoreTy, env, memo: dict):
     return scope
 
 
+_PAIR_UP = object()  # on `_value_type`'s stack: type the pair below
+
+
 def _value_type(sigma: StoreTy, v: Val, memo: dict) -> Ty:
-    t = type(v)
-    if t is int:
-        return INT
-    if t is bool:
-        return BOOL
-    if isinstance(v, VPair):
-        return PairT(_value_type(sigma, v.fst, memo),
-                     _value_type(sigma, v.snd, memo))
-    if isinstance(v, VRef):
-        if v.addr not in sigma:
-            raise TypeCheckError(f"dangling reference to address {v.addr}")
-        return RefT(sigma[v.addr])
-    if isinstance(v, Inject):
-        return DYN
-    if id(v) in memo:
-        return memo[id(v)]
-    if isinstance(v, FunCast):
-        ty = _fun_cast_type(sigma, v, memo)
-    elif isinstance(v, Closure):
-        scope = (v.param, v.param_ty, _scope_type(sigma, v.env, memo))
-        ty = ArrowT(v.param_ty, _stmt(scope, v.body))
-    else:
-        raise TypeCheckError(f"not a value: {v!r}")
-    memo[id(v)] = ty
-    return ty
+    """A pair is walked with an explicit stack, so its depth costs no
+    Python frames."""
+    done, todo = [], [v]
+    while todo:
+        v = todo.pop()
+        t = type(v)
+        if v is _PAIR_UP:
+            done[-2:] = [PairT(*done[-2:])]
+        elif isinstance(v, VPair):
+            todo += (_PAIR_UP, v.snd, v.fst)
+        elif t is int:
+            done.append(INT)
+        elif t is bool:
+            done.append(BOOL)
+        elif isinstance(v, VRef):
+            if v.addr not in sigma:
+                raise TypeCheckError(f"dangling reference to address {v.addr}")
+            done.append(RefT(sigma[v.addr]))
+        elif isinstance(v, Inject):
+            done.append(DYN)
+        elif id(v) in memo:
+            done.append(memo[id(v)])
+        else:
+            if isinstance(v, FunCast):
+                ty = _fun_cast_type(sigma, v, memo)
+            elif isinstance(v, Closure):
+                scope = (v.param, v.param_ty, _scope_type(sigma, v.env, memo))
+                ty = ArrowT(v.param_ty, _stmt(scope, v.body))
+            else:
+                raise TypeCheckError(f"not a value: {v!r}")
+            memo[id(v)] = ty
+            done.append(ty)
+    return done[0]
 
 
 def _fun_cast_type(sigma: StoreTy, cast: FunCast, memo: dict) -> Ty:
@@ -310,27 +332,28 @@ def _fun_cast_type(sigma: StoreTy, cast: FunCast, memo: dict) -> Ty:
 
 
 def _wt_val(sigma: StoreTy, v: Val, ty: Ty, memo: dict) -> bool:
-    t = type(v)
-    if t is int:
-        return ty == INT
-    if t is bool:
-        return ty == BOOL
-    if isinstance(v, VPair):
-        return (isinstance(ty, PairT)
-                and _wt_val(sigma, v.fst, ty.left, memo)
-                and _wt_val(sigma, v.snd, ty.right, memo))
-    if isinstance(v, VRef):
-        return (isinstance(ty, RefT)
-                and v.addr in sigma
-                and lesseq(sigma[v.addr], ty.cell))
-    if isinstance(v, Inject):
-        return ty == DYN and _wt_val(sigma, v.payload, v.src_ty, memo)
-    if isinstance(v, (Closure, FunCast)):
-        try:
-            return _value_type(sigma, v, memo) == ty
-        except TypeCheckError:
-            return False
-    return False
+    """Pairs and injections are walked with an explicit stack, fst before
+    snd, so their depth costs no Python frames. A reference types at a
+    reference to any cell type above its cell's tag, any other value at
+    its canonical type."""
+    todo = [(v, ty)]
+    while todo:
+        v, ty = todo.pop()
+        if isinstance(v, VPair) and isinstance(ty, PairT):
+            todo += ((v.snd, ty.right), (v.fst, ty.left))
+        elif isinstance(v, Inject) and ty == DYN:
+            todo.append((v.payload, v.src_ty))
+        elif isinstance(v, VRef):
+            if not (isinstance(ty, RefT) and v.addr in sigma
+                    and lesseq(sigma[v.addr], ty.cell)):
+                return False
+        else:
+            try:
+                if _value_type(sigma, v, memo) != ty:
+                    return False
+            except TypeCheckError:
+                return False
+    return True
 
 
 def wt_cell(sigma: StoreTy, cell) -> bool:

@@ -1,6 +1,10 @@
 """Type algebra: table cases and the order/meet lemmas; the Node contract;
 linked environments."""
 
+import copy
+import pickle
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,8 +18,10 @@ from monoref.lang import (
     CastError,
     Closure,
     Fst,
+    Inject,
     IntT,
     IsZero,
+    Node,
     OCon,
     PairT,
     RefT,
@@ -25,6 +31,7 @@ from monoref.lang import (
     SUCC,
     Stuck,
     VPair,
+    VRef,
     Var,
     bindings,
     consistent,
@@ -37,7 +44,11 @@ from monoref.lang import (
     typeof_const,
     typeof_opr,
 )
-from monoref.surface import Lit, SApp, SVar
+from monoref.guarded import GProxy
+from monoref.machine import MONOTONIC, State, fun_cast, initial_state
+from monoref.surface import Lit, SApp, SVar, elaborate, parse_surface
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 types = hypothesis_types()
 
@@ -333,6 +344,83 @@ def test_node_repr_keeps_the_record_format():
     assert repr(app) == (
         "SApp(fn=SVar(name='f', pos=(1, 2)), "
         "arg=Lit(const=3, pos=(1, 5)), pos=(1, 1))")
+
+
+def node_classes(cls=Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from node_classes(sub)
+
+
+def fields_of(node):
+    return dict(zip(node._fields, (getattr(node, f) for f in node._fields)))
+
+
+def test_every_node_class_keeps_its_fields_in_slots():
+    classes = set(node_classes())
+    assert {SVar, Var, RefT, Inject, GProxy, State} <= classes
+    for cls in classes:
+        assert cls.__dictoffset__ == 0, cls
+
+
+def test_vars_gives_a_nodes_fields():
+    ast = parse_surface((CORPUS / "ex1.gtlc").read_text())
+    body = SRet(Var("x"))
+    for node in (ast, SApp(SVar("f", (1, 2)), Lit(3)), elaborate(ast),
+                 SCast("y", Var("x"), INT, DYN, body), RefT(INT),
+                 Inject(1, INT), Closure("x", INT, body, ("y", 2, ())),
+                 initial_state(body), MONOTONIC):
+        assert vars(node) == node.__dict__ == fields_of(node)
+        assert list(vars(node)) == list(node._fields)
+    assert vars(RefT(INT)) == {"cell": INT}  # `_static` is no field
+
+
+def test_writing_into_vars_changes_neither_the_node_nor_its_type():
+    ref, var = RefT(INT), Var("x")
+    vars(ref)["cell"] = "junk"
+    ref.__dict__["cell"] = "junk"
+    vars(var)["name"] = "y"
+    var.__dict__["extra"] = 1
+    assert RefT(INT) is ref and ref.cell is INT and RefT(INT).cell is INT
+    assert var.name == "x" and not hasattr(var, "extra")
+    with pytest.raises(AttributeError):
+        var.__dict__ = {}
+
+
+def test_copies_and_pickles_rebuild_equal_nodes():
+    ast = parse_surface((CORPUS / "ex3.gtlc").read_text())
+    identity = Closure("x", INT, SRet(Var("x")), ("y", VPair(1, True), ()))
+    cast = fun_cast(identity, ArrowT(INT, INT), ArrowT(DYN, DYN))
+    nodes = (ast, elaborate(ast), Inject(VPair(1, True), PairT(INT, BOOL)),
+             GProxy(GProxy(VRef(0), INT, DYN), DYN, INT), identity, cast)
+    for node in nodes:
+        copies = [copy.copy(node), copy.deepcopy(node)]
+        copies += (pickle.loads(pickle.dumps(node, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+        for twin in copies:
+            assert type(twin) is type(node) and twin == node
+            # A `FunCast`'s uncompared body is rebuilt too.
+            assert fields_of(twin) == fields_of(node)
+
+
+def test_a_subclass_adding_a_defaulted_field_keeps_keywords_and_defaults():
+    class Tagged(SVar):
+        tag: str = "t"
+
+    class Placed(SVar):
+        pos: tuple = (5, 5)  # a new default for an inherited field
+
+    assert Tagged._fields == ("name", "pos", "tag")
+    assert Tagged.__slots__ == ("tag",) and Placed.__slots__ == ()
+    assert Tagged.__dictoffset__ == Placed.__dictoffset__ == 0
+    tagged = Tagged("x")
+    assert (tagged.name, tagged.pos, tagged.tag) == ("x", (0, 0), "t")
+    assert Tagged(tag="u", name="x", pos=(1, 2)).tag == "u"
+    assert Tagged("x", (1, 2), "u") == Tagged("x", tag="u")  # pos uncompared
+    assert Tagged("x") != Tagged("x", tag="u")
+    assert Placed("x").pos == (5, 5) and SVar("x").pos == (0, 0)
+    with pytest.raises(AttributeError):
+        tagged.tag = "v"
 
 
 def test_link_and_bindings_on_the_empty_environment():

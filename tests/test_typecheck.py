@@ -255,6 +255,46 @@ def test_a_chain_of_function_casts_types_without_recursion():
     assert not wt_val({}, broken, int_int)
 
 
+def test_a_field_that_holds_no_type_or_operator_is_a_type_error():
+    from monoref.lang import Fst, Lam, SAlloc, SCast, SDynDeref, SDynUpdate
+
+    ret0 = SRet(0)
+    cases = [
+        (SLet("x", PrimApp("junk", 1), SRet(Var("x"))), "not an operator"),
+        (SLet("x", PrimApp(Fst("int", INT), 1), ret0), "not a type"),
+        (SLet("f", Lam("y", "int", SRet(Var("y"))), ret0), "not a type"),
+        (SCast("x", 1, "int", DYN, SRet(Var("x"))), "not a type"),
+        (SCast("x", 1, INT, "dyn", SRet(Var("x"))), "not a type"),
+        (SAlloc("r", "int", 1, ret0), "not a type"),
+        (SDynDeref("x", 1, "int", ret0), "not a type"),
+        (SDynUpdate(1, 1, "int", ret0), "not a type"),
+    ]
+    for stmt, message in cases:
+        with pytest.raises(TypeCheckError, match=message):
+            check_stmt((), stmt)
+
+
+def test_a_deep_pair_types_without_recursion():
+    # Pairs nest on either side, and through injections, 10,000 deep.
+    from monoref.typecheck import value_type
+
+    left = right = 1
+    left_ty = right_ty = INT
+    for _ in range(10_000):
+        left, left_ty = VPair(left, True), PairT(left_ty, BOOL)
+        right, right_ty = VPair(True, right), PairT(BOOL, right_ty)
+    for v, ty in ((left, left_ty), (right, right_ty)):
+        assert value_type({}, v) is ty
+        assert wt_val({}, v, ty)
+        assert not wt_val({}, v, PairT(BOOL, BOOL))
+    boxed = Inject(1, INT)
+    for _ in range(10_000):
+        boxed = Inject(VPair(boxed, 2), PairT(DYN, INT))
+    assert value_type({}, boxed) is DYN
+    assert wt_val({}, boxed, DYN)
+    assert not wt_val({}, VPair(boxed, 2), PairT(INT, INT))
+
+
 def test_wt_heap_missing_address():
     assert not wt_heap({0: INT}, {}, set())
     # allocation counter bound: addresses must sit below the heap size
