@@ -12,7 +12,7 @@ elaborator (which is also the typechecker) or the IR printer of
 pipe, as from `| head`), which ends the command with no traceback.
 `--trace` writes one tab-separated record per machine transition to
 standard error, in chunks, all before the result. The default fuel is
-1000000 and can be set with MONOREF_FUEL or --fuel, either at least 1.
+1000000 and can be set with --fuel, at least 1.
 """
 
 from __future__ import annotations
@@ -90,18 +90,6 @@ def _load(path: str):
         print(f"{path}: type error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_TYPE_ERROR) from None
     return ast, ty
-
-
-def _default_fuel() -> int:
-    raw = os.environ.get("MONOREF_FUEL")
-    if raw is None:
-        return DEFAULT_FUEL
-    try:
-        return _positive_int(raw)
-    except (ValueError, argparse.ArgumentTypeError):
-        print(f"error: MONOREF_FUEL={raw!r} is not a positive integer",
-              file=sys.stderr)
-        raise SystemExit(EXIT_PARSE_ERROR) from None
 
 
 def cmd_check(args) -> int:
@@ -189,13 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("--semantics", choices=("monotonic", "guarded"),
                        default="monotonic")
-    p_run.add_argument("--fuel", type=_positive_int, default=None)
+    p_run.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL)
     p_run.add_argument("--trace", action="store_true")
     p_run.set_defaults(handler=cmd_run)
 
     p_diff = sub.add_parser("diff", help="run both semantics and compare")
     p_diff.add_argument("file")
-    p_diff.add_argument("--fuel", type=_positive_int, default=None)
+    p_diff.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL)
     p_diff.set_defaults(handler=cmd_diff)
 
     return parser
@@ -204,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "fuel", None) is None and hasattr(args, "fuel"):
-            args.fuel = _default_fuel()
         return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE_ERROR

@@ -3,7 +3,7 @@
 The type language has integers, Booleans, pairs, functions, references,
 and the unknown type `dyn`; a type prints, and the parser reads it, by
 the keywords of `TYPE_KEYWORDS`. The IR is in A-normal form, which
-`typecheck.check_stmt` enforces: every operand is an atom, a `Var` or a
+`typecheck.check_stmt` enforces: every operand is an atom, a `str` or a
 host `int` or `bool`, and a `let` binds an atom, a `Lam`, or a
 `PrimApp`, `MkPair` or `Deref` of atoms. Every control path through a
 statement ends in a return or a tail call. Runtime values and the
@@ -81,15 +81,15 @@ class Node(metaclass=_Slotted):
     `_defaults`. The generated `__init__` takes them by position or
     keyword and stores each through its slot's descriptor. `vars(node)`
     and `node.__dict__` give a fresh `{field: value}` dict, so writing
-    into it changes nothing, and copying and pickling rebuild a node
-    through its constructor. Equality needs the same class and equal
-    fields, `hash` hashes those fields, and fields named in `_uncompared`
-    take part in neither. Equality, `hash` and `repr` walk nested nodes
-    and tuples with an explicit stack; a field whose class has its own
-    equality, a type's identity, is compared whole. Equality walks both
-    operands in lockstep, skips a part shared by both and stops at the
-    first difference; any other leaf compares by class and value, so a
-    field holding `1` differs from one holding `True`.
+    into it changes nothing, a copy is the node itself, and a pickle
+    rebuilds it through its constructor. Equality needs the same class
+    and equal fields, `hash` hashes those fields, and fields named in
+    `_uncompared` take part in neither. Equality, `hash` and `repr` walk
+    nested nodes and tuples with an explicit stack; a field whose class
+    has its own equality, a type's identity, is compared whole. Equality
+    walks both operands in lockstep, skips a part shared by both and
+    stops at the first difference; any other leaf compares by class and
+    value, so a field holding `1` differs from one holding `True`.
     """
 
     _uncompared = ()
@@ -118,6 +118,11 @@ class Node(metaclass=_Slotted):
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
 
     def __eq__(self, other):
         if not isinstance(other, Node):
@@ -222,10 +227,10 @@ class Ty(Node):
     first time and kept in `_TYPES`. Its fields are types built the same
     way, so the table's key hashes each by identity, and two types are
     equal exactly when they are the same object: `==` and `hash` are
-    `object`'s. Copying and pickling rebuild a type through its
-    constructor, which returns the interned object. A type is made after
-    its fields, so `__new__` also stores whether it is static, `_static`:
-    its class's `_static_class` and its fields'. A field that is no type
+    `object`'s. A copy is the type itself, and pickling rebuilds a type
+    through its constructor, which returns the interned object. A type
+    is made after its fields, so `__new__` also stores whether it is
+    static, `_static`: its class's `_static_class` and its fields'. A field that is no type
     raises `TypeError` before anything enters the table.
     """
 
@@ -359,12 +364,8 @@ class Stmt(Node):
     pass
 
 
-class Var(Expr):
-    name: str
-
-
-# An operand: a name, or a literal, which is its own value.
-Atom = Var | int | bool
+# An operand: a name, which is a string, or a literal, its own value.
+Atom = str | int | bool
 
 
 class PrimApp(Expr):

@@ -45,11 +45,11 @@ or write through a `VRef` to a cell with no pending cast whose tag is
 the annotation itself, when that tag is a base type or dyn, or, for a
 read, an arrow. A monotonic arrow write still goes through the worklist.
 The IR is in A-normal form (see `lang`): a transition looks a name
-operand up in place, a return to a caller's frame included, and a
-literal is its own value. A `let` also builds a closure or a pair, reads
-a cell (`Deref`) and takes a successor or predecessor of an integer
-(`PrimApp`) in place, so static loop code calls nothing; `_operand`
-serves only a pair's two atoms and the final state's result.
+operand, a host `str`, up in place, a return to a caller's frame
+included, and a literal is its own value. A `let` also builds a closure
+or a pair, reads a cell (`Deref`) and takes a successor or predecessor
+of an integer (`PrimApp`) in place, so static loop code calls nothing;
+`_operand` serves only a pair's two atoms and the final state's result.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ from .lang import (
     VPair,
     VRef,
     Val,
-    Var,
     bindings,
     lesseq,
     link,
@@ -128,12 +127,16 @@ class State(Node):
     """A machine configuration. `env` lists the bindings as (name, value)
     pairs, newest first. `stack` holds one `(name, cont, env)` tuple per
     pending call, innermost first: the name the call's result binds, the
-    statement that resumes, and the caller's linked environment cell."""
+    statement that resumes, and the caller's linked environment cell.
+    The heap is the one mutable field, so a deep copy copies it alone."""
     stmt: Stmt
     env: tuple
     stack: tuple
     heap: Heap
     active: Active
+
+    def __deepcopy__(self, memo=None):
+        return State(**{**vars(self), "heap": dict(self.heap)})
 
 
 class TraceRecord(Node):
@@ -195,18 +198,12 @@ def read_cell(ref: Val, heap: Heap) -> Val:
 
 def _operand(x, env: Env) -> Val:
     """An operand's value: a name's newest binding, else the operand."""
-    if type(x) is not Var:
+    if type(x) is not str:
         return x
-    name = x.name
-    while env and env[0] != name:
+    while env and env[0] != x:
         env = env[2]
-    return env[1] if env else lookup(name, env)
+    return env[1] if env else lookup(x, env)
 
-
-# A function cast's body shares its atoms: they carry no types.
-_W_ARG, _W_FN, _W_RESULT, _W_CAST_ARG = (
-    Var("$w0"), Var("$w1"), Var("$w2"), Var("$w3"))
-_W_RETURN = SRet(Var("$w4"))
 
 # The body of each function cast made so far, by its pair of arrows.
 # Types are interned, so the key hashes two pointers, and a body is
@@ -221,9 +218,9 @@ def fun_cast(fn: Val, src: ArrowT, tgt: ArrowT) -> FunCast:
     body = _BODIES.get((src, tgt))
     if body is None:
         body = _BODIES[src, tgt] = SCast(
-            "$w3", _W_ARG, tgt.dom, src.dom,
-            SCall("$w2", _W_FN, _W_CAST_ARG,
-                  SCast("$w4", _W_RESULT, src.cod, tgt.cod, _W_RETURN)))
+            "$w3", "$w0", tgt.dom, src.dom,
+            SCall("$w2", "$w1", "$w3",
+                  SCast("$w4", "$w2", src.cod, tgt.cod, SRet("$w4"))))
     return FunCast(fn, src, tgt, body)
 
 
@@ -459,11 +456,11 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
             t = type(stmt)
             if t is SLet:
                 if (tr := type(v := stmt.rhs)) is Deref:
-                    if type(ref := v.ref) is Var:
-                        name, scope = ref.name, env
-                        while scope and scope[0] != name:
+                    if type(ref := v.ref) is str:
+                        scope = env
+                        while scope and scope[0] != ref:
                             scope = scope[2]
-                        ref = scope[1] if scope else lookup(name, scope)
+                        ref = scope[1] if scope else lookup(ref, scope)
                     cell = heap.get(ref.addr) if type(ref) is VRef else None
                     if cell is not None and len(cell) == 2:
                         v = cell[0]
@@ -471,22 +468,22 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                         v = read(ref, heap)
                 elif tr is PrimApp:
                     op, v = v.op, v.arg
-                    if type(v) is Var:
-                        name, scope = v.name, env
-                        while scope and scope[0] != name:
+                    if type(v) is str:
+                        scope = env
+                        while scope and scope[0] != v:
                             scope = scope[2]
-                        v = scope[1] if scope else lookup(name, scope)
+                        v = scope[1] if scope else lookup(v, scope)
                     if type(v) is int and type(op) is Succ:
                         v = v + 1
                     elif type(v) is int and type(op) is Prev:
                         v = v - 1
                     else:
                         v = delta(op, v)
-                elif tr is Var:
-                    name, scope = v.name, env
-                    while scope and scope[0] != name:
+                elif tr is str:
+                    scope = env
+                    while scope and scope[0] != v:
                         scope = scope[2]
-                    v = scope[1] if scope else lookup(name, scope)
+                    v = scope[1] if scope else lookup(v, scope)
                 elif tr is Lam:
                     v = Closure(v.param, v.param_ty, v.body, env)
                 elif tr is MkPair:
@@ -495,16 +492,16 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 stmt = stmt.body
                 rule = "let"
             elif t is STailCall or t is SCall:
-                if type(fn := stmt.fn) is Var:
-                    name, scope = fn.name, env
-                    while scope and scope[0] != name:
+                if type(fn := stmt.fn) is str:
+                    scope = env
+                    while scope and scope[0] != fn:
                         scope = scope[2]
-                    fn = scope[1] if scope else lookup(name, scope)
-                if type(arg := stmt.arg) is Var:
-                    name, scope = arg.name, env
-                    while scope and scope[0] != name:
+                    fn = scope[1] if scope else lookup(fn, scope)
+                if type(arg := stmt.arg) is str:
+                    scope = env
+                    while scope and scope[0] != arg:
                         scope = scope[2]
-                    arg = scope[1] if scope else lookup(name, scope)
+                    arg = scope[1] if scope else lookup(arg, scope)
                 if t is SCall:
                     stack.append((stmt.name, stmt.body, env))
                     rule = "call"
@@ -520,36 +517,36 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
             elif t is SRet:
                 if not stack:
                     break
-                if type(v := stmt.expr) is Var:
-                    name, scope = v.name, env
-                    while scope and scope[0] != name:
+                if type(v := stmt.expr) is str:
+                    scope = env
+                    while scope and scope[0] != v:
                         scope = scope[2]
-                    v = scope[1] if scope else lookup(name, scope)
+                    v = scope[1] if scope else lookup(v, scope)
                 name, stmt, env = stack.pop()
                 env = (name, v, env)
                 rule = "return"
             elif t is SAlloc:
-                if type(v := stmt.init) is Var:
-                    name, scope = v.name, env
-                    while scope and scope[0] != name:
+                if type(v := stmt.init) is str:
+                    scope = env
+                    while scope and scope[0] != v:
                         scope = scope[2]
-                    v = scope[1] if scope else lookup(name, scope)
+                    v = scope[1] if scope else lookup(v, scope)
                 addr = len(heap)
                 heap[addr] = (v, stmt.cell_ty)
                 env = (stmt.name, VRef(addr), env)
                 stmt = stmt.body
                 rule = "alloc"
             elif t is SUpdate:
-                if type(ref := stmt.ref) is Var:
-                    name, scope = ref.name, env
-                    while scope and scope[0] != name:
+                if type(ref := stmt.ref) is str:
+                    scope = env
+                    while scope and scope[0] != ref:
                         scope = scope[2]
-                    ref = scope[1] if scope else lookup(name, scope)
-                if type(v := stmt.rhs) is Var:
-                    name, scope = v.name, env
-                    while scope and scope[0] != name:
+                    ref = scope[1] if scope else lookup(ref, scope)
+                if type(v := stmt.rhs) is str:
+                    scope = env
+                    while scope and scope[0] != v:
                         scope = scope[2]
-                    v = scope[1] if scope else lookup(name, scope)
+                    v = scope[1] if scope else lookup(v, scope)
                 cell = heap.get(ref.addr) if type(ref) is VRef else None
                 if cell is not None:
                     heap[ref.addr] = (v, cell[1])
@@ -558,21 +555,21 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 stmt = stmt.body
                 rule = "update"
             elif t is SCast:
-                if type(v := stmt.expr) is Var:
-                    name, scope = v.name, env
-                    while scope and scope[0] != name:
+                if type(v := stmt.expr) is str:
+                    scope = env
+                    while scope and scope[0] != v:
                         scope = scope[2]
-                    v = scope[1] if scope else lookup(name, scope)
+                    v = scope[1] if scope else lookup(v, scope)
                 v = cast_value(v, stmt.src, stmt.tgt, heap, work, cast_ref)
                 env = (stmt.name, v, env)
                 stmt = stmt.body
                 rule = "cast"
             elif t is SDynDeref:
-                if type(ref := stmt.ref) is Var:
-                    name, scope = ref.name, env
-                    while scope and scope[0] != name:
+                if type(ref := stmt.ref) is str:
+                    scope = env
+                    while scope and scope[0] != ref:
                         scope = scope[2]
-                    ref = scope[1] if scope else lookup(name, scope)
+                    ref = scope[1] if scope else lookup(ref, scope)
                 cell = heap.get(ref.addr) if type(ref) is VRef else None
                 if (cell is not None and len(cell) == 2
                         and cell[1] is stmt.ann
@@ -584,16 +581,16 @@ def _transitions(sem: Semantics, fuel: int, stmt: Stmt, env: Env,
                 stmt = stmt.body
                 rule = "dyn-deref"
             elif t is SDynUpdate:
-                if type(ref := stmt.ref) is Var:
-                    name, scope = ref.name, env
-                    while scope and scope[0] != name:
+                if type(ref := stmt.ref) is str:
+                    scope = env
+                    while scope and scope[0] != ref:
                         scope = scope[2]
-                    ref = scope[1] if scope else lookup(name, scope)
-                if type(v := stmt.rhs) is Var:
-                    name, scope = v.name, env
-                    while scope and scope[0] != name:
+                    ref = scope[1] if scope else lookup(ref, scope)
+                if type(v := stmt.rhs) is str:
+                    scope = env
+                    while scope and scope[0] != v:
                         scope = scope[2]
-                    v = scope[1] if scope else lookup(name, scope)
+                    v = scope[1] if scope else lookup(v, scope)
                 cell = heap.get(ref.addr) if type(ref) is VRef else None
                 if (cell is not None and len(cell) == 2
                         and cell[1] is stmt.ann

@@ -49,8 +49,8 @@ together with its IR, a lambda's from the type at its body's return or
 tail call. It is written in direct style: each subterm appends the heads
 of the statements that compute it to a list, which is folded around the
 return or tail call at the end, and `let`/`begin` chains are walked in a
-loop. Each intermediate value is named by a temporary `$tN` whose atom
-is interned in `_TEMPS`, so most of the pass's `Var`s are never built. A
+loop. Each intermediate value is named by a temporary `$tN`, a string
+read from the table `_TEMPS` rather than formatted per binding. A
 `let` that rebinds a name already bound in the program is renamed to a
 fresh temporary. `typecheck_surface` returns the pass's type and
 `elaborate` its IR; an ill-typed program raises the same
@@ -71,6 +71,7 @@ from .lang import (
     SUCC,
     TYPE_KEYWORDS,
     ArrowT,
+    Atom,
     Deref,
     Expr,
     Fst,
@@ -95,7 +96,6 @@ from .lang import (
     Stmt,
     Succ,
     Ty,
-    Var,
     consistent,
     is_static,
     typeof_const,
@@ -476,20 +476,19 @@ _MISMATCHES = {
 # ---------------------------------------------------------------------------
 # Typing and elaboration to the IR
 
-# The temporaries `$t0`, `$t1`, ... as atoms: the `Var` of `$tN` is made
-# the first time an elaboration needs N + 1 temporaries, and every later
-# IR shares it. Nodes are immutable, so sharing changes no IR's printing,
-# equality or hash. The table grows to the most temporaries one
-# elaboration has used, and no further than `_TEMPS_MAX`; past that an
-# elaboration makes its own.
+# The names of the temporaries `$t0`, `$t1`, ...: the string `$tN` is
+# made the first time an elaboration needs N + 1 temporaries, and every
+# later IR shares it, so a temporary costs a list read, not a format.
+# The table grows to the most temporaries one elaboration has used, and
+# no further than `_TEMPS_MAX`; past that an elaboration makes its own.
 _TEMPS = []
 _TEMPS_MAX = 1 << 16
 
 
-def _temp(n: int) -> Var:
-    """The atom of temporary `$tN` that is not in `_TEMPS` yet; N is the
+def _temp(n: int) -> str:
+    """The name of temporary `$tN` that is not in `_TEMPS` yet; N is the
     table's length or, once it is full, more."""
-    tmp = Var(f"$t{n}")
+    tmp = f"$t{n}"
     if n < _TEMPS_MAX:
         _TEMPS.append(tmp)
     return tmp
@@ -499,42 +498,43 @@ class _Elaborator:
     """Types a surface expression and lowers it to ANF statements.
 
     Direct-style A-normal form (Flanagan, Sabry, Duba and Felleisen, PLDI
-    1993): `atom` returns an expression's value as a Var/literal atom with
-    its type and appends the statements that compute it to `heads`. A
-    head is a statement class with every field but its body, which is
-    always the last field; `tail` folds a list of heads around the leaf,
-    a return or, for an application, a tail call. Every intermediate value
-    is named by the next `$tN` temporary, an interned atom of `_TEMPS`;
-    casts appear exactly where an operand's type is consistent with, but
-    not equal to, the type needed. `atom` dispatches on the exact class
-    of its expression, the commonest forms first, and walks a `let`/
-    `begin` chain only when it meets one.
+    1993): `atom` returns an expression's value as an atom, a name or a
+    literal, with its type and appends the statements that compute it
+    to `heads`. A head is a statement class with every field but its
+    body, which is always the last field; `tail` folds a list of heads
+    around the leaf, a return or, for an application, a tail call. Every
+    intermediate value is named by the next `$tN` temporary, read from
+    `_TEMPS`; casts appear exactly where an operand's type is consistent
+    with, but not equal to, the type needed. `atom` dispatches on the
+    exact class of its expression, the commonest forms first, and walks
+    a `let`/`begin` chain only when it meets one.
 
     A `let` keeps its name unless a `let` or a lambda has already bound
     that name in the program; then it gets the next `$tN`, since the rest
     of the enclosing expression is emitted inside its binding. `scope`
-    maps each surface name in scope to a stack of `(atom, type)` entries,
-    the innermost binding last, so a name is looked up in constant time
-    however long the chain that bound it; a chain or a lambda pops the
-    entries it pushed once its scope closes.
+    maps each surface name in scope to a stack of `(name, type)` entries,
+    each the IR name a binding took, the innermost binding last, so a
+    name is looked up in constant time however long the chain that
+    bound it; a chain or a lambda pops the entries it pushed once its
+    scope closes.
     """
 
     def __init__(self):
         self.counter = 0
         self.bound = set()  # names bound so far by a let or a lambda
-        self.scope = {}  # name -> [(atom, type), ...], innermost last
+        self.scope = {}  # name -> [(IR name, type), ...], innermost last
 
-    def bind(self, heads: list, cls, *fields) -> Var:
+    def bind(self, heads: list, cls, *fields) -> str:
         """Append the head of a `cls` statement that binds the next
-        temporary; returns its atom."""
+        temporary; returns its name."""
         n = self.counter
         self.counter = n + 1
         tmp = _TEMPS[n] if n < len(_TEMPS) else _temp(n)
-        heads.append((cls, tmp.name, *fields))
+        heads.append((cls, tmp, *fields))
         return tmp
 
-    def coerce(self, e: SurfExpr, atom: Expr, have: Ty, want: Ty,
-               heads: list) -> Expr:
+    def coerce(self, e: SurfExpr, atom: Atom, have: Ty, want: Ty,
+               heads: list) -> str:
         """`atom`, the value of an operand of `e`, cast from `have` to
         `want`, another type (callers keep an operand whose type is the
         one needed, the same interned type, as it is); an inconsistent
@@ -545,7 +545,7 @@ class _Elaborator:
                 e.pos)
         return self.bind(heads, SCast, atom, have, want)
 
-    def view(self, e: SurfExpr, atom: Expr, ty: Ty, heads: list,
+    def view(self, e: SurfExpr, atom: Atom, ty: Ty, heads: list,
              then: SurfExpr | None = None):
         """`atom` of type `ty` cast to `_view(ty, e)` unless that is `ty`.
         If the view fails and `e` has a second operand `then`, that is
@@ -571,12 +571,11 @@ class _Elaborator:
             cls = type(e)
             if cls is SLetE:
                 atom, ty = self.atom(e.rhs, heads)
-                name = e.name
+                name = var = e.name
                 if name in bound:
                     var = self.bind(heads, SLet, atom)
                 else:
                     bound.add(name)
-                    var = Var(name)
                     heads.append((SLet, name, atom))
                 scope.setdefault(name, []).append((var, ty))
                 names.append(name)
@@ -625,7 +624,7 @@ class _Elaborator:
         if cls is SLambda:
             self.bound.add(e.param)
             entries = self.scope.setdefault(e.param, [])
-            entries.append((Var(e.param), e.ann))
+            entries.append((e.param, e.ann))
             body, cod = self.tail(e.body)
             entries.pop()
             return (self.bind(heads, SLet, Lam(e.param, e.ann, body)),
@@ -713,7 +712,7 @@ def typecheck_surface(gamma, e: SurfExpr) -> Ty:
     gamma = list(gamma)
     elaborator = _Elaborator()
     for name, ty in reversed(gamma):
-        elaborator.scope.setdefault(name, []).append((Var(name), ty))
+        elaborator.scope.setdefault(name, []).append((name, ty))
     stmt, ty = elaborator.tail(e)
     _last = None if gamma else (e, stmt)
     return ty
@@ -782,8 +781,6 @@ def _to_sexpr(node, indent: int, kind) -> str:
             leaf = "return" if cls is SRet else "tailcall"
             items += (f"{'  ' * depth}({leaf}", *_field_items(x._key(), depth),
                       ")" * (depth - indent + 1))
-        elif cls is Var:
-            items = (x.name,)
         elif cls is int or cls is bool:
             items = (const_to_sexpr(x),)
         elif cls is Lam:

@@ -41,7 +41,6 @@ from .lang import (
     VPair,
     VRef,
     Val,
-    Var,
     bindings,
     consistent,
     is_static,
@@ -90,13 +89,13 @@ def check_stmt(gamma, s: Stmt) -> Ty:
 # it without copying.
 
 def _atom(gamma, x) -> Ty:
-    """The type of an operand: a `Var`, or a host `int` or `bool`."""
+    """The type of an operand: a name, a `str`, or an `int` or `bool`."""
     t = type(x)
-    if t is Var:
+    if t is str:
         try:
-            return lookup(x.name, gamma)
+            return lookup(x, gamma)
         except Stuck:
-            raise TypeCheckError(f"unbound variable {x.name!r}") from None
+            raise TypeCheckError(f"unbound variable {x!r}") from None
     if t is int or t is bool:
         return typeof_const(x)
     raise TypeCheckError(f"operand {t.__name__} is not a name or a literal")

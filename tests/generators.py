@@ -28,7 +28,6 @@ from monoref.lang import (
     Ty,
     VPair,
     VRef,
-    Var,
     lesseq,
 )
 from monoref.machine import fun_cast
@@ -439,6 +438,6 @@ class HeapGen:
 
     def closure_of(self, dom: Ty, cod: Ty) -> Closure:
         if dom == cod and self.rng.random() < 0.5:
-            return Closure("x", dom, SRet(Var("x")), ())
+            return Closure("x", dom, SRet("x"), ())
         captured = self.value_of(cod, exact=True)
-        return Closure("x", dom, SRet(Var("$c")), ("$c", captured, ()))
+        return Closure("x", dom, SRet("$c"), ("$c", captured, ()))

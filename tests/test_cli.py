@@ -16,6 +16,7 @@ from monoref.cli import (
     EXIT_STUCK,
     EXIT_TIMEOUT,
     EXIT_TYPE_ERROR,
+    build_parser,
     main,
     observable_exit_code,
     render_observable,
@@ -33,9 +34,8 @@ from monoref.lang import (
     OPair,
     SLet,
     SRet,
-    Var,
 )
-from monoref.machine import format_trace, observe, run
+from monoref.machine import DEFAULT_FUEL, format_trace, observe, run
 from monoref.surface import elaborate, parse_surface
 from test_driver import REF_CAST_LOOP
 from test_surface import LONG_PROGRAMS
@@ -136,29 +136,9 @@ def test_run_timeout(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "timeout"
 
 
-def test_fuel_env_fallback(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "loop.gtlc"
-    path.write_text(LOOPING_PROGRAM)
-    monkeypatch.setenv("MONOREF_FUEL", "300")
-    assert main(["run", str(path)]) == EXIT_TIMEOUT
-    monkeypatch.delenv("MONOREF_FUEL")
-
-
-def test_fuel_env_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("MONOREF_FUEL", "plenty")
-    assert main(["run", corpus("ex2")]) == EXIT_PARSE_ERROR
-    assert "MONOREF_FUEL" in capsys.readouterr().err
-    monkeypatch.delenv("MONOREF_FUEL")
-
-
-def test_fuel_env_must_be_positive(capsys, monkeypatch):
-    # Below 1, no transition may run and every run would time out; both
-    # values are rejected like `--fuel 0`.
-    for raw in ("0", "-5"):
-        monkeypatch.setenv("MONOREF_FUEL", raw)
-        assert main(["run", corpus("ex2")]) == EXIT_PARSE_ERROR
-        assert "MONOREF_FUEL" in capsys.readouterr().err
-    monkeypatch.delenv("MONOREF_FUEL")
+def test_fuel_defaults_to_the_machine_default():
+    for command in (["run", "x.gtlc"], ["diff", "x.gtlc"]):
+        assert build_parser().parse_args(command).fuel == DEFAULT_FUEL
 
 
 def test_fuel_must_be_positive(capsys):
@@ -257,10 +237,10 @@ def test_a_deep_pair_observes_and_renders_without_recursion():
             expected = OPair(expected, OCon(1))
             prefixes.append("(pair ")
             suffixes.append(" 1)")
-    program = SRet(Var("p"))
+    program = SRet("p")
     for k in reversed(range(n)):
-        pair = (MkPair(True, Var("p")) if k % 2
-                else MkPair(Var("p"), 1))
+        pair = (MkPair(True, "p") if k % 2
+                else MkPair("p", 1))
         program = SLet("p", pair, program)
     program = SLet("p", 0, program)
     text = "".join(reversed(prefixes)) + "0" + "".join(suffixes)

@@ -35,7 +35,6 @@ from monoref.lang import (
     Stuck,
     VPair,
     VRef,
-    Var,
     link,
 )
 from monoref.machine import (
@@ -145,32 +144,32 @@ def test_steps_matches_iterated_step():
         "active-commit", "active-discard", "active-supersede"}
 
 
-FRAME = ("k", SRet(Var("k")), ())
+FRAME = ("k", SRet("k"), ())
 
 
 @pytest.mark.parametrize("stepper, state", [
-    (step, State(SAlloc("x", INT, 4, SRet(Var("x"))),
+    (step, State(SAlloc("x", INT, 4, SRet("x")),
                  (), (FRAME,), {0: cell(INT4)}, ())),
-    (step, State(SUpdate(Var("r"), 5, SRet(Var("r"))),
+    (step, State(SUpdate("r", 5, SRet("r")),
                  (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
-    (step, State(SDynUpdate(Var("r"), 5, INT, SRet(Var("r"))),
+    (step, State(SDynUpdate("r", 5, INT, SRet("r")),
                  (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
-    (step, State(SCast("y", Var("r"), RefT(DYN), RefT(INT), SRet(Var("y"))),
+    (step, State(SCast("y", "r", RefT(DYN), RefT(INT), SRet("y")),
                  (("r", VRef(0)),), (FRAME,),
                  {0: cell(Inject(INT4, INT), DYN)}, ())),
     (step, State(SRet(1), (), (FRAME,),
                  {0: (Inject(INT4, INT), INT, DYN)}, (0,))),
-    (step, State(SCall("k", Var("f"), 1, SRet(Var("k"))),
-                 (("f", Closure("x", INT, SRet(Var("x")), ())),), (FRAME,),
+    (step, State(SCall("k", "f", 1, SRet("k")),
+                 (("f", Closure("x", INT, SRet("x"), ())),), (FRAME,),
                  {}, ())),
-    (step_g, State(SAlloc("x", INT, 4, SRet(Var("x"))),
+    (step_g, State(SAlloc("x", INT, 4, SRet("x")),
                    (), (FRAME,), {0: cell(INT4)}, ())),
-    (step_g, State(SUpdate(Var("r"), 5, SRet(Var("r"))),
+    (step_g, State(SUpdate("r", 5, SRet("r")),
                    (("r", GProxy(VRef(0), INT, INT)),), (FRAME,),
                    {0: cell(INT4)}, ())),
-    (step_g, State(SDynUpdate(Var("r"), 5, INT, SRet(Var("r"))),
+    (step_g, State(SDynUpdate("r", 5, INT, SRet("r")),
                    (("r", VRef(0)),), (FRAME,), {0: cell(INT4)}, ())),
-    (step_g, State(SCast("y", Var("r"), RefT(DYN), RefT(INT), SRet(Var("y"))),
+    (step_g, State(SCast("y", "r", RefT(DYN), RefT(INT), SRet("y")),
                    (("r", VRef(0)),), (FRAME,),
                    {0: cell(Inject(INT4, INT), DYN)}, ())),
 ], ids=["alloc", "update", "dyn-update", "cast", "active-commit", "call",
@@ -184,13 +183,13 @@ def test_step_leaves_its_input_unchanged(stepper, state):
     # The stack keeps its innermost frame first.
     assert after.stack[-1] == FRAME
     if len(after.stack) == 2:
-        assert after.stack[0] == ("k", SRet(Var("k")), link(state.env))
+        assert after.stack[0] == ("k", SRet("k"), link(state.env))
     # Stepping the same input again gives the same state.
     assert stepper(state) == after
 
 
 def test_step_return_pops_the_innermost_frame():
-    outer = ("a", SRet(Var("a")), ())
+    outer = ("a", SRet("a"), ())
     state = State(SRet(3), (), (FRAME, outer), {}, ())
     after = step_g(state)
     assert after.stack == (outer,) and after.stmt == FRAME[1]
@@ -202,10 +201,10 @@ def test_step_return_pops_the_innermost_frame():
 def test_step_lists_the_environment_as_pairs(stepper):
     # `State.env` lists (name, value) pairs, newest first, although the
     # driver keeps a linked cell; a closure and a frame hold the cell.
-    identity = Lam("y", INT, SRet(Var("y")))
+    identity = Lam("y", INT, SRet("y"))
     stmt = SLet("x", 1, SLet("f", identity, SCall(
-        "z", Var("f"), Var("x"),
-        SAlloc("r", INT, Var("z"), SRet(Var("r"))))))
+        "z", "f", "x",
+        SAlloc("r", INT, "z", SRet("r")))))
     closure = Closure("y", INT, identity.body, ("x", 1, ()))
     state, envs = initial_state(stmt), []
     while not final(state):
@@ -235,7 +234,7 @@ def test_closures_share_their_scope(runner):
     def peak_bytes(n):
         stmt = SRet(0)
         for i in range(n):
-            stmt = SLet(f"f{i}", Lam("x", INT, SRet(Var("x"))), stmt)
+            stmt = SLet(f"f{i}", Lam("x", INT, SRet("x")), stmt)
         gc.collect()
         gc.disable()
         tracemalloc.start()
@@ -282,7 +281,7 @@ def test_driver_maps_only_stuck_and_cast_errors():
 def test_a_final_value_that_is_no_value_is_stuck(driver):
     # The final state's result is observed inside the driver's mapping of
     # Stuck, so a result that is no runtime value ends as an observable.
-    state = State(SRet(Var("x")), (("x", "junk"),), (), {}, ())
+    state = State(SRet("x"), (("x", "junk"),), (), {}, ())
     assert driver(10, state) == O_STUCK
     assert driver(10, State(SRet("junk"), (), (), {}, ())) == O_STUCK
 

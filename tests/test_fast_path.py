@@ -78,7 +78,6 @@ from monoref.lang import (
     Succ,
     VPair,
     VRef,
-    Var,
     _TYPES,
     is_static,
     link,
@@ -175,8 +174,8 @@ def test_static_access_stays_in_the_driver():
 
 SEMANTICS = pytest.mark.parametrize("sem", [MONOTONIC, GUARDED],
                                     ids=["monotonic", "guarded"])
-READ = SLet("x", Deref(Var("r")), SRet(Var("x")))
-WRITE = SUpdate(Var("r"), 1, SRet(Var("r")))
+READ = SLet("x", Deref("r"), SRet("x"))
+WRITE = SUpdate("r", 1, SRet("r"))
 MALFORMED = [
     ((), {}, "unbound name 'r'"),
     ((("r", SEVEN),), {}, f"not a reference: {SEVEN!r}"),
@@ -387,7 +386,7 @@ def calls_in_window(sem, stmt, evaluated, window=3_000):
     return more_steps[len(steps):], more_calls[len(calls):]
 
 
-IDENTITY_LAM = Lam("x", INT, SRet(Var("x")))
+IDENTITY_LAM = Lam("x", INT, SRet("x"))
 
 
 @SEMANTICS
@@ -403,7 +402,7 @@ def test_a_static_transition_looks_its_names_up_in_place(sem, name,
     # The fixture does see calls: a `let` of a pair makes one per part.
     evaluated.clear()
     pair = MkPair(1, True)
-    step_with(sem, State(SLet("p", pair, SRet(Var("p"))), (), (), {}, ()))
+    step_with(sem, State(SLet("p", pair, SRet("p")), (), (), {}, ()))
     assert evaluated == [1, True]
     assert [type(x) for x in evaluated] == [int, bool]
 
@@ -426,7 +425,7 @@ def test_lambdas_and_literal_operands_are_made_in_place(evaluated):
             state = step_with(sem, state)
         assert evaluated == []
     evaluated.clear()
-    state = step_with(GUARDED, State(SLet("f", IDENTITY_LAM, SRet(Var("f"))),
+    state = step_with(GUARDED, State(SLet("f", IDENTITY_LAM, SRet("f")),
                                      (), (), {}, ()))
     assert evaluated == [] and state.env[0][1] == Closure(
         "x", INT, IDENTITY_LAM.body, ())
@@ -468,7 +467,7 @@ def test_a_dyn_transition_looks_its_names_up_in_place(sem, name, evaluated):
     records, calls = calls_in_window(sem, dict(lattice_kernels())[name],
                                      evaluated)
     assert sum(r.rule in ("dyn-deref", "dyn-update") for r in records) > 300
-    assert [e for e in calls if type(e) is Var] == []
+    assert [e for e in calls if type(e) is str] == []
 
 
 def counting_hooks(sem, calls):
@@ -489,9 +488,9 @@ def counting_hooks(sem, calls):
 
 
 ARROW = ArrowT(INT, INT)
-IDENTITY = Closure("x", INT, SRet(Var("x")), ())
-SUCC = Closure("x", INT, SLet("y", PrimApp(Succ(), Var("x")),
-                               SRet(Var("y"))), ())
+IDENTITY = Closure("x", INT, SRet("x"), ())
+SUCC = Closure("x", INT, SLet("y", PrimApp(Succ(), "x"),
+                               SRet("y")), ())
 # A cell's tag, its value and another value of that type, by cell type.
 TAGGED = {"int": (INT, SEVEN, 8), "bool": (BOOL, TRUE, False),
           "dyn": (DYN, Inject(SEVEN, INT), Inject(TRUE, BOOL)),
@@ -500,12 +499,12 @@ TAGGED = {"int": (INT, SEVEN, 8), "bool": (BOOL, TRUE, False),
 
 def dyn_read(ann):
     """Read the cell `r` names at `ann` into `x`, and return `x`."""
-    return SDynDeref("x", Var("r"), ann, SRet(Var("x")))
+    return SDynDeref("x", "r", ann, SRet("x"))
 
 
 def dyn_write(ann):
     """Write `v` at `ann` into the cell `r` names, and return `r`."""
-    return SDynUpdate(Var("r"), Var("v"), ann, SRet(Var("r")))
+    return SDynUpdate("r", "v", ann, SRet("r"))
 
 
 @SEMANTICS

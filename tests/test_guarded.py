@@ -97,15 +97,15 @@ def test_steps_g_final_read_through_failing_proxy():
     # A proxied read can fail in the `let` whose value the final return
     # returns: the driver maps the failure to the run's observable.
     from monoref.guarded import steps_g
-    from monoref.lang import Deref, SLet, SRet, Var
+    from monoref.lang import Deref, SLet, SRet
     from monoref.machine import State
 
     heap = {0: (Inject(TRUE, BOOL), DYN)}
     env = (("r", GProxy(VRef(0), DYN, INT)),)
-    state = State(SLet("v", Deref(Var("r")), SRet(Var("v"))), env, (), heap,
+    state = State(SLet("v", Deref("r"), SRet("v")), env, (), heap,
                   ())
     assert steps_g(10, state) == O_CASTERROR
-    missing = State(SRet(Var("missing")), (), (), {}, ())
+    missing = State(SRet("missing"), (), (), {}, ())
     assert steps_g(10, missing) == O_STUCK
 
 

@@ -33,7 +33,6 @@ from monoref.lang import (
     RefT,
     SRet,
     VRef,
-    Var,
 )
 from monoref.machine import (
     MONOTONIC,
@@ -50,7 +49,7 @@ ARROWS = [ArrowT(INT, INT), ArrowT(DYN, DYN), ArrowT(RefT(INT), INT)]
 
 
 def closure(dom):
-    return Closure("x", dom, SRet(Var("x")), ())
+    return Closure("x", dom, SRet("x"), ())
 
 
 @CAST_REFS

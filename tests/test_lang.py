@@ -22,6 +22,7 @@ from monoref.lang import (
     IntT,
     IsZero,
     Node,
+    OAtom,
     OCon,
     PairT,
     RefT,
@@ -32,7 +33,6 @@ from monoref.lang import (
     Stuck,
     VPair,
     VRef,
-    Var,
     bindings,
     consistent,
     ground,
@@ -227,14 +227,14 @@ def test_ground_is_upper_approximation(a):
 def test_nodes_of_different_classes_are_unequal():
     assert IntT() != BoolT()
     assert OCon(1) != OCon(True)
-    assert Var("x") != SVar("x")
-    assert Var("x") == Var("x")
-    assert Var("x") != Var("y")
+    assert OAtom("x") != SVar("x")
+    assert OAtom("x") == OAtom("x")
+    assert OAtom("x") != OAtom("y")
 
 
 def test_equal_nodes_hash_equal():
-    a = SLet("x", Var("y"), SRet(Var("x")))
-    b = SLet("x", Var("y"), SRet(Var("x")))
+    a = SLet("x", "y", SRet("x"))
+    b = SLet("x", "y", SRet("x"))
     assert a is not b and a == b and hash(a) == hash(b)
     assert hash(PairT(INT, DYN)) == hash(PairT(INT, DYN))
     assert len({INT, INT, DYN, RefT(INT), RefT(INT)}) == 3
@@ -243,25 +243,25 @@ def test_equal_nodes_hash_equal():
 def test_nodes_of_another_class_are_unequal_without_reflection():
     # A node of another class is unequal outright; anything but a node
     # is left to its own equality.
-    assert Var("x").__eq__(SVar("x")) is False
-    assert Var("x").__eq__("x") is NotImplemented
+    assert OAtom("x").__eq__(SVar("x")) is False
+    assert OAtom("x").__eq__("x") is NotImplemented
     assert VPair(1, 2) != (1, 2)
-    assert SRet(Var("x")) != SRet(1)
+    assert SRet("x") != SRet(1)
 
 
 def test_deep_values_compare_hash_and_print_without_recursion():
     # A closure's linked environment nests as a chain of tuples, and a
     # statement as a chain of bodies; both are walked with a stack.
-    env, body = (), SRet(Var("x"))
+    env, body = (), SRet("x")
     for i in range(5_000):
         env = ("x", VPair(i, i), env)
-        body = SLet("x", Var("x"), body)
+        body = SLet("x", "x", body)
     a, b = (Closure("x", INT, body, env) for _ in range(2))
     assert a == b and hash(a) == hash(b)
     assert Closure("x", INT, body, ("y", 0, env)) != a
     assert repr(a) == repr(b)
-    assert repr(Closure("x", INT, SRet(Var("x")), ("y", (1,), ()))) == (
-        "Closure(param='x', param_ty=IntT(), body=SRet(expr=Var(name='x')),"
+    assert repr(Closure("x", INT, SRet("x"), ("y", (1,), ()))) == (
+        "Closure(param='x', param_ty=IntT(), body=SRet(expr='x'),"
         " env=('y', (1,), ()))")
 
 
@@ -276,12 +276,12 @@ class Uncomparable:
 
 
 def test_equality_stops_at_the_first_difference_and_skips_shared_parts():
-    a = SLet("x", Var("y"), SRet(Var(Uncomparable())))
-    b = SLet("z", Var("y"), SRet(Var(Uncomparable())))
+    a = SLet("x", "y", SRet(Uncomparable()))
+    b = SLet("z", "y", SRet(Uncomparable()))
     assert a != b and not a == b
-    assert SLet("x", Var("y"), SRet(Var("x"))) != SLet("x", 1, a)
-    shared = SRet(Var(Uncomparable()))
-    assert SLet("x", Var("y"), shared) == SLet("x", Var("y"), shared)
+    assert SLet("x", "y", SRet("x")) != SLet("x", 1, a)
+    shared = SRet(Uncomparable())
+    assert SLet("x", "y", shared) == SLet("x", "y", shared)
 
 
 def test_equality_tells_an_int_leaf_from_a_boolean_one():
@@ -290,13 +290,13 @@ def test_equality_tells_an_int_leaf_from_a_boolean_one():
     assert VPair(1, 0) != VPair(True, False)
     assert VPair(1, 0) == VPair(1, 0)
     assert VPair(True, False) == VPair(True, False)
-    body = SRet(Var("x"))
+    body = SRet("x")
     one = Closure("y", INT, body, ("x", 1, ()))
     true = Closure("y", INT, body, ("x", True, ()))
     assert one != true
     assert one == Closure("y", INT, body, ("x", 1, ()))
     for a, b in ((VPair(1, 0), VPair(1, 0)), (one, Closure(
-            "y", INT, SRet(Var("x")), ("x", 1, ())))):
+            "y", INT, SRet("x"), ("x", 1, ())))):
         assert hash(a) == hash(b)
     # A heap is a dict of plain tuples, so it keeps Python's comparison.
     assert {0: (1, INT)} == {0: (True, INT)}
@@ -312,17 +312,17 @@ def test_surface_positions_take_no_part_in_equality():
 def test_nodes_take_keyword_arguments_and_defaults():
     assert SVar(name="x").pos == (0, 0)
     assert SVar("x", pos=(2, 3)).pos == (2, 3)
-    stmt = SCast(name="y", expr=Var("x"), src=INT, tgt=DYN,
-                 body=SRet(Var("y")))
-    assert stmt == SCast("y", Var("x"), INT, DYN, SRet(Var("y")))
+    stmt = SCast(name="y", expr="x", src=INT, tgt=DYN,
+                 body=SRet("y"))
+    assert stmt == SCast("y", "x", INT, DYN, SRet("y"))
     with pytest.raises(TypeError):
-        Var()
+        SRet()
     with pytest.raises(TypeError):
-        Var("x", "y")
+        SRet("x", "y")
 
 
 def test_nodes_are_frozen():
-    for node, name in ((Var("x"), "name"), (SVar("x"), "pos"),
+    for node, name in ((SRet("x"), "expr"), (SVar("x"), "pos"),
                        (RefT(INT), "cell")):
         with pytest.raises(AttributeError):
             setattr(node, name, None)
@@ -330,16 +330,15 @@ def test_nodes_are_frozen():
             delattr(node, name)
         with pytest.raises(AttributeError):
             setattr(node, "extra", None)
-    assert Var("x").name == "x"
+    assert SRet("x").expr == "x"
 
 
 def test_node_repr_keeps_the_record_format():
-    stmt = SLet("x", Var("y"),
-                SCast("z", Var("x"), INT, DYN, SRet(Var("z"))))
+    stmt = SLet("x", "y",
+                SCast("z", "x", INT, DYN, SRet("z")))
     assert repr(stmt) == (
-        "SLet(name='x', rhs=Var(name='y'), body=SCast(name='z', "
-        "expr=Var(name='x'), src=IntT(), tgt=DynT(), "
-        "body=SRet(expr=Var(name='z'))))")
+        "SLet(name='x', rhs='y', body=SCast(name='z', "
+        "expr='x', src=IntT(), tgt=DynT(), body=SRet(expr='z')))")
     app = SApp(SVar("f", (1, 2)), Lit(3, (1, 5)), (1, 1))
     assert repr(app) == (
         "SApp(fn=SVar(name='f', pos=(1, 2)), "
@@ -358,16 +357,16 @@ def fields_of(node):
 
 def test_every_node_class_keeps_its_fields_in_slots():
     classes = set(node_classes())
-    assert {SVar, Var, RefT, Inject, GProxy, State} <= classes
+    assert {SVar, SRet, RefT, Inject, GProxy, State} <= classes
     for cls in classes:
         assert cls.__dictoffset__ == 0, cls
 
 
 def test_vars_gives_a_nodes_fields():
     ast = parse_surface((CORPUS / "ex1.gtlc").read_text())
-    body = SRet(Var("x"))
+    body = SRet("x")
     for node in (ast, SApp(SVar("f", (1, 2)), Lit(3)), elaborate(ast),
-                 SCast("y", Var("x"), INT, DYN, body), RefT(INT),
+                 SCast("y", "x", INT, DYN, body), RefT(INT),
                  Inject(1, INT), Closure("x", INT, body, ("y", 2, ())),
                  initial_state(body), MONOTONIC):
         assert vars(node) == node.__dict__ == fields_of(node)
@@ -376,7 +375,7 @@ def test_vars_gives_a_nodes_fields():
 
 
 def test_writing_into_vars_changes_neither_the_node_nor_its_type():
-    ref, var = RefT(INT), Var("x")
+    ref, var = RefT(INT), SVar("x")
     vars(ref)["cell"] = "junk"
     ref.__dict__["cell"] = "junk"
     vars(var)["name"] = "y"
@@ -389,7 +388,7 @@ def test_writing_into_vars_changes_neither_the_node_nor_its_type():
 
 def test_copies_and_pickles_rebuild_equal_nodes():
     ast = parse_surface((CORPUS / "ex3.gtlc").read_text())
-    identity = Closure("x", INT, SRet(Var("x")), ("y", VPair(1, True), ()))
+    identity = Closure("x", INT, SRet("x"), ("y", VPair(1, True), ()))
     cast = fun_cast(identity, ArrowT(INT, INT), ArrowT(DYN, DYN))
     nodes = (ast, elaborate(ast), Inject(VPair(1, True), PairT(INT, BOOL)),
              GProxy(GProxy(VRef(0), INT, DYN), DYN, INT), identity, cast)
@@ -401,6 +400,27 @@ def test_copies_and_pickles_rebuild_equal_nodes():
             assert type(twin) is type(node) and twin == node
             # A `FunCast`'s uncompared body is rebuilt too.
             assert fields_of(twin) == fields_of(node)
+
+
+def test_a_copy_of_a_node_is_the_node_itself_however_deep():
+    # Nodes are immutable, so copying one walks nothing: a 5,000-`let`
+    # statement and a closure over a 5,000-deep environment copy at once.
+    env, body = (), SRet("x")
+    for i in range(5_000):
+        env = ("x", VPair(i, i), env)
+        body = SLet("x", "x", body)
+    closure = Closure("x", INT, body, env)
+    for node in (body, closure, INT, VPair(1, True)):
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+    assert copy.deepcopy([closure, closure]) == [closure, closure]
+    # A state's heap is its one mutable field: a deep copy copies it.
+    state = State(body, (("x", VRef(0)),), (), {0: (closure, INT)}, ())
+    twin = copy.deepcopy(state)
+    assert type(twin) is State and twin == state and twin.stmt is body
+    assert twin.heap == state.heap and twin.heap is not state.heap
+    twin.heap[1] = (1, INT)
+    assert 1 not in state.heap
+    assert copy.copy(state) is state
 
 
 def test_a_subclass_adding_a_defaulted_field_keeps_keywords_and_defaults():

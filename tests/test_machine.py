@@ -32,7 +32,6 @@ from monoref.lang import (
     Stuck,
     VPair,
     VRef,
-    Var,
     link,
     lookup,
     typeof_const,
@@ -94,7 +93,7 @@ def test_one_and_true_stay_apart():
         delta(ISZERO, False)
     with pytest.raises(CastError):
         cast(Inject(TRUE, BOOL), DYN, INT, {}, ())
-    assert run(SLet("x", PrimApp(SUCC, True), SRet(Var("x")))) == O_STUCK
+    assert run(SLet("x", PrimApp(SUCC, True), SRet("x"))) == O_STUCK
     # A literal is the host value itself, and a node tells its leaves
     # apart by exact class.
     for one, true in ((OCon(1), OCon(True)), (Lit(0), Lit(False)),
@@ -132,30 +131,30 @@ def test_to_val():
 
 def test_let_binds_each_right_hand_side():
     def bound(rhs, env=(("x", 9),), heap=None):
-        state = State(SLet("v", rhs, SRet(Var("v"))), env, (),
+        state = State(SLet("v", rhs, SRet("v")), env, (),
                       heap or {}, ())
         return step(state).env[0][1]
 
-    assert _operand(Var("x"), ("x", 9, ())) == 9
+    assert _operand("x", ("x", 9, ())) == 9
     assert _operand(3, ()) == 3 and _operand(False, ()) is False
-    assert bound(Var("x")) == 9 and bound(7) == 7
+    assert bound("x") == 9 and bound(7) == 7
     with pytest.raises(Stuck, match="unbound name 'y'"):
-        bound(Var("y"))
+        bound("y")
     r = (("r", VRef(0)),)
-    assert bound(Deref(Var("r")), r, {0: (7, INT)}) == 7
+    assert bound(Deref("r"), r, {0: (7, INT)}) == 7
     with pytest.raises(Stuck):
-        bound(Deref(Var("r")), r, {0: (7, INT, INT)})
+        bound(Deref("r"), r, {0: (7, INT, INT)})
     pair = bound(MkPair(1, True))
     assert pair == VPair(1, TRUE)
     assert type(pair.fst) is int and type(pair.snd) is bool
 
 
 def identity_closure():
-    return Closure("x", INT, SRet(Var("x")), ())
+    return Closure("x", INT, SRet("x"), ())
 
 
 def apply_value(fn, arg, heap=None):
-    stmt = STailCall(Var("$fn"), Var("$arg"))
+    stmt = STailCall("$fn", "$arg")
     env = (("$fn", fn), ("$arg", arg))
     return run_to_value(stmt, env, heap)
 
@@ -178,7 +177,7 @@ def test_wrap_same_types_behaves_as_wrapped():
 
 def test_wrap_bad_argument_cast_errors():
     wrapped = fun_cast(identity_closure(), INT_INT, ArrowT(BOOL, BOOL))
-    stmt = STailCall(Var("$fn"), Var("$arg"))
+    stmt = STailCall("$fn", "$arg")
     env = (("$fn", wrapped), ("$arg", TRUE))
     assert steps(1_000, State(stmt, env, (), {}, ())) == O_CASTERROR
 
@@ -250,7 +249,7 @@ def test_step_active_commit():
 def test_step_alloc_fresh_address_is_heap_size():
     from monoref.lang import SAlloc
     heap = {0: (INT4, INT), 1: (TRUE, BOOL)}
-    stmt = SAlloc("x", INT, 4, SRet(Var("x")))
+    stmt = SAlloc("x", INT, 4, SRet("x"))
     after = step(State(stmt, (), (), heap, ()))
     assert after.env[0] == ("x", VRef(2))
     assert after.heap[2] == (INT4, INT)
@@ -258,7 +257,7 @@ def test_step_alloc_fresh_address_is_heap_size():
 
 def test_final():
     assert final(State(SRet(4), (), (), {}, ()))
-    frame = ("x", SRet(Var("x")), ())
+    frame = ("x", SRet("x"), ())
     assert not final(State(SRet(4), (), (frame,), {}, ()))
     assert not final(State(SRet(4), (), (), {}, (0,)))
 
@@ -282,12 +281,12 @@ def test_steps_fuel_and_return():
 
 
 def test_steps_cast_error():
-    stmt = SCast("x", 4, INT, BOOL, SRet(Var("x")))
+    stmt = SCast("x", 4, INT, BOOL, SRet("x"))
     assert steps(10, initial_state(stmt)) == O_CASTERROR
 
 
 def test_steps_stuck():
-    assert steps(10, initial_state(SRet(Var("missing")))) == O_STUCK
+    assert steps(10, initial_state(SRet("missing"))) == O_STUCK
 
 
 def test_shape_violations_are_stuck_not_crashes():
@@ -295,7 +294,7 @@ def test_shape_violations_are_stuck_not_crashes():
     assert steps(10, initial_state(call_non_closure)) == O_STUCK
 
     from monoref.lang import SUpdate
-    dangling = SUpdate(Var("r"), 1, SRet(0))
+    dangling = SUpdate("r", 1, SRet(0))
     state = State(dangling, (("r", VRef(9)),), (), {}, ())
     assert steps(10, state) == O_STUCK
 

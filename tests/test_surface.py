@@ -38,7 +38,6 @@ from monoref.lang import (
     SUpdate,
     Snd,
     Ty,
-    Var,
 )
 from monoref.surface import (
     Lit,
@@ -699,13 +698,13 @@ def test_elaboration_matches_golden_ir(name):
 
 
 def _temporaries(stmt) -> list:
-    """The `$tN` atoms that `stmt` uses, in a fixed order, lambda bodies
-    included."""
+    """The `$tN` names that `stmt` binds or uses, in a fixed order, lambda
+    bodies included."""
     found, todo = [], [stmt]
     while todo:
         x = todo.pop()
-        if type(x) is Var:
-            if x.name.startswith("$t"):
+        if type(x) is str:
+            if x.startswith("$t"):
                 found.append(x)
         elif isinstance(x, Node) and not isinstance(x, Ty):
             todo += reversed(x._key())
@@ -736,8 +735,8 @@ def test_temporaries_are_interned_atoms(monkeypatch):
         temps = _temporaries(first)
         assert temps and all(a is b for a, b in
                              zip(temps, _temporaries(second), strict=True))
-        assert all(tmp is surface._TEMPS[int(tmp.name[2:])] for tmp in temps)
-    # A table of other atoms changes no IR's printing, equality or hash.
+        assert all(tmp is surface._TEMPS[int(tmp[2:])] for tmp in temps)
+    # A table of other names changes no IR's printing, equality or hash.
     monkeypatch.setattr(surface, "_TEMPS", [])
     for text, first in zip(sources, firsts):
         other = elaborate(parse_surface(text))
@@ -764,20 +763,20 @@ def test_the_temporary_table_stays_bounded(monkeypatch):
 # expression forms, the 5 operators, both Boolean literals and every type
 # constructor, with a lambda at the top and one nested in a chain.
 ALL_FORMS = SLet(
-    "f", Lam("x", ArrowT(INT, BOOL), STailCall(Var("x"), -7)),
-    SCall("a", Var("f"), True,
+    "f", Lam("x", ArrowT(INT, BOOL), STailCall("x", -7)),
+    SCall("a", "f", True,
     SAlloc("r", RefT(PairT(INT, DYN)),
            MkPair(0, False),
-    SUpdate(Var("r"), Deref(Var("r")),
-    SDynUpdate(Var("r"), 1, DYN,
-    SCast("c", Var("a"), BOOL, DYN,
-    SDynDeref("d", Var("r"), PairT(INT, DYN),
-    SLet("e", PrimApp(SUCC, Var("d")),
-    SLet("g", PrimApp(PREV, Var("e")),
-    SLet("h", PrimApp(ISZERO, Var("g")),
-    SLet("k", Lam("y", DYN, SLet("z", PrimApp(Fst(INT, BOOL), Var("y")),
-                                 SRet(Var("z")))),
-    SRet(PrimApp(Snd(RefT(DYN), ArrowT(BOOL, INT)), Var("d"))))))))))))))
+    SUpdate("r", Deref("r"),
+    SDynUpdate("r", 1, DYN,
+    SCast("c", "a", BOOL, DYN,
+    SDynDeref("d", "r", PairT(INT, DYN),
+    SLet("e", PrimApp(SUCC, "d"),
+    SLet("g", PrimApp(PREV, "e"),
+    SLet("h", PrimApp(ISZERO, "g"),
+    SLet("k", Lam("y", DYN, SLet("z", PrimApp(Fst(INT, BOOL), "y"),
+                                 SRet("z"))),
+    SRet(PrimApp(Snd(RefT(DYN), ArrowT(BOOL, INT)), "d")))))))))))))
 
 ALL_FORMS_TEXT = """\
 (let f (lambda (x : (-> int bool))

@@ -24,7 +24,6 @@ from monoref.lang import (
     SUpdate,
     VPair,
     VRef,
-    Var,
     is_static,
     lesseq,
     link,
@@ -66,16 +65,16 @@ def test_check_expr_const():
 
 def test_check_expr_deref_requires_static():
     with pytest.raises(TypeCheckError, match="static"):
-        check_expr((("r", RefT(DYN)),), Deref(Var("r")))
+        check_expr((("r", RefT(DYN)),), Deref("r"))
 
 
 def test_check_expr_deref_static():
-    assert check_expr((("x", RefT(INT)),), Deref(Var("x"))) == INT
+    assert check_expr((("x", RefT(INT)),), Deref("x")) == INT
 
 
 def test_check_expr_unbound():
     with pytest.raises(TypeCheckError, match="unbound"):
-        check_expr((), Var("x"))
+        check_expr((), "x")
 
 
 def test_check_expr_operator_mismatch():
@@ -99,7 +98,7 @@ def test_check_stmt_corpus_ex2():
 
 
 def test_check_stmt_update_requires_static():
-    stmt = SUpdate(Var("r"), 4, SRet(0))
+    stmt = SUpdate("r", 4, SRet(0))
     with pytest.raises(TypeCheckError, match="static"):
         check_stmt((("r", RefT(DYN)),), stmt)
 
@@ -123,26 +122,26 @@ def test_check_stmt_error_paths():
     bad = [
         ((), SCall("x", 1, 2, ret0)),
         ((("f", ArrowT(INT, INT)),),
-         STailCall(Var("f"), True)),
+         STailCall("f", True)),
         ((), SAlloc("x", INT, True, ret0)),
         ((("r", RefT(INT)),),
-         SDynUpdate(Var("r"), 1, BOOL, ret0)),
+         SDynUpdate("r", 1, BOOL, ret0)),
         ((("r", RefT(INT)),),
-         SDynUpdate(Var("r"), True, INT, ret0)),
+         SDynUpdate("r", True, INT, ret0)),
         ((), SCast("x", 1, BOOL, INT, ret0)),
         ((), SCast("x", 1, INT, BOOL, ret0)),
         ((), SCast("x", 1, INT, RefT(INT), ret0)),
-        ((("r", RefT(INT)),), SDynDeref("x", Var("r"), BOOL, ret0)),
+        ((("r", RefT(INT)),), SDynDeref("x", "r", BOOL, ret0)),
         ((), SDynDeref("x", 1, INT, ret0)),
-        ((("r", BOOL),), SUpdate(Var("r"), 1, ret0)),
+        ((("r", BOOL),), SUpdate("r", 1, ret0)),
         ((("r", RefT(INT)),),
-         SUpdate(Var("r"), True, ret0)),
+         SUpdate("r", True, ret0)),
     ]
     for gamma, stmt in bad:
         with pytest.raises(TypeCheckError):
             check_stmt(gamma, stmt)
     with pytest.raises(TypeCheckError) as err:
-        check_stmt((), SCast("x", 1, INT, BOOL, SRet(Var("x"))))
+        check_stmt((), SCast("x", 1, INT, BOOL, SRet("x")))
     assert err.value.message == "cast from int to inconsistent bool"
 
 
@@ -173,7 +172,7 @@ def test_one_and_true_type_apart():
 
 
 def test_wt_val_closure():
-    identity = Closure("x", INT, SRet(Var("x")), ())
+    identity = Closure("x", INT, SRet("x"), ())
     assert wt_val({}, identity, ArrowT(INT, INT))
     assert not wt_val({}, identity, ArrowT(INT, BOOL))
     assert not wt_val({}, identity, ArrowT(BOOL, INT))
@@ -192,7 +191,7 @@ def test_value_type_failures():
 
     with pytest.raises(TypeCheckError):
         value_type({}, VRef(3))  # dangling reference
-    ill_closure = Closure("x", INT, SRet(Var("missing")), ())
+    ill_closure = Closure("x", INT, SRet("missing"), ())
     with pytest.raises(TypeCheckError):
         value_type({}, ill_closure)
     assert not wt_val({}, ill_closure, ArrowT(INT, INT))
@@ -201,7 +200,7 @@ def test_value_type_failures():
 def test_value_type_of_a_wrapper_is_its_target_arrow():
     from monoref.typecheck import value_type
 
-    identity = Closure("x", INT, SRet(Var("x")), ())
+    identity = Closure("x", INT, SRet("x"), ())
     # A projection out of dyn can cast a function between arrows that
     # agree only in their head; the cast still types at its target.
     int_int = ArrowT(INT, INT)
@@ -218,7 +217,7 @@ def test_value_type_of_a_wrapper_is_its_target_arrow():
 def test_a_cast_of_a_cast_function_types_at_its_target():
     from monoref.typecheck import value_type
 
-    identity = Closure("x", INT, SRet(Var("x")), ())
+    identity = Closure("x", INT, SRet("x"), ())
     dyn_dyn = ArrowT(DYN, DYN)
     once = fun_cast(identity, ArrowT(INT, INT), dyn_dyn)
     twice = fun_cast(once, dyn_dyn, ArrowT(INT, BOOL))
@@ -239,7 +238,7 @@ def test_a_chain_of_function_casts_types_without_recursion():
     from monoref.typecheck import value_type
 
     int_int, dyn_dyn = ArrowT(INT, INT), ArrowT(DYN, DYN)
-    chain = Closure("x", INT, SRet(Var("x")), ())
+    chain = Closure("x", INT, SRet("x"), ())
     for i in range(2_000):
         src, tgt = (int_int, dyn_dyn) if i % 2 == 0 else (dyn_dyn, int_int)
         chain = fun_cast(chain, src, tgt)
@@ -260,11 +259,11 @@ def test_a_field_that_holds_no_type_or_operator_is_a_type_error():
 
     ret0 = SRet(0)
     cases = [
-        (SLet("x", PrimApp("junk", 1), SRet(Var("x"))), "not an operator"),
+        (SLet("x", PrimApp("junk", 1), SRet("x")), "not an operator"),
         (SLet("x", PrimApp(Fst("int", INT), 1), ret0), "not a type"),
-        (SLet("f", Lam("y", "int", SRet(Var("y"))), ret0), "not a type"),
-        (SCast("x", 1, "int", DYN, SRet(Var("x"))), "not a type"),
-        (SCast("x", 1, INT, "dyn", SRet(Var("x"))), "not a type"),
+        (SLet("f", Lam("y", "int", SRet("y")), ret0), "not a type"),
+        (SCast("x", 1, "int", DYN, SRet("x")), "not a type"),
+        (SCast("x", 1, INT, "dyn", SRet("x")), "not a type"),
         (SAlloc("r", "int", 1, ret0), "not a type"),
         (SDynDeref("x", 1, "int", ret0), "not a type"),
         (SDynUpdate(1, 1, "int", ret0), "not a type"),
@@ -341,7 +340,7 @@ def test_a_chain_of_closures_types_each_closure_once(monkeypatch):
     for n in (40, 2_000):
         env = ()
         for i in range(n):
-            last = Closure("x", INT, SRet(Var("x")), env)
+            last = Closure("x", INT, SRet("x"), env)
             env = (f"f{i}", last, env)
         calls.clear()
         assert value_type({}, last) == ArrowT(INT, INT)
@@ -368,7 +367,7 @@ def test_store_typing_lesseq():
 def _bind(lets, rhs):
     name = f"e{len(lets)}"
     lets.append((name, rhs))
-    return Var(name)
+    return name
 
 
 def _random_atom(rng, gamma, ty, depth, lets):
@@ -378,10 +377,10 @@ def _random_atom(rng, gamma, ty, depth, lets):
     deref_candidates = [n for n, t in gamma
                         if t == RefT(ty) and is_static(ty)]
     if depth > 0 and deref_candidates and rng.random() < 0.3:
-        return _bind(lets, Deref(Var(rng.choice(deref_candidates))))
+        return _bind(lets, Deref(rng.choice(deref_candidates)))
     if depth <= 0 or (candidates and rng.random() < 0.4):
         if candidates:
-            return Var(rng.choice(candidates))
+            return rng.choice(candidates)
         if ty == INT:
             return rng.randint(0, 9)
         if ty == BOOL:
