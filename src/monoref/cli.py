@@ -7,9 +7,10 @@ semantics and report agreement).
 Exit codes: 0 success or a value; 1 cast error; 2 stuck; 3 timeout;
 4 type error; 5 parse error, unreadable input or a usage error;
 6 resource failure: the input nests too deeply for the parser, the
-elaborator (which is also the typechecker) or the IR printer of
-`compile`, or a reader closed standard output or error early (a broken
-pipe, as from `| head`), which ends the command with no traceback.
+elaborator (which is also the typechecker) or the type relations (one
+function, `lang.meet`), or a reader closed standard output or error
+early (a broken pipe, as from `| head`), which ends the command with no
+traceback.
 `--trace` writes one tab-separated record per machine transition to
 standard error, in chunks, all before the result. The default fuel is
 1000000 and can be set with --fuel, at least 1.

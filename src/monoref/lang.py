@@ -8,10 +8,10 @@ host `int` or `bool`, and a `let` binds an atom, a `Lam`, or a
 `PrimApp`, `MkPair` or `Deref` of atoms. Every control path through a
 statement ends in a return or a tail call. Runtime values and the
 observables produced by a finished run live here too, together with the
-type algebra: the less-or-equally-dynamic order, its meet, consistency,
-staticness and ground types, each one rule over a type's fields. An
-observable is a pair, a literal, or an `OAtom` whose text is its
-rendering: an opaque value, or the end of a run that gave none.
+type algebra: staticness, ground types, and the meet, one rule over a
+type's fields that the less-or-equally-dynamic order and consistency
+read off. An observable is a pair, a literal, or an `OAtom` whose text
+is its rendering: an opaque value, or the end of a run that gave none.
 
 Every runtime value is one object whose class is its runtime tag. An
 integer or Boolean is the host `int` or `bool` itself, in a literal and
@@ -550,23 +550,22 @@ O_CASTERROR = OAtom("error: cast")
 
 
 # ---------------------------------------------------------------------------
-# Type algebra. Each relation is one rule over a type's fields, `_key()`:
+# Type algebra. `meet` is the one rule over a type's fields, `_key()`:
 # `dyn` first, then the same constructor with every pair of components
-# related. Identical and field-less types take a fast path: the
-# monotonic cast asks `meet` and `lesseq` of a cell's tag on every
-# reference cast, and that tag is most often a shared base type.
+# met. Types are interned, so the order is `meet(a, b) is a` and
+# consistency is whether a meet exists. Identical and field-less types
+# take a fast path: the monotonic cast asks `meet` of a cell's tag on
+# every reference cast, and that tag is most often a shared base type.
 
 def lesseq(a: Ty, b: Ty) -> bool:
-    """Less-or-equally-dynamic order on types (naive subtyping).
-
-    Everything is below `dyn`; every other constructor relates to itself,
-    covariantly in every component.
+    """Less-or-equally-dynamic order on types (naive subtyping): `a` is
+    below `b` when it is their meet. Everything is below `dyn`; every
+    other constructor relates to itself, covariantly in every component.
     """
-    if a is b or type(b) is DynT:
-        return True
-    if type(a) is not type(b) or not isinstance(a, Ty):
+    try:
+        return meet(a, b) is a
+    except CastError:
         return False
-    return not a._fields or all(map(lesseq, a._key(), b._key()))
 
 
 def meet(a: Ty, b: Ty) -> Ty:
@@ -585,12 +584,12 @@ def meet(a: Ty, b: Ty) -> Ty:
 
 
 def consistent(a: Ty, b: Ty) -> bool:
-    """Standard gradual-typing consistency: dyn matches everything."""
-    if a is b or type(a) is DynT or type(b) is DynT:
-        return True
-    if type(a) is not type(b) or not isinstance(a, Ty):
+    """Standard gradual-typing consistency: `a` and `b` have a meet."""
+    try:
+        meet(a, b)
+    except CastError:
         return False
-    return not a._fields or all(map(consistent, a._key(), b._key()))
+    return True
 
 
 def ground(a: Ty) -> Ty:

@@ -25,9 +25,10 @@ the old tag; statement execution resumes only once the worklist has
 drained. An annotated write leaves its value pending a cast from the
 annotation to the tag in the same way, unless both are base types or
 dyn: such a cast touches no cell, so the write makes it at once. Heap
-tags only ever become less dynamic, and a cell whose tag is already low
-enough is left alone, which is what keeps casts over heap cycles from
-diverging.
+tags only ever become less dynamic, and a cell whose meet with the
+target is its tag is left alone, which is what keeps casts over heap
+cycles from diverging. That test is a pointer test, and so is the
+worklist's: a pending cast commits while its target is still the tag.
 
 `run` owns a private, mutable heap dict and stack, updated in place;
 fresh addresses are allocated at the heap's size and never reclaimed.
@@ -103,7 +104,6 @@ from .lang import (
     VRef,
     Val,
     bindings,
-    lesseq,
     link,
     lookup,
     meet,
@@ -253,34 +253,24 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
         if ts is ArrowT:
             return v if src is tgt else fun_cast(v, src, tgt)
         if type(v) is VPair:
-            # Componentwise, fst before snd, on an explicit stack: `up`
-            # links the enclosing pairs, innermost first, each as
-            # `(v, src, tgt)` while its fst is cast and as `[fst]` while
-            # its snd is. A component that nests is walked into; every
-            # other one is one `cast_value` call.
-            up = None
-            while True:  # cast the fst of `v`
-                f, fs, ft = v.fst, src.left, tgt.left
-                if type(ft) is PairT and (nest := _pair_parts(f, fs)):
-                    up = ((v, src, tgt), up)
-                    (v, src), tgt = nest, ft
+            # Fst before snd, on `observe`'s stack: a component cast to
+            # a pair type from a pair, or from a pair injected into dyn,
+            # is walked into; any other is one `cast_value` call.
+            done, todo = [], [(v, src, tgt)]
+            while todo:
+                if (item := todo.pop()) is _PAIR_UP:
+                    done[-2:] = [VPair(*done[-2:])]
                     continue
-                w = cast_value(f, fs, ft, heap, work, cast_ref)
-                while True:  # `w` is the fst of `v`: cast its snd
-                    s, ss, st = v.snd, src.right, tgt.right
-                    if type(st) is PairT and (nest := _pair_parts(s, ss)):
-                        up = ([w], up)
-                        (v, src), tgt = nest, st
-                        break
-                    w = VPair(w, cast_value(s, ss, st, heap, work, cast_ref))
-                    while up:  # `w` is a whole pair: climb
-                        top, up = up
-                        if type(top) is tuple:  # `w` is its fst
-                            v, src, tgt = top
-                            break
-                        w = VPair(top[0], w)
-                    else:
-                        return w
+                v, src, tgt = item
+                if (type(tgt) is PairT and type(v) is Inject
+                        and type(src) is DynT and type(v.src_ty) is PairT):
+                    v, src = v.payload, v.src_ty
+                if type(v) is VPair and type(src) is type(tgt) is PairT:
+                    todo += (_PAIR_UP, (v.snd, src.right, tgt.right),
+                             (v.fst, src.left, tgt.left))
+                else:
+                    done.append(cast_value(v, src, tgt, heap, work, cast_ref))
+            return done[0]
     elif tt is DynT:
         return Inject(v, src)
     elif ts is DynT:
@@ -294,29 +284,18 @@ def cast_value(v: Val, src: Ty, tgt: Ty, heap, work, cast_ref) -> Val:
     raise CastError("no cast from {} to {}", src, tgt)
 
 
-def _pair_parts(v: Val, src: Ty):
-    """The pair that a component cast from `src` to a pair type walks
-    into, with its type: `v` itself when it is a pair, or its payload
-    when it is an injected pair projected out of dyn. None when the cast
-    does not nest: `cast_value` makes it, or raises."""
-    if type(v) is Inject and type(src) is DynT and type(v.src_ty) is PairT:
-        v, src = v.payload, v.src_ty
-    if type(v) is VPair and type(src) is PairT:
-        return v, src
-    return None
-
-
 def retag(v: Val, src: RefT, tgt: RefT, heap: Heap, work: list) -> Val:
     """The monotonic reference cast: if the meet of the target cell type
-    and the cell's tag lies below the tag, lower the tag and make the
-    address the worklist's head. The value then awaits a cast from the
-    type it has, a cell's last field: the old tag, or on a cell already
-    pending, its source, so pending casts never stack."""
+    and the cell's tag is another type, it lies below the tag, so lower
+    the tag to it and make the address the worklist's head. The value
+    then awaits a cast from the type it has, a cell's last field: the old
+    tag, or on a cell already pending, its source, so pending casts never
+    stack."""
     if type(v) is not VRef:
         raise CastError("no cast from {} to {}", src, tgt)
     cell = heap_cell(heap, v.addr)
     lowered = meet(tgt.cell, cell[1])
-    if not lesseq(cell[1], lowered):
+    if lowered is not cell[1]:
         heap[v.addr] = (cell[0], lowered, cell[-1])
         work.append(v.addr)
     return v
@@ -363,7 +342,9 @@ def _dyn_update(ref: Val, v: Val, heap: Heap, ann=None, work=None) -> None:
 
 
 def _active_step(heap: Heap, work: list) -> str:
-    """Process the worklist's head; returns the rule's name."""
+    """Process the worklist's head; returns the rule's name. The cast
+    commits while the cell's tag is still its target: tags only go down,
+    so another tag is one a nested cast lowered."""
     addr = work[-1]
     cell = heap_cell(heap, addr)
     if len(cell) == 2:
@@ -371,7 +352,7 @@ def _active_step(heap: Heap, work: list) -> str:
         return "active-discard"
     value, tag, src = cell
     new_val = cast_value(value, src, tag, heap, work, retag)
-    if lesseq(tag, heap[addr][1]):
+    if heap[addr][1] is tag:
         heap[addr] = (new_val, tag)
         work[:] = [a for a in work if a != addr]
         return "active-commit"
@@ -383,7 +364,7 @@ def _active_step(heap: Heap, work: list) -> str:
 # Each value class that observes as an atom, and its atom.
 _ATOMS = {Closure: O_FUN, FunCast: O_FUN, VRef: O_ADDR, GProxy: O_ADDR,
           Inject: O_INJ}
-_PAIR_UP = object()  # on `observe`'s stack: pair the last two observables
+_PAIR_UP = object()  # on both pair walks' stacks: pair the last two results
 
 
 def observe(v: Val) -> Observable:

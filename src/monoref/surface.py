@@ -101,7 +101,7 @@ from .lang import (
     typeof_const,
     typeof_opr,
 )
-from .typecheck import TypeCheckError
+from .typecheck import TypeCheckError, typing_context
 
 Pos = tuple  # (line, column), 1-based
 
@@ -709,7 +709,7 @@ def typecheck_surface(gamma, e: SurfExpr) -> Ty:
     This is the elaborator's pass, each name in `gamma` standing for
     itself; in the empty context its IR is kept for `elaborate`."""
     global _last
-    gamma = list(gamma)
+    gamma = typing_context(gamma)
     elaborator = _Elaborator()
     for name, ty in reversed(gamma):
         elaborator.scope.setdefault(name, []).append((name, ty))

@@ -2,11 +2,11 @@
 
 `check_expr` and `check_stmt` synthesize the unique type of a term or
 raise a `TypeCheckError` naming the failed premise: an operand that is
-not an atom (see `lang`), a type field that holds no type and an
-operator field that holds no operator among them. The `wt_*` predicates
-decide whether runtime structures (values, heap cells, whole heaps) are
-well typed against a store typing; they are used as oracles by the test
-suite.
+not an atom (see `lang`), a context entry or a type field that holds no
+type, checked first, and an operator field that holds no operator. The
+`wt_*` predicates decide whether runtime structures (values, heap cells,
+whole heaps) are well typed against a store typing; they are used as
+oracles by the test suite.
 """
 
 from __future__ import annotations
@@ -75,14 +75,19 @@ def check_expr(gamma, e: Expr) -> Ty:
     """Synthesize the type of a `let` right-hand side, an atom, a `Lam`,
     or a `PrimApp`, `MkPair` or `Deref` of atoms, under `gamma`, a
     sequence of (name, type) pairs, newest first."""
-    return _rhs(link(gamma), e)
+    return _rhs(link(typing_context(gamma)), e)
 
 
 def check_stmt(gamma, s: Stmt) -> Ty:
     """Synthesize the type of a statement under `gamma`, a sequence of
     (name, type) pairs, newest first. The statement must be in A-normal
     form: an operand that is not an atom is a `TypeCheckError`."""
-    return _stmt(link(gamma), s)
+    return _stmt(link(typing_context(gamma)), s)
+
+
+def typing_context(gamma) -> tuple:
+    """The (name, type) pairs of `gamma`, once each holds a type."""
+    return tuple((name, _ty(ty, f" of {name!r}")) for name, ty in gamma)
 
 
 # The checker's own scope is a linked environment: a statement extends
@@ -101,10 +106,10 @@ def _atom(gamma, x) -> Ty:
     raise TypeCheckError(f"operand {t.__name__} is not a name or a literal")
 
 
-def _ty(t) -> Ty:
-    """A type field's value, which must be a type."""
+def _ty(t, of: str = "") -> Ty:
+    """A type field's value, or a context entry's, which must be a type."""
     if not isinstance(t, Ty):
-        raise TypeCheckError(f"annotation {t!r} is not a type")
+        raise TypeCheckError(f"annotation {t!r}{of} is not a type")
     return t
 
 

@@ -452,3 +452,33 @@ def test_a_deep_injected_pair_projects_without_recursion(cast_ref):
         wrong = Inject(VPair(i, wrong), PairT(INT, DYN))
     assert outcome(cast_value, wrong, DYN, PairT(INT, tgt), {}, [],
                    cast_ref) == (CastError, "projection of bool payload to int")
+
+
+def alternating_injected_pair(bottom):
+    """A dyn value nested `DEPTH` deep around `bottom`, an int at the
+    bottom of the target: level i is a pair of i and the next level, in
+    its fst when i is even and in its snd when i is odd, injected into
+    dyn at that pair over dyn. Returns the value, the pair type it
+    projects to, and what that projection gives when `bottom` is 0."""
+    v, want, tgt = bottom, 0, INT
+    for i in range(DEPTH):
+        if i % 2:
+            v = Inject(VPair(i, v), PairT(INT, DYN))
+            want, tgt = VPair(i, want), PairT(INT, tgt)
+        else:
+            v = Inject(VPair(v, i), PairT(DYN, INT))
+            want, tgt = VPair(want, i), PairT(tgt, INT)
+    return v, tgt, want
+
+
+@pytest.mark.parametrize("cast_ref", [retag, proxy], ids=["retag", "proxy"])
+def test_a_deep_injected_pair_nesting_on_both_sides_projects(cast_ref):
+    # The walk goes into an injected fst as well as an injected snd, and
+    # a failed projection at the bottom raises the error it raises alone.
+    v, tgt, want = alternating_injected_pair(Inject(0, INT))
+    assert cast_value(v, DYN, tgt, {}, [], cast_ref) == want
+    wrong, tgt, _ = alternating_injected_pair(Inject(True, BOOL))
+    error = (CastError, "projection of bool payload to int")
+    assert outcome(cast_value, Inject(True, BOOL), DYN, INT, {}, [],
+                   cast_ref) == error
+    assert outcome(cast_value, wrong, DYN, tgt, {}, [], cast_ref) == error

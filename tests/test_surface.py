@@ -233,6 +233,15 @@ def test_elaborate_after_check_returns_its_own_ir():
     assert stmt_to_sexpr(elaborate(a)) == "(let $t0 (succ 1)\n  (return $t0))"
 
 
+def test_a_context_entry_that_is_no_type_is_a_type_error():
+    # Checked before anything is typed: a use of the name would
+    # otherwise return the entry, or report it as the type it spells.
+    for text in ("x", "(succ x)", "1"):
+        with pytest.raises(TypeCheckError) as err:
+            typecheck_surface((("y", INT), ("x", "int")), parse_surface(text))
+        assert str(err.value) == "annotation 'int' of 'x' is not a type"
+
+
 def test_typecheck_in_a_context_and_elaborate_closed():
     ast = parse_surface("(succ x)")
     assert typecheck_surface((("x", INT),), ast) == INT

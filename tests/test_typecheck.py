@@ -273,6 +273,20 @@ def test_a_field_that_holds_no_type_or_operator_is_a_type_error():
             check_stmt((), stmt)
 
 
+def test_a_context_entry_that_is_no_type_is_a_type_error_of_check_stmt():
+    for stmt in (SRet("x"), SRet(1)):
+        with pytest.raises(TypeCheckError) as err:
+            check_stmt((("x", "int"),), stmt)
+        assert str(err.value) == "annotation 'int' of 'x' is not a type"
+
+
+def test_a_context_entry_that_is_no_type_is_a_type_error_of_check_expr():
+    for expr in ("x", MkPair(1, 2)):
+        with pytest.raises(TypeCheckError) as err:
+            check_expr([("y", INT), ("x", 3)], expr)
+        assert str(err.value) == "annotation 3 of 'x' is not a type"
+
+
 def test_a_deep_pair_types_without_recursion():
     # Pairs nest on either side, and through injections, 10,000 deep.
     from monoref.typecheck import value_type
