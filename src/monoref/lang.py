@@ -309,6 +309,11 @@ INT = IntT()
 BOOL = BoolT()
 DYN = DynT()
 
+# `isinstance(x, Ty)`. Called as `isinstance`, it first looks
+# `__instancecheck__` up on `Ty`'s metaclass, which doubles the cost of
+# `meet` on the shortcuts `retag` takes.
+_is_type = Ty.__instancecheck__
+
 # The type classes whose cast to a type of the same class is the
 # identity: the base types and dyn.
 IDENTITY_HEADS = frozenset((IntT, BoolT, DynT))
@@ -572,15 +577,21 @@ def meet(a: Ty, b: Ty) -> Ty:
     """Greatest lower bound under `lesseq`, when it exists.
 
     Raises CastError when the head constructors clash and neither side
-    is `dyn`; such a cast can never be satisfied.
+    is `dyn`; such a cast can never be satisfied. Raises TypeError when
+    an operand is not a type. A shortcut tests only the operand it
+    returns: the other is `dyn` or the same object.
     """
     if type(a) is DynT:
-        return b
-    if a is b or type(b) is DynT:
-        return a
-    if type(a) is not type(b) or not isinstance(a, Ty):
-        raise CastError("no meet of {} and {}", a, b)
-    return type(a)(*map(meet, a._key(), b._key())) if a._fields else a
+        if _is_type(b):
+            return b
+    elif a is b or type(b) is DynT:
+        if _is_type(a):
+            return a
+    elif _is_type(a) and _is_type(b):
+        if type(a) is not type(b):
+            raise CastError("no meet of {} and {}", a, b)
+        return type(a)(*map(meet, a._key(), b._key())) if a._fields else a
+    raise TypeError(f"not a type: {b if _is_type(a) else a!r}")
 
 
 def consistent(a: Ty, b: Ty) -> bool:

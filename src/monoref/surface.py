@@ -22,16 +22,18 @@ INT is an optional `-` followed by ASCII digits. `(× T T)` is accepted
 for pair types and `(ref T)` for reference types.
 Identifiers starting with `$` are reserved for generated temporaries.
 
-The reader makes one pass over each line's tokens, with one branch per
-token kind: the innermost open list is a local, a list joins its parent
-when it opens, and `)` is one pop. Expressions are parsed from the
-table `_SYNTAX` and types from `_TYPE_FORMS`, from which `_KEYWORDS` is
-also built; the type keywords come from `lang.TYPE_KEYWORDS`, by which
-types print. A `let`/`begin` chain is parsed in a loop and a type from
-an explicit stack, each form checked before its parts, so the first
-error in reading order is the one reported and neither a long chain nor
-a deep type costs Python frames. The
-IR is printed from one keyword table, `_IR_KEYWORDS`, which also names
+The reader splits each line with `str` methods, no regular expression:
+the code before the first `;`, spaced around each parenthesis, splits
+at whitespace into the tokens. It makes one pass over them, with one
+branch per token kind: the innermost open list is a local, a list joins
+its parent when it opens, and `)` is one pop. Expressions are parsed
+from the table `_SYNTAX` and types from `_TYPE_FORMS`, from which
+`_KEYWORDS` is also built; the type keywords come from
+`lang.TYPE_KEYWORDS`, by which types print. A `let`/`begin` chain is
+parsed in a loop and a type from an explicit stack, each form checked
+before its parts, so the first error in reading order is the one
+reported and neither a long chain nor a deep type costs Python frames.
+The IR is printed from one keyword table, `_IR_KEYWORDS`, which also names
 the primitives of `_PRIMS`, and from an explicit work stack, so a
 printed program may nest as deeply as it runs.
 
@@ -226,8 +228,6 @@ class SBegin(SurfExpr):
 # is its text, a list's payload is the Python list of its items. They
 # never leave this module.
 
-# `\s` matches exactly what `str.isspace` does; `;` starts a comment.
-_TOKEN_RE = re.compile(r"[()]|[^\s();]+|;")
 _INT_RE = re.compile(r"-?[0-9]+\Z")  # ASCII digits only, unlike `\d`
 # Python's cap on the digits of an int read from or printed to a string;
 # 0 means no cap, as before Python 3.10.7. A literal must stay below it:
@@ -249,29 +249,34 @@ class _Top(list):
 
 def _read(text: str):
     """Read the one s-expression of `text` in a single pass over the
-    tokens of each line (as `splitlines` ends lines). The innermost open
-    list is the local `items`, and a list joins its parent when it opens,
-    so `)` is one pop and nesting depth costs no Python frames."""
+    tokens of each line (as `splitlines` ends lines). A line's code ends
+    at its first `;`, inside an atom too; spaced around each parenthesis,
+    it splits into the tokens where `str.isspace` holds, exactly where a
+    regular expression's `\\s` would. Only whitespace lies between two
+    tokens, so each token's column is where its text next occurs after
+    the one before. The innermost open list is the local `items`, and a
+    list joins its parent when it opens, so `)` is one pop and nesting
+    depth costs no Python frames."""
     top = items = _Top()
     outer = []  # the open lists enclosing `items`, innermost last
     for lineno, line in enumerate(text.splitlines(), 1):
-        for match in _TOKEN_RE.finditer(line):
-            token = match[0]
+        code = line.partition(";")[0]
+        col = 0
+        for token in code.replace("(", " ( ").replace(")", " ) ").split():
+            col = code.find(token, col)
             if token == "(":
                 inner = []
-                items.append((inner, (lineno, match.start() + 1)))
+                items.append((inner, (lineno, col + 1)))
                 outer.append(items)
                 items = inner
             elif token == ")":
                 if not outer:
                     raise ParseError("unexpected trailing input ')'" if top
-                                     else "unexpected ')'",
-                                     lineno, match.start() + 1)
+                                     else "unexpected ')'", lineno, col + 1)
                 items = outer.pop()
-            elif token == ";":
-                break
             else:
-                items.append((token, (lineno, match.start() + 1)))
+                items.append((token, (lineno, col + 1)))
+            col += len(token)
     if outer:  # the innermost open list is the last item of its parent
         raise ParseError("unclosed parenthesis", *outer[-1][-1][1])
     if not top:

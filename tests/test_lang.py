@@ -161,6 +161,28 @@ def test_meet_table():
         meet(PairT(INT, INT), PairT(INT, BOOL))
 
 
+# A non-type operand is a TypeError naming it, as for `is_static` and
+# `ground`, on each path of `meet`: the dyn and identity shortcuts too.
+# `lesseq` and `consistent` let it through.
+NOT_TYPES = [
+    (meet, 3, DYN, 3),
+    (meet, DYN, 3, 3),
+    (lesseq, 3, DYN, 3),
+    (consistent, "x", DYN, "x"),
+    (meet, 3, 4, 3),
+    (meet, INT, "x", "x"),
+]
+
+
+@pytest.mark.parametrize("relation, a, b, culprit", NOT_TYPES,
+                         ids=[f"{r.__name__}({a!r}, {b!r})"
+                              for r, a, b, _ in NOT_TYPES])
+def test_a_non_type_operand_is_a_type_error(relation, a, b, culprit):
+    with pytest.raises(TypeError) as err:
+        relation(a, b)
+    assert str(err.value) == f"not a type: {culprit!r}"
+
+
 def test_is_static_table():
     assert not is_static(DYN)
     assert is_static(ArrowT(INT, BOOL))

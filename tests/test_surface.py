@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from generators import ProgramGen, hypothesis_types
 from monoref.lang import (
@@ -39,6 +39,7 @@ from monoref.lang import (
     Snd,
     Ty,
 )
+from monoref import surface
 from monoref.surface import (
     Lit,
     ParseError,
@@ -168,6 +169,135 @@ def test_parse_non_breaking_space_separates_tokens():
     ast = parse_surface("(succ\xa04)\x1f")
     assert ast == SPrim("succ", Lit(4))
     assert ast.arg.pos == (1, 7)
+
+
+# The reader before it split lines with `str` methods, kept verbatim as
+# the reference: `_regex_read` is the regex reader `_read` that was.
+_Top = surface._Top
+# `\s` matches exactly what `str.isspace` does; `;` starts a comment.
+_TOKEN_RE = re.compile(r"[()]|[^\s();]+|;")
+
+
+def _regex_read(text: str):
+    """Read the one s-expression of `text` in a single pass over the
+    tokens of each line (as `splitlines` ends lines). The innermost open
+    list is the local `items`, and a list joins its parent when it opens,
+    so `)` is one pop and nesting depth costs no Python frames."""
+    top = items = _Top()
+    outer = []  # the open lists enclosing `items`, innermost last
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for match in _TOKEN_RE.finditer(line):
+            token = match[0]
+            if token == "(":
+                inner = []
+                items.append((inner, (lineno, match.start() + 1)))
+                outer.append(items)
+                items = inner
+            elif token == ")":
+                if not outer:
+                    raise ParseError("unexpected trailing input ')'" if top
+                                     else "unexpected ')'",
+                                     lineno, match.start() + 1)
+                items = outer.pop()
+            elif token == ";":
+                break
+            else:
+                items.append((token, (lineno, match.start() + 1)))
+    if outer:  # the innermost open list is the last item of its parent
+        raise ParseError("unclosed parenthesis", *outer[-1][-1][1])
+    if not top:
+        raise ParseError("empty input", 1, 1)
+    return top[0]
+
+
+def _reading(read, text):
+    """The tree `read` makes of `text`, or its ParseError's message,
+    line and column."""
+    try:
+        return read(text)
+    except ParseError as err:
+        return err.message, err.line, err.col
+
+
+# Pieces of reader input: parentheses, `;`, atom characters, NUL, every
+# line boundary `str.splitlines` knows, and spaces that are whitespace
+# (U+3000, U+00A0) or not (U+200B).
+READER_PIECES = [
+    "(", ")", ";", "a", "z", "0", "7", "-", "#", "$", "\0", " ", "\t",
+    "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "\u3000", "\xa0", "\u200b",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(READER_PIECES), max_size=40).map("".join))
+def test_reader_matches_the_regex_reference(text):
+    assert _reading(surface._read, text) == _reading(_regex_read, text)
+
+
+READER_EDGES = {
+    "crlf": "(pair\r\n 1\r\n #t)\r\n",
+    "lone-cr": "(succ\r1)\r)",
+    "vertical-tab": "(succ\x0b  1)",
+    "form-feed": "(succ\x0c1\x0c)",
+    "file-separator": "(succ\x1c 1)",
+    "next-line": "(pair\x851\x85  #t)",
+    "line-separator": "(succ\u2028 ;c\u2028 1)",
+    "glued-comment": "(pair x;c\n y)",
+    "comment-swallows-paren": "(succ 1 ; )\n)",
+    "comment-swallows-only-paren": "(succ 1 ; )",
+    "tabs": "(pair\t\t1\t#t)\t",
+    "glued-parens": "(pair(succ 1)(prev 2))",
+    "repeated-tokens": "((pair a\ta) a)",
+    "trailing-paren": "(succ 1)\r\n  )\n",
+    "trailing-atom": "(succ 1) x",
+    "trailing-list": "(succ 1)\n  (succ 2)",
+    "unexpected-paren": " ) (succ 1)",
+    "empty": " ; nothing\n\t",
+    "unclosed": "(pair (succ\n 1",
+}
+
+
+@pytest.mark.parametrize("text", READER_EDGES.values(), ids=READER_EDGES)
+def test_reader_matches_the_regex_reference_on_edge_cases(text):
+    assert _reading(surface._read, text) == _reading(_regex_read, text)
+
+
+# The four shapes of reader input at n tokens: one line, one token per
+# line, nothing but nested parentheses, and 50 spaces between atoms.
+READER_SHAPES = {
+    "one-line": lambda n: "(" + " a" * (n - 2) + ")",
+    "token-per-line": lambda n: "(\n" + "a\n" * (n - 2) + ")",
+    "parentheses": lambda n: "(" * (n // 2) + ")" * (n // 2),
+    "wide-space": lambda n: "(" + (" " * 50 + "a") * (n - 2) + ")",
+}
+
+
+def _best_of_3(f, *args):
+    """The least of three timings of `f(*args)`, each with the cyclic
+    collector off."""
+    times = []
+    for _ in range(3):
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            f(*args)
+            times.append(time.perf_counter() - start)
+        finally:
+            gc.enable()
+    return min(times)
+
+
+@pytest.mark.parametrize("shape", READER_SHAPES.values(), ids=READER_SHAPES)
+def test_the_reader_stays_linear(shape):
+    # 60,000 tokens take 20 ms or more to read; four times as many must
+    # take less than eight times as long. On one line, the collector
+    # alone about doubles the ratio, so it is off while a read is timed.
+    n = 60_000
+    small = _best_of_3(surface._read, shape(n))
+    large = _best_of_3(surface._read, shape(4 * n))
+    assert large < 8 * small
 
 
 KEYWORDS = ("lambda let begin ref ! := cast pair fst snd succ prev zero? int "
@@ -588,18 +718,7 @@ def test_a_use_far_down_a_chain_costs_what_a_near_one_does():
     # time of the chain whose items use the previous binding. Best of 3,
     # with the cyclic collector off while a pass is timed.
     def best(source):
-        ast = parse_surface(source)
-        times = []
-        for _ in range(3):
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                typecheck_surface((), ast)
-                times.append(time.perf_counter() - start)
-            finally:
-                gc.enable()
-        return min(times)
+        return _best_of_3(typecheck_surface, (), parse_surface(source))
 
     far, near = best(_let_chain(8000, "(succ x0)")), best(_let_chain(8000))
     assert far <= 3 * near
